@@ -9,6 +9,7 @@ Markdown table.  Exit codes: 0 success, 2 usage error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -62,22 +63,22 @@ def _dt_policy(text: str) -> float | str:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"dt must be a positive number or 'h2', got {text!r}")
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("dt must be positive")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("dt must be a positive finite number")
     return value
 
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("value must be positive")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("value must be positive and finite")
     return value
 
 
 def _nonnegative(text: str) -> float:
     value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError("value must be nonnegative")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("value must be nonnegative and finite")
     return value
 
 

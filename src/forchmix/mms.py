@@ -234,7 +234,6 @@ def convergence_study(
     t_final: float = 1.0,
     picard_tol: float = 1e-6,
     picard_max: int = 25,
-    linear_solver: str = "condensed",
     keep_runs: bool = True,
 ) -> ConvergenceReport:
     """Run the manufactured problem on each mesh and tabulate errors and rates.
@@ -259,7 +258,6 @@ def convergence_study(
             t_final=t_final,
             picard_tol=picard_tol,
             picard_max=picard_max,
-            linear_solver=linear_solver,
         )
         solver = ExpandedMixedSolver(mesh, law, config)
         result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)

@@ -10,20 +10,28 @@ by Picard iteration: the conductivity is frozen cellwise at K_T =
 K(|s_T|) of the previous iterate, which makes the block system linear and
 symmetric.  The sign convention is u = -K(|s|) s throughout.
 
-Two equivalent linear solves are available.  The monolithic path factors
-the full (p, s, u) saddle system.  The condensed path eliminates s and p
-exactly (both mass blocks are diagonal) and factors the symmetric positive
-definite velocity system
+Both mass blocks are diagonal, so s and p are eliminated exactly, leaving
+the symmetric positive definite velocity system
 
-    (M_uz^T M_sz^{-1} M_uz + dt B^T M_p^{-1} B) u = B^T (p_prev + dt M_p^{-1} F)
+    A(K) u = (M_uz^T M_sz(K)^{-1} M_uz + dt B^T M_p^{-1} B) u
+           = B^T (p_prev + dt M_p^{-1} F)
 
-then recovers s = -M_sz^{-1} M_uz u and p = p_prev + dt M_p^{-1} (F - B u).
-Both produce the same iterates to rounding; condensed is the default
-because it is several times faster on fine meshes.
+after which s = -M_sz^{-1} M_uz u and p = p_prev + dt M_p^{-1} (F - B u).
+K enters A only through one weight 1/(K_T |T|) per cell, so A keeps one
+sparsity pattern: its diagonal and strict upper triangle are laid out once
+from per-cell 3x3 blocks, and each iterate only refills their values.
+
+The first solve of a run factors A.  Every later solve runs conjugate
+gradients on the current A, preconditioned by that factorization and
+warm-started from the previous velocity, to a residual 1e-12 times the
+starting one.  When CG misses that within _CG_MAXITER iterations, A is
+factored afresh at the current K and solved directly, and the new
+factorization serves the solves that follow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,10 +42,12 @@ from scipy.sparse.linalg import splu
 from .law import ForchheimerLaw, K_eval
 from .mesh import TriMesh
 from .spaces import (
+    CellForms,
     DofMap,
     QuadratureRule,
     assemble_forms,
     build_dofmap,
+    cell_forms,
     cell_points,
     hdiv_interpolate,
     l2_project_scalar,
@@ -46,6 +56,16 @@ from .spaces import (
 )
 
 SIGN_CONVENTION = "u = -K(|s|) s"
+
+# Preconditioned CG on the condensed system stops once the residual is this
+# fraction of the warm start's.  A stop relative to the right-hand side
+# instead leaves rounding-level noise in the iterates, enough to break the
+# monotone decay of a run approaching a steady state.
+_CG_RTOL = 1e-12
+# CG iterations before the factorization is renewed at the current K.  As K
+# drifts over a long run the stale LU needs more iterations; past about eight
+# a fresh factorization costs less than the iterations it saves.
+_CG_MAXITER = 8
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -74,23 +94,20 @@ class SolverConfig:
     t_final: float
     picard_tol: float = 1e-6
     picard_max: int = 25
-    linear_solver: str = "condensed"
     sign_convention: str = SIGN_CONVENTION
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
+            raise ValueError("t_final must be nonnegative and finite")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("t_final must be an integer multiple of dt")
-        if self.picard_tol <= 0.0:
-            raise ValueError("picard_tol must be positive")
+        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+            raise ValueError("picard_tol must be positive and finite")
         if self.picard_max < 1:
             raise ValueError("picard_max must be at least 1")
-        if self.linear_solver not in ("condensed", "monolithic"):
-            raise ValueError("linear_solver must be 'condensed' or 'monolithic'")
         if self.sign_convention != SIGN_CONVENTION:
             raise ValueError(f"sign convention is fixed to '{SIGN_CONVENTION}'")
 
@@ -145,15 +162,61 @@ class ExpandedMixedSolver:
         self.config = config
         self.quadrature = quadrature or triangle_quadrature(4)
         self.dofmap: DofMap = build_dofmap(mesh)
-        forms = assemble_forms(mesh, self.dofmap, np.ones(mesh.num_triangles))
-        self._b_div = forms.B_div
-        self._bt = forms.C_pv
-        self._m_uz = forms.M_uz
-        self._m_uz_t = forms.C_sv
+        local = cell_forms(mesh, self.dofmap)
+        self._b_div, self._m_uz = local.blocks(self.dofmap.n_rt0)
         self._area2 = np.repeat(mesh.areas, 2)
-        # dt-free part of the condensed velocity matrix: B^T M_p^{-1} B
-        self._bt_mpi_b = (self._bt @ sp.diags(1.0 / mesh.areas) @ self._b_div).tocsr()
         self._qpoints = cell_points(mesh, self.quadrature)
+        self._build_pattern(local)
+        self._lu = None
+
+    def _build_pattern(self, local: CellForms) -> None:
+        """Fix the sparsity pattern of the condensed matrix A and maps into it.
+
+        Cell T adds w_T G_T + (dt/|T|) b_T b_T^T to the rows and columns of
+        its interior edges, with w_T = 1/(K_T |T|), G_T the Gram matrix of
+        the (u, z) moments and b_T the divergence row.  A is symmetric, and
+        two distinct edges share at most one cell, so A is kept as its
+        diagonal plus a CSR strict upper triangle each of whose entries
+        comes from one cell.  A sparse map per part takes w to its values.
+        """
+        n = self.dofmap.n_rt0
+        num_tris = self.mesh.num_triangles
+        dt_area = self.config.dt / self.mesh.areas
+        m0, m1 = local.moments
+        # the three pairs (k, l), k < l, of local edges
+        k, l = np.array([0, 0, 1]), np.array([1, 2, 2])
+        rows = np.minimum(local.dofs[k], local.dofs[l])
+        cols = np.maximum(local.dofs[k], local.dofs[l])
+        # a negative row marks a pair with a boundary edge
+        keys = np.where(rows >= 0, rows * n + cols, -1).ravel()
+        # cells are numbered along the mesh, so the keys arrive in long
+        # sorted runs, which the stable sort (timsort) exploits
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        interior = slice(np.searchsorted(keys, 0), None)
+        keys, order = keys[interior], order[interior]
+        indptr = np.searchsorted(keys, n * np.arange(n + 1))
+        self._upper = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
+        # a transposed view: refilling _upper.data in place refills it too
+        self._lower = self._upper.T
+        gram = (m0[k] * m0[l] + m1[k] * m1[l]).ravel()[order]
+        self._upper_map = sp.csr_matrix(
+            (gram, order % num_tris, np.arange(len(keys) + 1)), shape=(len(keys), num_tris)
+        )
+        self._upper_dt = (local.div[k] * local.div[l] * dt_area).ravel()[order]
+        edge, cell = np.nonzero(local.dofs >= 0)
+        dofs = local.dofs[edge, cell]
+        self._diag_map = sp.csr_matrix(
+            ((m0**2 + m1**2)[edge, cell], (dofs, cell)), shape=(n, num_tris)
+        )
+        self._diag_dt = np.bincount(
+            dofs, weights=(local.div**2 * dt_area)[edge, cell], minlength=n
+        )
+        self._diag = np.zeros(n)
+
+    def _apply(self, u: np.ndarray) -> np.ndarray:
+        """A u from the stored diagonal and strict upper triangle."""
+        return self._upper @ u + self._lower @ u + self._diag * u
 
     def _load_vector(self, f: ForcingField | None, t: float) -> np.ndarray:
         """Cell integrals of the forcing at time t."""
@@ -182,9 +245,9 @@ class ExpandedMixedSolver:
             u = hdiv_interpolate(self.mesh, self.dofmap, u0)
         else:
             kbar = K_eval(self.law, np.linalg.norm(s, axis=1))
-            msz = sp.diags(np.repeat(kbar, 2) * self._area2)
-            saddle = sp.bmat([[msz, self._m_uz], [self._m_uz_t, None]], format="csc")
-            rhs = np.concatenate([np.zeros(self.dofmap.n_s), -(self._bt @ p)])
+            forms = assemble_forms(self.mesh, self.dofmap, kbar)
+            saddle = sp.bmat([[forms.M_sz, forms.M_uz], [forms.C_sv, None]], format="csc")
+            rhs = np.concatenate([np.zeros(self.dofmap.n_s), -(forms.C_pv @ p)])
             solution = splu(saddle).solve(rhs)
             u = solution[self.dofmap.n_s :]
             if not np.all(np.isfinite(u)):
@@ -196,39 +259,53 @@ class ExpandedMixedSolver:
         kbar: np.ndarray,
         p_prev: np.ndarray,
         load: np.ndarray,
-        dt: float,
+        u_guess: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve one frozen-conductivity block system; returns (p, s_flat, u)."""
         areas = self.mesh.areas
+        dt = self.config.dt
+        weights = 1.0 / (kbar * areas)
+        self._upper.data[:] = self._upper_map @ weights + self._upper_dt
+        self._diag = self._diag_map @ weights + self._diag_dt
+        p_hat = p_prev + dt * load / areas
+        rhs = self._b_div.T @ p_hat
+        u = None if self._lu is None else self._pcg(rhs, u_guess)
+        if u is None:
+            a = (self._upper + self._lower + sp.diags(self._diag)).tocsc()
+            self._lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+            u = self._lu.solve(rhs)
         mk = np.repeat(kbar, 2) * self._area2
-        if self.config.linear_solver == "monolithic":
-            m_p_dt = sp.diags(areas / dt)
-            system = sp.bmat(
-                [
-                    [m_p_dt, None, self._b_div],
-                    [None, sp.diags(mk), self._m_uz],
-                    [self._bt, self._m_uz_t, None],
-                ],
-                format="csc",
-            )
-            rhs = np.concatenate(
-                [(areas * p_prev) / dt + load, np.zeros(self.dofmap.n_s + self.dofmap.n_rt0)]
-            )
-            solution = splu(system).solve(rhs)
-            n_p, n_s = self.dofmap.n_p, self.dofmap.n_s
-            p = solution[:n_p]
-            s_flat = solution[n_p : n_p + n_s]
-            u = solution[n_p + n_s :]
-        else:
-            weighted = self._m_uz.multiply((1.0 / mk)[:, None]).tocsr()
-            system = (self._m_uz_t @ weighted + dt * self._bt_mpi_b).tocsc()
-            p_hat = p_prev + dt * load / areas
-            u = splu(system, permc_spec="MMD_AT_PLUS_A").solve(self._bt @ p_hat)
-            s_flat = -(self._m_uz @ u) / mk
-            p = p_hat - dt * (self._b_div @ u) / areas
+        s_flat = -(self._m_uz @ u) / mk
+        p = p_hat - dt * (self._b_div @ u) / areas
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s_flat)) and np.all(np.isfinite(u))):
             raise RuntimeError("frozen-coefficient linear system produced non-finite values")
         return p, s_flat, u
+
+    def _pcg(self, rhs: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+        """CG on the current A from u, preconditioned by the stored LU.
+
+        Returns None when the residual has not fallen to _CG_RTOL times the
+        starting residual within _CG_MAXITER iterations.
+        """
+        r = rhs - self._apply(u)
+        tol = _CG_RTOL * np.linalg.norm(r)
+        if tol == 0.0:  # the warm start solves the system exactly
+            return u
+        u = u.copy()
+        z = self._lu.solve(r)
+        d = z
+        rz = r @ z
+        for _ in range(_CG_MAXITER):
+            ad = self._apply(d)
+            alpha = rz / (d @ ad)
+            u += alpha * d
+            r -= alpha * ad
+            if np.linalg.norm(r) <= tol:
+                return u
+            z = self._lu.solve(r)
+            rz, rz_prev = r @ z, rz
+            d = z + (rz / rz_prev) * d
+        return None
 
     def _advance(
         self,
@@ -241,11 +318,12 @@ class ExpandedMixedSolver:
         dt = cfg.dt
         load = self._load_vector(f, t_n)
         s_iter = state_prev.s.reshape(-1)
+        u = state_prev.u
+        kbar = K_eval(self.law, np.linalg.norm(state_prev.s, axis=1))
         increments: list[float] = []
         residual = np.inf
         for iteration in range(1, cfg.picard_max + 1):
-            kbar = K_eval(self.law, np.linalg.norm(s_iter.reshape(-1, 2), axis=1))
-            p, s_flat, u = self._solve_frozen(kbar, state_prev.p, load, dt)
+            p, s_flat, u = self._solve_frozen(kbar, state_prev.p, load, u)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(self.law, np.linalg.norm(s_new, axis=1))
             residual = float(np.max(np.abs((k_new - kbar)[:, None] * s_new), initial=0.0))
@@ -253,6 +331,7 @@ class ExpandedMixedSolver:
             increments.append(increment)
             scale = 1.0 + float(np.max(np.abs(s_flat), initial=0.0))
             s_iter = s_flat
+            kbar = k_new
             if residual <= 0.1 * cfg.picard_tol * scale:
                 break
             if increment <= cfg.picard_tol * scale and residual <= 10.0 * cfg.picard_tol * scale:
@@ -299,6 +378,7 @@ class ExpandedMixedSolver:
         """March from t=0 to t_final, collecting per-step diagnostics."""
         cfg = self.config
         num_steps = cfg.num_steps
+        self._lu = None
         times = np.linspace(0.0, cfg.t_final, num_steps + 1)
         state = self.initial_state(p0, s0, u0)
         areas = self.mesh.areas

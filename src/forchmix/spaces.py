@@ -259,6 +259,49 @@ class FormBlocks:
     C_pv: sp.csr_matrix
 
 
+@dataclass(frozen=True)
+class CellForms:
+    """Per-cell pieces of the velocity forms, indexed by local edge k (the
+    edge opposite local vertex k) and triangle t, in that order.
+
+    dofs: (3, F) RT0 dof of each local edge, -1 on the domain boundary.
+    div: (3, F) (div phi_k, 1)_T = sign * |e|; 0 on boundary edges.
+    moments: (2, 3, F) (phi_k, e_c)_T = |T| * phi_k(centroid) for component
+        c; 0 on boundary edges.
+    """
+
+    dofs: np.ndarray
+    div: np.ndarray
+    moments: np.ndarray
+
+    def blocks(self, n_rt0: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """B_div (F x n_rt0) and M_uz (2F x n_rt0) summed from the cells."""
+        num_tris = self.dofs.shape[1]
+        k, cell = np.nonzero(self.dofs >= 0)
+        dofs = self.dofs[k, cell]
+        b_div = sp.coo_matrix(
+            (self.div[k, cell], (cell, dofs)), shape=(num_tris, n_rt0)
+        ).tocsr()
+        m_uz = sp.coo_matrix(
+            (
+                self.moments[:, k, cell].ravel(),
+                (np.concatenate([2 * cell, 2 * cell + 1]), np.tile(dofs, 2)),
+            ),
+            shape=(2 * num_tris, n_rt0),
+        ).tocsr()
+        return b_div, m_uz
+
+
+def cell_forms(mesh: TriMesh, dofmap: DofMap) -> CellForms:
+    """The cellwise divergence and (u, z) pairings of every local RT0 basis."""
+    edges = mesh.tri_edges.T
+    dofs = dofmap.edge_dof[edges]
+    sign_len = np.where(dofs >= 0, mesh.tri_edge_signs.T * mesh.edge_lengths[edges], 0.0)
+    # |T| * phi(centroid) = sign * |e| * (centroid - p_opp) / 2
+    moment = 0.5 * (mesh.centroids.T[:, None, :] - mesh.vertices.T[:, mesh.triangles.T])
+    return CellForms(dofs=dofs, div=sign_len, moments=sign_len * moment)
+
+
 def assemble_forms(mesh: TriMesh, dofmap: DofMap, kbar: np.ndarray) -> FormBlocks:
     """Assemble all scheme blocks for a cellwise-constant conductivity kbar.
 
@@ -272,34 +315,7 @@ def assemble_forms(mesh: TriMesh, dofmap: DofMap, kbar: np.ndarray) -> FormBlock
     if np.any(kbar <= 0.0):
         raise ValueError("kbar must be positive")
 
-    num_tris = mesh.num_triangles
-    rows_b, cols_b, data_b = [], [], []
-    rows_m, cols_m, data_m = [], [], []
-    dofs = dofmap.edge_dof[mesh.tri_edges]
-    for k in range(3):
-        have = np.flatnonzero(dofs[:, k] >= 0)
-        sign_len = (
-            mesh.tri_edge_signs[have, k] * mesh.edge_lengths[mesh.tri_edges[have, k]]
-        )
-        rows_b.append(have)
-        cols_b.append(dofs[have, k])
-        data_b.append(sign_len)
-        # |T| * phi(centroid) = sign * |e| * (centroid - p_opp) / 2
-        moment = 0.5 * (mesh.centroids[have] - mesh.vertices[mesh.triangles[have, k]])
-        for comp in range(2):
-            rows_m.append(2 * have + comp)
-            cols_m.append(dofs[have, k])
-            data_m.append(sign_len * moment[:, comp])
-
-    shape_b = (num_tris, dofmap.n_rt0)
-    b_div = sp.coo_matrix(
-        (np.concatenate(data_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-        shape=shape_b,
-    ).tocsr()
-    m_uz = sp.coo_matrix(
-        (np.concatenate(data_m), (np.concatenate(rows_m), np.concatenate(cols_m))),
-        shape=(dofmap.n_s, dofmap.n_rt0),
-    ).tocsr()
+    b_div, m_uz = cell_forms(mesh, dofmap).blocks(dofmap.n_rt0)
     m_sz = sp.diags(np.repeat(kbar * mesh.areas, 2)).tocsr()
     return FormBlocks(
         M_p=sp.diags(mesh.areas).tocsr(),

@@ -72,6 +72,26 @@ def test_usage_errors_exit_with_code_two(argv: list[str]) -> None:
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--T", "inf"],
+        ["--T", "nan"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--dt", "nan"],
+        ["--dt", "inf"],
+        ["--dt-cap", "nan"],
+        ["--dt-cap", "inf"],
+    ],
+)
+def test_nonfinite_values_exit_with_code_two(argv: list[str], capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main([*_FAST, *argv])
+    assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_main_writes_markdown_to_stdout(capsys) -> None:
     assert main(_FAST) == 0
     captured = capsys.readouterr()

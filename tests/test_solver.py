@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import forchmix.solver as solver_module
 from forchmix import (
     ExpandedMixedSolver,
     ForchheimerLaw,
     K_flux,
     PicardError,
     SolverConfig,
+    assemble_forms,
+    law_from_string,
     unit_square_mesh,
 )
 from forchmix.mms import ManufacturedSolution
@@ -26,6 +31,59 @@ def _zero_vector(x, y):
     return np.stack(np.broadcast_arrays(0.0 * x, 0.0 * y), axis=-1)
 
 
+def _monolithic_solve(solver: ExpandedMixedSolver):
+    """Oracle for the solver's elimination of s and p: each frozen-conductivity
+    system is solved as the full (p, s, u) saddle system, factored afresh."""
+    mesh, dofmap, dt = solver.mesh, solver.dofmap, solver.config.dt
+    forms = assemble_forms(mesh, dofmap, np.ones(mesh.num_triangles))
+
+    def solve_frozen(kbar, p_prev, load, u_guess):
+        system = sp.bmat(
+            [
+                [sp.diags(mesh.areas / dt), None, forms.B_div],
+                [None, sp.diags(np.repeat(kbar * mesh.areas, 2)), forms.M_uz],
+                [forms.C_pv, forms.C_sv, None],
+            ],
+            format="csc",
+        )
+        rhs = np.concatenate(
+            [mesh.areas * p_prev / dt + load, np.zeros(dofmap.n_s + dofmap.n_rt0)]
+        )
+        solution = splu(system).solve(rhs)
+        n_p, n_s = dofmap.n_p, dofmap.n_s
+        return solution[:n_p], solution[n_p : n_p + n_s], solution[n_p + n_s :]
+
+    return solve_frozen
+
+
+def _oracle_run(mesh, law: ForchheimerLaw, config: SolverConfig):
+    """The solver's own Picard loop over monolithic frozen solves."""
+    exact = ManufacturedSolution(law)
+    solver = ExpandedMixedSolver(mesh, law, config)
+    solver._solve_frozen = _monolithic_solve(solver)
+    return solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+
+
+def _assert_runs_match(result, oracle) -> None:
+    assert result.picard_iters == oracle.picard_iters
+    for field in ("p", "s", "u"):
+        got, want = getattr(result.state, field), getattr(oracle.state, field)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _count_factorizations(monkeypatch) -> list[int]:
+    """Count the solver's calls of splu; the count is the list's one entry."""
+    calls = [0]
+    original = solver_module.splu
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", counting)
+    return calls
+
+
 def test_config_validation() -> None:
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_final=1.0)
@@ -37,8 +95,13 @@ def test_config_validation() -> None:
         SolverConfig(dt=0.1, t_final=1.0, picard_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_final=1.0, picard_max=0)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_final=1.0, linear_solver="lu")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(dt=bad, t_final=1.0)
+        with pytest.raises(ValueError):
+            SolverConfig(dt=0.1, t_final=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(dt=0.1, t_final=1.0, picard_tol=bad)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_final=1.0, sign_convention="u = K(|s|) s")
     assert SolverConfig(dt=0.25, t_final=1.0).num_steps == 4
@@ -111,20 +174,33 @@ def test_mass_balance_every_step(law: ForchheimerLaw, mms) -> None:
         assert residual <= 1e-10 * (1.0 + abs(f_int))
 
 
-def test_monolithic_matches_condensed(law: ForchheimerLaw, mms) -> None:
-    mesh = unit_square_mesh(4)
-    base = dict(dt=1e-2, t_final=1.0)
-    condensed = ExpandedMixedSolver(mesh, law, SolverConfig(**base))
-    monolithic = ExpandedMixedSolver(
-        mesh, law, SolverConfig(**base, linear_solver="monolithic")
-    )
-    state0 = condensed.initial_state(mms.p0, mms.s0, mms.u0)
-    state_c, iters_c = condensed.picard_step(state0, 1e-2, mms.f)
-    state_m, iters_m = monolithic.picard_step(state0, 1e-2, mms.f)
-    assert iters_c == iters_m
-    assert np.max(np.abs(state_c.p - state_m.p)) < 1e-10
-    assert np.max(np.abs(state_c.s - state_m.s)) < 1e-10
-    assert np.max(np.abs(state_c.u - state_m.u)) < 1e-10
+def test_monolithic_matches_condensed(law: ForchheimerLaw, monkeypatch) -> None:
+    """Whole runs on n=16: the condensed solve, which factors once and then
+    runs CG preconditioned by that LU, reproduces the monolithic oracle."""
+    mesh = unit_square_mesh(16)
+    config = SolverConfig(dt=mesh.h**2, t_final=12 * mesh.h**2)
+    factorizations = _count_factorizations(monkeypatch)
+    for each_law in (law, law_from_string("1:0,1e4:2")):
+        exact = ManufacturedSolution(each_law)
+        factorizations[0] = 0
+        solver = ExpandedMixedSolver(mesh, each_law, config)
+        result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+        # nine solves in ten or more went through the reused factorization
+        assert 10 * factorizations[0] < sum(result.picard_iters)
+        _assert_runs_match(result, _oracle_run(mesh, each_law, config))
+
+
+def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeypatch) -> None:
+    """When CG misses its tolerance within the cap, A is factored again at the
+    current K and solved directly; the iterates still match the oracle."""
+    monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
+    factorizations = _count_factorizations(monkeypatch)
+    mesh = unit_square_mesh(8)
+    config = SolverConfig(dt=1e-2, t_final=5e-2)
+    exact = ManufacturedSolution(law)
+    result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
+    assert factorizations[0] > 1
+    _assert_runs_match(result, _oracle_run(mesh, law, config))
 
 
 def test_sign_convention_consistency(law: ForchheimerLaw, mms) -> None:
