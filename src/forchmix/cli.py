@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .law import RootSolveError, law_from_string
-from .mms import convergence_study
+from .mms import _pick_dt, convergence_study
 from .solver import PicardError
 
 _DEFAULT_MESHES = (4, 8, 16, 32, 64, 128, 256)
@@ -157,7 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: Sequence[str] | None = None) -> RunSpec:
     """Parse CLI flags into a RunSpec; malformed flags exit with code 2."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # the finest mesh, h = sqrt(2)/n, takes the most steps under either policy
+    try:
+        _pick_dt(args.dt, args.dt_cap, math.sqrt(2.0) / args.mesh[-1], args.t_final)
+    except ValueError as exc:
+        parser.error(str(exc))
     return RunSpec(
         law_text=args.law,
         mesh_sizes=tuple(args.mesh),

@@ -33,6 +33,9 @@ from .spaces import (
 )
 
 _DECAY = 5.0
+# Past 2**53 a double no longer holds every whole step count, so t_final
+# cannot be snapped to a whole number of steps.
+_MAX_STEPS = 2.0**53
 
 
 def forcing_f(law: ForchheimerLaw, x, y, t) -> np.ndarray:
@@ -222,7 +225,10 @@ def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
         raise ValueError("dt must be positive")
     if t_final == 0.0:
         return raw
-    return t_final / max(1, round(t_final / raw))
+    steps = t_final / raw
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"final time / dt = {steps:.3g} steps, more than 2**53")
+    return t_final / max(1, round(steps))
 
 
 def convergence_study(

@@ -55,6 +55,7 @@ from .spaces import (
     triangle_quadrature,
 )
 
+# The flux law every part of the scheme assumes; it is fixed, not an option.
 SIGN_CONVENTION = "u = -K(|s|) s"
 
 # Preconditioned CG on the condensed system stops once the residual is this
@@ -94,7 +95,6 @@ class SolverConfig:
     t_final: float
     picard_tol: float = 1e-6
     picard_max: int = 25
-    sign_convention: str = SIGN_CONVENTION
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -108,8 +108,6 @@ class SolverConfig:
             raise ValueError("picard_tol must be positive and finite")
         if self.picard_max < 1:
             raise ValueError("picard_max must be at least 1")
-        if self.sign_convention != SIGN_CONVENTION:
-            raise ValueError(f"sign convention is fixed to '{SIGN_CONVENTION}'")
 
     @property
     def num_steps(self) -> int:

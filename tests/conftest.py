@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from forchmix import (
     ConvergenceReport,
@@ -14,6 +15,13 @@ from forchmix import (
     unit_square_mesh,
 )
 from forchmix.mms import ManufacturedSolution, error_norms
+
+# Property tests draw the same examples on every run and keep no database, so
+# tier-1 stays reproducible and its wall time bounded.
+settings.register_profile(
+    "forchmix", derandomize=True, database=None, max_examples=100, deadline=None
+)
+settings.load_profile("forchmix")
 
 
 @pytest.fixture(scope="session")

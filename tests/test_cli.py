@@ -92,6 +92,30 @@ def test_nonfinite_values_exit_with_code_two(argv: list[str], capsys) -> None:
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law", ["1:0,1:inf", "1:0,nan:1", "1:0,1:nan"])
+def test_nonfinite_law_exits_with_code_two(law: str, capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main([*_FAST, "--law", law])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "forchmix: error: argument --law: exponents and coefficients must be finite"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["--T", "1e308", "--mesh", "2"], ["--T", "1e15", "--dt", "0.01"]]
+)
+def test_step_count_overflow_exits_with_code_two(argv: list[str], capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "more than 2**53" in err.splitlines()[-1]
+
+
 def test_main_writes_markdown_to_stdout(capsys) -> None:
     assert main(_FAST) == 0
     captured = capsys.readouterr()

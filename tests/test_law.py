@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from forchmix import (
     DegeneracyExponents,
@@ -56,6 +58,13 @@ def test_law_validation() -> None:
         ForchheimerLaw(exponents=(0.0, 1.0, 2.0), coefficients=(1.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(1.0,))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ForchheimerLaw(exponents=(0.0, bad), coefficients=(1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(bad, 1.0))
 
 
 def test_law_from_string_parses_and_sorts() -> None:
@@ -91,6 +100,24 @@ def test_root_solve_residual_three_term() -> None:
     s = solve_s_of_xi(THREE_TERM, xi)
     residual = s * g_eval(THREE_TERM, s) - xi
     assert np.max(np.abs(residual) / np.maximum(xi, 1e-300)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "text", ["1:0,1e4:2", "1:0,1e12:0.5,1:3", "1:0,1e-8:1,1:30", "1:0,1e300:2"]
+)
+def test_root_solve_fits_a_small_iteration_budget(text: str, monkeypatch) -> None:
+    """Ten Newton steps reach full accuracy from 0 through 1e300."""
+    monkeypatch.setattr("forchmix.law._MAX_ITER", 10)
+    law = law_from_string(text)
+    xi = np.concatenate([[0.0, 5e-324], np.logspace(-300.0, 300.0, 601)])
+    s = solve_s_of_xi(law, xi, method="newton")
+    assert s[0] == 0.0
+    assert np.all(np.abs(s * g_eval(law, s) - xi) <= 1e-14 * xi)
+
+
+def test_conductivity_of_a_huge_coefficient_is_finite() -> None:
+    k = K_eval(law_from_string("1:0,1e300:2"), 2.0)
+    assert 0.0 < k < 1e-100
 
 
 def test_root_solve_rejects_unknown_method_and_negative_xi() -> None:
@@ -212,3 +239,44 @@ def test_h_eval_bracketed_by_conductivity() -> None:
             h = H_eval(law, xi)
             k = K_eval(law, xi)
             assert k * xi * xi - 1e-12 <= h <= 2.0 * k * xi * xi + 1e-12
+
+
+_XI_GRID = np.concatenate([[0.0], np.logspace(-12.0, 12.0, 241)])
+_COEFFICIENT = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def _laws(draw) -> ForchheimerLaw:
+    """Valid laws with 2-4 terms, exponents in (0, 5], coefficients in [1e-6, 1e6]."""
+    exps = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=5.0, exclude_min=True),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    coefs = draw(st.lists(_COEFFICIENT, min_size=len(exps) + 1, max_size=len(exps) + 1))
+    return ForchheimerLaw(exponents=(0.0, *sorted(exps)), coefficients=tuple(coefs))
+
+
+@given(_laws())
+def test_property_root_solve_residual(law: ForchheimerLaw) -> None:
+    s = solve_s_of_xi(law, _XI_GRID)
+    assert np.all(np.abs(s * g_eval(law, s) - _XI_GRID) <= 1e-14 * _XI_GRID)
+
+
+@given(_laws())
+def test_property_conductivity_bounded_and_nonincreasing(law: ForchheimerLaw) -> None:
+    k = K_eval(law, _XI_GRID)
+    assert np.all(k > 0.0)
+    assert np.all(k <= 1.0 / law.coefficients[0])
+    assert np.all(np.diff(k) <= 0.0)
+
+
+@given(_COEFFICIENT, _COEFFICIENT)
+def test_property_newton_matches_closed_form(a0: float, a1: float) -> None:
+    law = ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(a0, a1))
+    closed = solve_s_of_xi(law, _XI_GRID[1:])
+    newton = solve_s_of_xi(law, _XI_GRID[1:], method="newton")
+    assert np.max(np.abs(newton - closed) / closed) < 1e-13

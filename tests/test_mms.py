@@ -177,6 +177,10 @@ def test_pick_dt_policy_and_snapping() -> None:
         _pick_dt("cubic", 1e-2, 0.5, 1.0)
     with pytest.raises(ValueError):
         _pick_dt(-0.1, 1e-2, 0.5, 1.0)
+    assert _pick_dt(1.0, 1e-2, 0.5, 2.0**53) == 1.0
+    for t_final in (2.0**54, 1e308):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            _pick_dt(1.0, 1e-2, 0.5, t_final)
 
 
 def test_convergence_study_validates_mesh_sizes(law: ForchheimerLaw) -> None:

@@ -19,7 +19,6 @@ from forchmix import (
     unit_square_mesh,
 )
 from forchmix.mms import ManufacturedSolution
-from forchmix.solver import SIGN_CONVENTION
 from forchmix.spaces import cell_points, hdiv_interpolate, triangle_quadrature
 
 
@@ -102,11 +101,8 @@ def test_config_validation() -> None:
             SolverConfig(dt=0.1, t_final=bad)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_final=1.0, picard_tol=bad)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_final=1.0, sign_convention="u = K(|s|) s")
     assert SolverConfig(dt=0.25, t_final=1.0).num_steps == 4
     assert SolverConfig(dt=0.25, t_final=0.0).num_steps == 0
-    assert SolverConfig(dt=0.1, t_final=1.0).sign_convention == SIGN_CONVENTION
 
 
 def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw) -> None:
