@@ -23,7 +23,7 @@ from .law import (
     law_from_string,
     solve_s_of_xi,
 )
-from .mesh import TriMesh, TriangleGeometry, geometry, locate_cell, unit_square_mesh
+from .mesh import TriMesh, unit_square_mesh
 from .mms import (
     ConvergenceReport,
     ManufacturedSolution,
@@ -76,7 +76,6 @@ __all__ = [
     "RunResult",
     "SolverConfig",
     "TriMesh",
-    "TriangleGeometry",
     "assemble_forms",
     "build_dofmap",
     "convergence_rate",
@@ -85,12 +84,10 @@ __all__ = [
     "error_norms",
     "forcing_f",
     "g_eval",
-    "geometry",
     "hdiv_interpolate",
     "l2_project_scalar",
     "l2_project_vector",
     "law_from_string",
-    "locate_cell",
     "rt0_div",
     "rt0_eval",
     "solve_s_of_xi",

@@ -2,8 +2,9 @@
 
 Runs the manufactured-solution study for a configurable Forchheimer law,
 mesh sequence, and time-step policy, and writes the report as CSV or a
-Markdown table.  Exit codes: 0 success, 2 usage error, 3 numerical failure
-(nonlinear solve or root solve), 4 output I/O failure.
+Markdown table.  Exit codes: 0 success, 2 usage error, 3 failure of the
+study (nonlinear solve, root solve, out of memory or an internal error),
+4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -194,6 +195,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     except (PicardError, RootSolveError, RuntimeError, ValueError) as exc:
         print(f"forchmix: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"forchmix: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug: report it in one line, not a traceback
+        print(f"forchmix: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     text = report.to_csv() if spec.fmt == "csv" else report.to_markdown()

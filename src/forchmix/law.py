@@ -239,12 +239,14 @@ def K_prime(law: ForchheimerLaw, xi, method: str = "auto"):
     With s = s(xi): K' = -g'(s) / (g(s)^2 * (g(s) + s*g'(s))).  For laws whose
     smallest positive exponent is below 1 the derivative diverges at xi = 0.
     """
-    xi_arr = _as_nonneg_array(xi, "xi")
-    s = np.asarray(solve_s_of_xi(law, xi_arr, method=method))
+    return _match_input(_K_and_K_prime(law, xi, method)[1], xi)
+
+
+def _K_and_K_prime(law: ForchheimerLaw, xi, method: str = "auto"):
+    """Arrays K(xi) and K'(xi) from a single root solve for s(xi)."""
+    s = np.asarray(solve_s_of_xi(law, xi, method=method))
     g = np.asarray(g_eval(law, s))
-    gp = _g_prime(law, s)
-    result = -gp / (g * g * (g + _sg_prime(law, s)))
-    return _match_input(result, xi)
+    return 1.0 / g, -_g_prime(law, s) / (g * g * (g + _sg_prime(law, s)))
 
 
 def K_flux(law: ForchheimerLaw, y, method: str = "auto"):

@@ -16,16 +16,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class TriangleGeometry:
-    """Per-triangle geometry; entry k refers to the edge opposite vertex k."""
-
-    area: float
-    centroid: np.ndarray
-    edge_lengths: np.ndarray
-    normals: np.ndarray
-
-
-@dataclass(frozen=True)
 class TriMesh:
     """Triangulation with oriented edges and triangle-edge incidence.
 
@@ -73,24 +63,23 @@ class TriMesh:
         return len(self.edges)
 
 
-def _outward_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Outward unit normal of each triangle on the edge opposite vertex k."""
+def _outward_normals(p: np.ndarray) -> np.ndarray:
+    """Outward unit normal of each triangle, with corners p (F, 3, 2), on the
+    edge opposite vertex k."""
     # edge opposite vertex k runs from vertex k+1 to vertex k+2 (ccw traversal),
     # so its right-hand normal (dy, -dx) points out of the triangle
-    p = vertices[triangles]
-    normals = np.empty((len(triangles), 3, 2))
-    for k in range(3):
-        d = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
-        length = np.hypot(d[:, 0], d[:, 1])
-        normals[:, k, 0] = d[:, 1] / length
-        normals[:, k, 1] = -d[:, 0] / length
-    return normals
+    d = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    length = np.hypot(d[..., 0], d[..., 1])
+    return np.stack([d[..., 1] / length, -d[..., 0] / length], axis=-1)
 
 
 def build_mesh(vertices, triangles, grid_n: int | None = None) -> TriMesh:
     """Assemble connectivity for a conforming set of ccw triangles."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
+    num_vertices = len(vertices)
+    if np.any(triangles < 0) or np.any(triangles >= num_vertices):
+        raise ValueError("triangle vertex indices must lie in [0, number of vertices)")
     p = vertices[triangles]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
@@ -98,40 +87,36 @@ def build_mesh(vertices, triangles, grid_n: int | None = None) -> TriMesh:
     if np.any(signed_area <= 0.0):
         raise ValueError("triangles must be counterclockwise with positive area")
 
-    # local edge k is opposite local vertex k
+    # local edge k is opposite local vertex k; an edge's key lo * V + hi sorts
+    # the edges by (lo, hi)
     local = np.stack(
         [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=1
-    )
-    keys = np.sort(local.reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(keys, axis=0, return_inverse=True)
+    ).reshape(-1, 2)
+    keys = local.min(axis=1) * num_vertices + local.max(axis=1)
+    codes, inverse = np.unique(keys, return_inverse=True)
+    edges = np.column_stack(np.divmod(codes, num_vertices))
     tri_edges = inverse.reshape(-1, 3)
 
-    num_edges = len(edges)
-    edge_tris = np.full((num_edges, 2), -1, dtype=np.int64)
-    for t in range(len(triangles)):
-        for k in range(3):
-            e = tri_edges[t, k]
-            if edge_tris[e, 0] < 0:
-                edge_tris[e, 0] = t
-            elif edge_tris[e, 1] < 0:
-                edge_tris[e, 1] = t
-            else:
-                raise ValueError(f"edge {e} is shared by more than two triangles")
-    # keep the lower-indexed triangle first; it defines the edge normal
-    swap = (edge_tris[:, 1] >= 0) & (edge_tris[:, 1] < edge_tris[:, 0])
-    edge_tris[swap] = edge_tris[swap][:, ::-1]
-    boundary_edge = edge_tris[:, 1] < 0
+    counts = np.bincount(inverse, minlength=len(edges))
+    if counts.max() > 2:
+        e = int(np.argmax(counts > 2))
+        raise ValueError(f"edge {e} is shared by more than two triangles")
+    # a stable sort of the flat (triangle, local edge) slots by edge lists each
+    # edge's triangles in increasing order: the lower-indexed one comes first
+    # and defines the edge normal
+    tri_of_slot = np.argsort(inverse, kind="stable") // 3
+    first = np.cumsum(counts) - counts
+    edge_tris = np.column_stack(
+        [tri_of_slot[first], np.where(counts == 2, tri_of_slot[first + counts - 1], -1)]
+    )
+    boundary_edge = counts == 1
 
     signs = np.where(edge_tris[tri_edges, 0] == np.arange(len(triangles))[:, None], 1, -1)
     signs = signs.astype(np.int64)
 
-    outward = _outward_normals(vertices, triangles)
-    edge_normals = np.zeros((num_edges, 2))
-    for t in range(len(triangles)):
-        for k in range(3):
-            e = tri_edges[t, k]
-            if signs[t, k] == 1:
-                edge_normals[e] = outward[t, k]
+    owner = signs == 1
+    edge_normals = np.zeros((len(edges), 2))
+    edge_normals[tri_edges[owner]] = _outward_normals(p)[owner]
 
     edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
@@ -167,60 +152,11 @@ def unit_square_mesh(n: int) -> TriMesh:
     grid_x, grid_y = np.meshgrid(ticks, ticks)
     vertices = np.column_stack([grid_x.ravel(), grid_y.ravel()])
 
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    idx = 0
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + n + 1
-            v11 = v01 + 1
-            triangles[idx] = (v00, v10, v11)
-            triangles[idx + 1] = (v00, v11, v01)
-            idx += 2
+    # square (i, j) has lower-left vertex v = j(n+1) + i and splits into the
+    # triangles (v, v+1, v+n+2) and (v, v+n+2, v+n+1)
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v11 = v00 + n + 2
+    triangles = np.column_stack([v00, v00 + 1, v11, v00, v11, v11 - 1]).reshape(-1, 3)
     return build_mesh(vertices, triangles, grid_n=n)
 
-
-def geometry(mesh: TriMesh, t: int) -> TriangleGeometry:
-    """Area, centroid, edge lengths, and outward normals of triangle t."""
-    if not 0 <= t < mesh.num_triangles:
-        raise IndexError(f"triangle index {t} out of range")
-    normals = mesh.edge_normals[mesh.tri_edges[t]] * mesh.tri_edge_signs[t][:, None]
-    return TriangleGeometry(
-        area=float(mesh.areas[t]),
-        centroid=mesh.centroids[t].copy(),
-        edge_lengths=mesh.edge_lengths[mesh.tri_edges[t]].copy(),
-        normals=normals,
-    )
-
-
-def locate_cell(mesh: TriMesh, x, y) -> np.ndarray:
-    """Map points to triangle indices; structured meshes only.
-
-    Points on shared edges resolve to one of the incident triangles, which is
-    adequate for evaluating quantities that are continuous across that edge.
-    """
-    if mesh.grid_n is None:
-        raise ValueError("point location requires a structured mesh")
-    n = mesh.grid_n
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    i = np.clip(np.floor(x_arr * n).astype(np.int64), 0, n - 1)
-    j = np.clip(np.floor(y_arr * n).astype(np.int64), 0, n - 1)
-    upper = (y_arr * n - j) > (x_arr * n - i)
-    return 2 * (j * n + i) + upper
-
-
-def dump(mesh: TriMesh) -> str:
-    """Plain-text listing of vertices, triangles, and edges for debugging."""
-    lines = [f"vertices {mesh.num_vertices}"]
-    lines += [f"  {i}: ({x:.6f}, {y:.6f})" for i, (x, y) in enumerate(mesh.vertices)]
-    lines.append(f"triangles {mesh.num_triangles}")
-    lines += [
-        f"  {t}: ({tri[0]}, {tri[1]}, {tri[2]})" for t, tri in enumerate(mesh.triangles)
-    ]
-    lines.append(f"edges {mesh.num_edges}")
-    for e, (a, b) in enumerate(mesh.edges):
-        tag = "boundary" if mesh.boundary_edge[e] else "interior"
-        lines.append(f"  {e}: ({a}, {b}) {tag}")
-    return "\n".join(lines)

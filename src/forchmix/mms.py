@@ -21,7 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .law import ForchheimerLaw, K_eval, K_flux, K_prime, degeneracy_exponents
+# K_eval and K_prime are no longer called here but stay importable from this
+# module: perfbench/spans.py traces the conductivity layer through them.
+from .law import (  # noqa: F401
+    ForchheimerLaw,
+    K_eval,
+    K_flux,
+    K_prime,
+    _K_and_K_prime,
+    degeneracy_exponents,
+)
 from .mesh import TriMesh, unit_square_mesh
 from .solver import DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig
 from .spaces import (
@@ -54,8 +63,7 @@ def forcing_f(law: ForchheimerLaw, x, y, t) -> np.ndarray:
     ds1 = decay * (1.0 - 2.0 * x)
     ds2 = decay * (1.0 - 2.0 * y)
     xi = np.hypot(s1, s2)
-    k = K_eval(law, xi)
-    kp = K_prime(law, xi)
+    k, kp = _K_and_K_prime(law, xi)
     safe_xi = np.where(xi > 0.0, xi, 1.0)
     radial = np.where(xi > 0.0, kp * (s1**2 * ds1 + s2**2 * ds2) / safe_xi, 0.0)
     return -_DECAY * p - k * (ds1 + ds2) - radial

@@ -90,7 +90,7 @@ def reference_monomial_integral(p: int, q: int) -> float:
 
 def cell_points(mesh: TriMesh, rule: QuadratureRule) -> np.ndarray:
     """Physical quadrature points on every cell, shape (F, m, 2)."""
-    return np.einsum("qk,fkd->fqd", rule.points, mesh.vertices[mesh.triangles])
+    return rule.points @ mesh.vertices[mesh.triangles]
 
 
 def integrate_cellwise(mesh: TriMesh, rule: QuadratureRule, values: np.ndarray) -> np.ndarray:
@@ -173,20 +173,6 @@ def rt0_at_cell_points(
     """Evaluate an RT0 coefficient vector at per-cell points (F, m, 2)."""
     gamma, d = rt0_cell_affine(mesh, dofmap, coeffs)
     return d[:, None, :] + gamma[:, None, None] * points
-
-
-def rt0_as_callable(mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray):
-    """Pointwise evaluator (x, y) -> (..., 2) for structured meshes."""
-    from .mesh import locate_cell
-
-    gamma, d = rt0_cell_affine(mesh, dofmap, coeffs)
-
-    def evaluate(x, y):
-        cells = locate_cell(mesh, x, y)
-        pts = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
-        return d[cells] + gamma[cells][..., None] * pts
-
-    return evaluate
 
 
 def l2_project_scalar(mesh: TriMesh, f, rule: QuadratureRule | None = None) -> np.ndarray:

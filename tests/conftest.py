@@ -2,7 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import os
+
+# One BLAS/OpenMP thread, as perfbench/run.py runs the program.  Set before
+# anything imports numpy: the thread pools read these once, at load time.
+for _name in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ.setdefault(_name, "1")
+
+import pytest  # noqa: E402
 from hypothesis import settings
 
 from forchmix import (

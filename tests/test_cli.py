@@ -144,6 +144,30 @@ def test_main_reports_nonconvergence_with_code_three(capsys) -> None:
     assert "residual" in captured.err
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)"),
+        ZeroDivisionError("float division by zero"),
+    ],
+)
+def test_unexpected_study_errors_exit_with_code_three(
+    error: Exception, monkeypatch, capsys
+) -> None:
+    def failing_study(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("forchmix.cli.convergence_study", failing_study)
+    code = main(_FAST)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("forchmix: ") and str(error) in lines[0]
+
+
 def test_main_reports_unwritable_output_with_code_four(tmp_path: Path, capsys) -> None:
     target = tmp_path / "missing" / "report.csv"
     code = main([*_FAST, "--out", str(target)])

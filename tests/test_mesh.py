@@ -2,13 +2,134 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from forchmix import TriMesh, geometry, locate_cell, unit_square_mesh
-from forchmix.mesh import build_mesh, dump
+from forchmix import TriMesh, triangle_quadrature, unit_square_mesh
+from forchmix.mesh import build_mesh
+from forchmix.spaces import cell_points
+
+
+def _loop_mesh(vertices, triangles, grid_n: int | None = None) -> TriMesh:
+    """Reference construction: fills edge_tris and edge_normals triangle by
+    triangle, the way build_mesh did before it was vectorized."""
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    p = vertices[triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    signed_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert np.all(signed_area > 0.0)
+
+    local = np.stack(
+        [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=1
+    )
+    keys = np.sort(local.reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(keys, axis=0, return_inverse=True)
+    tri_edges = inverse.reshape(-1, 3)
+
+    num_edges = len(edges)
+    edge_tris = np.full((num_edges, 2), -1, dtype=np.int64)
+    for t in range(len(triangles)):
+        for k in range(3):
+            e = tri_edges[t, k]
+            if edge_tris[e, 0] < 0:
+                edge_tris[e, 0] = t
+            elif edge_tris[e, 1] < 0:
+                edge_tris[e, 1] = t
+            else:
+                raise ValueError(f"edge {e} is shared by more than two triangles")
+    swap = (edge_tris[:, 1] >= 0) & (edge_tris[:, 1] < edge_tris[:, 0])
+    edge_tris[swap] = edge_tris[swap][:, ::-1]
+    boundary_edge = edge_tris[:, 1] < 0
+
+    signs = np.where(edge_tris[tri_edges, 0] == np.arange(len(triangles))[:, None], 1, -1)
+    signs = signs.astype(np.int64)
+
+    outward = np.empty((len(triangles), 3, 2))
+    for k in range(3):
+        d = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+        length = np.hypot(d[:, 0], d[:, 1])
+        outward[:, k, 0] = d[:, 1] / length
+        outward[:, k, 1] = -d[:, 0] / length
+    edge_normals = np.zeros((num_edges, 2))
+    for t in range(len(triangles)):
+        for k in range(3):
+            if signs[t, k] == 1:
+                edge_normals[tri_edges[t, k]] = outward[t, k]
+
+    edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    edge_lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
+    return TriMesh(
+        vertices=vertices,
+        triangles=triangles,
+        edges=edges,
+        tri_edges=tri_edges,
+        tri_edge_signs=signs,
+        edge_tris=edge_tris,
+        boundary_edge=boundary_edge,
+        edge_normals=edge_normals,
+        areas=signed_area,
+        centroids=p.mean(axis=1),
+        edge_lengths=edge_lengths,
+        h=float(np.max(edge_lengths[tri_edges])),
+        grid_n=grid_n,
+    )
+
+
+def _loop_unit_square(n: int) -> TriMesh:
+    ticks = np.linspace(0.0, 1.0, n + 1)
+    grid_x, grid_y = np.meshgrid(ticks, ticks)
+    vertices = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    idx = 0
+    for j in range(n):
+        for i in range(n):
+            v00 = j * (n + 1) + i
+            v10 = v00 + 1
+            v01 = v00 + n + 1
+            v11 = v01 + 1
+            triangles[idx] = (v00, v10, v11)
+            triangles[idx + 1] = (v00, v11, v01)
+            idx += 2
+    return _loop_mesh(vertices, triangles, grid_n=n)
+
+
+def _scrambled_mesh(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n square mesh with its vertices renumbered, its interior
+    vertices jittered, its triangles reordered and each triangle's vertex
+    list rotated (so it stays counterclockwise)."""
+    rng = np.random.default_rng(seed)
+    base = unit_square_mesh(n)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[interior] += rng.uniform(-0.3 / n, 0.3 / n, size=(int(interior.sum()), 2))
+    new_index = rng.permutation(len(vertices))
+    renumbered = np.empty_like(vertices)
+    renumbered[new_index] = vertices
+    triangles = new_index[base.triangles][rng.permutation(base.num_triangles)]
+    shift = rng.integers(0, 3, size=len(triangles))
+    triangles = np.take_along_axis(triangles, (np.arange(3) + shift[:, None]) % 3, axis=1)
+    return renumbered, triangles
+
+
+def _assert_same_mesh(actual: TriMesh, expected: TriMesh) -> None:
+    for field in dataclasses.fields(TriMesh):
+        a = getattr(actual, field.name)
+        b = getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def _outward_normals(mesh: TriMesh) -> np.ndarray:
+    """(F, 3, 2) outward unit normal of each triangle on its local edge k."""
+    return mesh.edge_normals[mesh.tri_edges] * mesh.tri_edge_signs[..., None]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7])
@@ -71,60 +192,51 @@ def test_edge_normals_unit_and_outward_on_boundary() -> None:
 def test_geometry_of_first_cell() -> None:
     """Lower-right triangle of the unit cell: (0,0), (1,0), (1,1)."""
     mesh = unit_square_mesh(1)
-    geo = geometry(mesh, 0)
-    assert geo.area == pytest.approx(0.5, rel=1e-15)
-    assert np.allclose(geo.centroid, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
-    assert np.allclose(geo.edge_lengths, [1.0, math.sqrt(2.0), 1.0], rtol=1e-14)
+    assert mesh.areas[0] == pytest.approx(0.5, rel=1e-15)
+    assert np.allclose(mesh.centroids[0], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+    lengths = mesh.edge_lengths[mesh.tri_edges[0]]
+    assert np.allclose(lengths, [1.0, math.sqrt(2.0), 1.0], rtol=1e-14)
     r = math.sqrt(0.5)
-    assert np.allclose(geo.normals, [[1.0, 0.0], [-r, r], [0.0, -1.0]], atol=1e-14)
+    normals = _outward_normals(mesh)[0]
+    assert np.allclose(normals, [[1.0, 0.0], [-r, r], [0.0, -1.0]], atol=1e-14)
 
 
 def test_geometry_of_second_cell() -> None:
     """Upper-left triangle of the unit cell: (0,0), (1,1), (0,1)."""
     mesh = unit_square_mesh(1)
-    geo = geometry(mesh, 1)
-    assert geo.area == pytest.approx(0.5, rel=1e-15)
-    assert np.allclose(geo.centroid, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
+    assert mesh.areas[1] == pytest.approx(0.5, rel=1e-15)
+    assert np.allclose(mesh.centroids[1], [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
     r = math.sqrt(0.5)
-    assert np.allclose(geo.normals, [[0.0, 1.0], [-1.0, 0.0], [r, -r]], atol=1e-14)
+    normals = _outward_normals(mesh)[1]
+    assert np.allclose(normals, [[0.0, 1.0], [-1.0, 0.0], [r, -r]], atol=1e-14)
 
 
-def test_geometry_rejects_bad_index() -> None:
-    mesh = unit_square_mesh(1)
-    with pytest.raises(IndexError):
-        geometry(mesh, 2)
-    with pytest.raises(IndexError):
-        geometry(mesh, -3)
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_unit_square_mesh_matches_loop_construction(n: int) -> None:
+    _assert_same_mesh(unit_square_mesh(n), _loop_unit_square(n))
 
 
-def test_locate_cell_finds_containing_triangle() -> None:
-    mesh = unit_square_mesh(5)
-    cells = locate_cell(mesh, mesh.centroids[:, 0], mesh.centroids[:, 1])
-    assert np.array_equal(cells, np.arange(mesh.num_triangles))
-
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0.0, 1.0, size=300)
-    y = rng.uniform(0.0, 1.0, size=300)
-    cells = locate_cell(mesh, x, y)
-    # verify containment with barycentric coordinates
-    tri = mesh.vertices[mesh.triangles[cells]]
-    v0 = tri[:, 1] - tri[:, 0]
-    v1 = tri[:, 2] - tri[:, 0]
-    w = np.stack([x, y], axis=1) - tri[:, 0]
-    det = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-    lam1 = (w[:, 0] * v1[:, 1] - w[:, 1] * v1[:, 0]) / det
-    lam2 = (v0[:, 0] * w[:, 1] - v0[:, 1] * w[:, 0]) / det
-    eps = 1e-12
-    assert np.all(lam1 >= -eps) and np.all(lam2 >= -eps)
-    assert np.all(lam1 + lam2 <= 1.0 + eps)
-
-
-def test_locate_cell_requires_structured_mesh() -> None:
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    triangles = np.array([[0, 1, 2]])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scrambled_mesh_matches_loop_construction(seed: int) -> None:
+    vertices, triangles = _scrambled_mesh(16, seed)
     mesh = build_mesh(vertices, triangles)
-    with pytest.raises(ValueError):
-        locate_cell(mesh, 0.1, 0.1)
+    _assert_same_mesh(mesh, _loop_mesh(vertices, triangles))
+    # the lower-indexed triangle of each interior edge comes first
+    interior = ~mesh.boundary_edge
+    assert np.all(mesh.edge_tris[interior, 0] < mesh.edge_tris[interior, 1])
+    outward = _outward_normals(mesh)
+    assert np.allclose(np.linalg.norm(outward, axis=-1), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 7])
+def test_cell_points_match_barycentric_sum(degree: int) -> None:
+    rule = triangle_quadrature(degree)
+    vertices, triangles = _scrambled_mesh(8, 2)
+    for mesh in (unit_square_mesh(16), build_mesh(vertices, triangles)):
+        expected = np.einsum("qk,fkd->fqd", rule.points, mesh.vertices[mesh.triangles])
+        points = cell_points(mesh, rule)
+        assert points.shape == expected.shape
+        assert np.max(np.abs(points - expected)) <= 4e-16
 
 
 def test_build_mesh_rejects_clockwise_triangle() -> None:
@@ -138,15 +250,14 @@ def test_build_mesh_rejects_overshared_edge() -> None:
         [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 0.5]]
     )
     triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    with pytest.raises(ValueError):
+    # edge (0, 1) is edge 0, the first in (lo, hi) order
+    with pytest.raises(ValueError, match=r"^edge 0 is shared by more than two triangles$"):
         build_mesh(vertices, triangles)
 
 
-def test_dump_lists_counts() -> None:
-    mesh = unit_square_mesh(2)
-    text = dump(mesh)
-    assert "vertices 9" in text
-    assert "triangles 8" in text
-    assert "edges 16" in text
-    assert "0: (0, 1, 4)" in text
-    assert "boundary" in text and "interior" in text
+def test_build_mesh_rejects_out_of_range_vertex() -> None:
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for triangles in ([[0, 1, 3]], [[-1, 0, 1]]):
+        with pytest.raises(ValueError, match="vertex indices"):
+            build_mesh(vertices, np.array(triangles))
+

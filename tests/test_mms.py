@@ -12,14 +12,17 @@ from forchmix import (
     ExpandedMixedSolver,
     ForchheimerLaw,
     K_eval,
+    K_prime,
     SolverConfig,
     convergence_rate,
     convergence_study,
     degeneracy_exponents,
     error_norms,
     forcing_f,
+    law_from_string,
     unit_square_mesh,
 )
+from forchmix import law as law_module
 from forchmix.mms import ManufacturedSolution, _pick_dt
 from forchmix.solver import DiscreteState
 from forchmix.spaces import build_dofmap, cell_points, triangle_quadrature
@@ -73,6 +76,39 @@ def test_forcing_limit_where_gradient_vanishes(law: ForchheimerLaw, mms) -> None
             # cross-check against the interior formula approached radially
             near = forcing_f(law, x + 1e-9 - 2e-9 * x, y + 1e-9 - 2e-9 * y, t)
             assert near == pytest.approx(float(expected), abs=1e-7)
+
+
+def test_forcing_solves_for_s_once_per_call(monkeypatch) -> None:
+    """One root solve serves K and K', and the values equal K_eval and
+    K_prime evaluated separately, bit for bit."""
+    stiff = law_from_string("1:0,1e4:2")
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, size=997)])
+    y = np.concatenate([[0.0, 0.5, 0.5], rng.uniform(0.0, 1.0, size=997)])
+    t = 0.2
+
+    decay = np.exp(-5.0 * t)
+    p = decay * (0.5 * (x**2 + y**2) - (x**3 + y**3) / 3.0)
+    s1, s2 = decay * x * (1.0 - x), decay * y * (1.0 - y)
+    ds1, ds2 = decay * (1.0 - 2.0 * x), decay * (1.0 - 2.0 * y)
+    xi = np.hypot(s1, s2)
+    kp = K_prime(stiff, xi)
+    safe_xi = np.where(xi > 0.0, xi, 1.0)
+    radial = np.where(xi > 0.0, kp * (s1**2 * ds1 + s2**2 * ds2) / safe_xi, 0.0)
+    expected = -5.0 * p - K_eval(stiff, xi) * (ds1 + ds2) - radial
+
+    solves = []
+    newton = law_module._newton_s
+
+    def counting_newton(law, xi_arr):
+        solves.append(xi_arr.size)
+        return newton(law, xi_arr)
+
+    monkeypatch.setattr(law_module, "_newton_s", counting_newton)
+    forcing = forcing_f(stiff, x, y, t)
+    assert solves == [x.size]
+    assert forcing.dtype == expected.dtype
+    assert np.array_equal(forcing, expected)
 
 
 def test_pde_residual_vanishes(mms) -> None:

@@ -21,7 +21,6 @@ from forchmix.spaces import (
     cell_points,
     integrate_cellwise,
     reference_monomial_integral,
-    rt0_as_callable,
     rt0_at_cell_points,
     rt0_cell_affine,
 )
@@ -185,12 +184,37 @@ def _admissible_field(amp_x: float = 1.0, amp_y: float = 1.0):
     return v
 
 
+def _rt0_field(mesh, dofmap, coeffs):
+    """Pointwise evaluator (x, y) -> (..., 2) of an RT0 field: each point
+    takes the affine form of the cell in which its smallest barycentric
+    coordinate is largest, so a point on an edge takes one incident cell."""
+    gamma, d = rt0_cell_affine(mesh, dofmap, coeffs)
+    corners = mesh.vertices[mesh.triangles]
+    jac = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=-1)
+    inv = np.linalg.inv(jac)
+
+    def evaluate(x, y):
+        pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
+        local = np.einsum("fij,...fj->...fi", inv, pts[..., None, :] - corners[:, 0])
+        bary = np.concatenate([1.0 - local.sum(axis=-1, keepdims=True), local], axis=-1)
+        cells = np.argmax(bary.min(axis=-1), axis=-1)
+        return d[cells] + gamma[cells][..., None] * pts
+
+    return evaluate
+
+
 def test_hdiv_interpolation_idempotent_on_rt0() -> None:
     mesh = unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     rng = np.random.default_rng(17)
     coeffs = rng.normal(size=dofmap.n_rt0)
-    field = rt0_as_callable(mesh, dofmap, coeffs)
+    field = _rt0_field(mesh, dofmap, coeffs)
+    inside = mesh.centroids
+    assert np.allclose(
+        field(inside[:, 0], inside[:, 1]),
+        rt0_at_cell_points(mesh, dofmap, coeffs, inside[:, None, :])[:, 0],
+        atol=1e-14,
+    )
     recovered = hdiv_interpolate(mesh, dofmap, field)
     assert np.allclose(recovered, coeffs, atol=1e-13)
 
