@@ -50,8 +50,6 @@ from .spaces import (
     hdiv_interpolate,
     l2_project_scalar,
     l2_project_vector,
-    rt0_div,
-    rt0_eval,
     triangle_quadrature,
 )
 
@@ -88,8 +86,6 @@ __all__ = [
     "l2_project_scalar",
     "l2_project_vector",
     "law_from_string",
-    "rt0_div",
-    "rt0_eval",
     "solve_s_of_xi",
     "triangle_quadrature",
     "unit_square_mesh",

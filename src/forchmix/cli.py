@@ -19,7 +19,7 @@ from .law import RootSolveError, law_from_string
 from .mms import _pick_dt, convergence_study
 from .solver import PicardError
 
-_DEFAULT_MESHES = (4, 8, 16, 32, 64, 128, 256)
+_DEFAULT_MESHES = (4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mesh",
         type=_mesh_sizes,
         default=_DEFAULT_MESHES,
-        help="comma list of strictly increasing mesh sizes n (default 4,...,256 doubling)",
+        help=(
+            "comma list of strictly increasing mesh sizes n (default 4,8,16,32,64); "
+            "under the h2 policy with T=1 mesh n takes n^2/2 steps, about 40 s "
+            "at n=64, 11 min at n=128 and 3 h at n=256 on one 2.1 GHz core"
+        ),
     )
     parser.add_argument(
         "--dt",

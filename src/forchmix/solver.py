@@ -6,9 +6,16 @@ Each time step solves the nonlinear system
               M_sz(K) s + M_uz u      = 0
     C_pv p + C_sv s                   = 0
 
-by Picard iteration: the conductivity is frozen cellwise at K_T =
-K(|s_T|) of the previous iterate, which makes the block system linear and
-symmetric.  The sign convention is u = -K(|s|) s throughout.
+by a Picard iteration on the cellwise conductivity: with K frozen at a
+cellwise constant kbar the block system is linear and symmetric, and its
+solution s gives the update K(|s|).  From the third step on, the first kbar
+is K(|2 s^{n-1} - s^{n-2}|), the linear extrapolation in time; the first two
+steps start from K(|s^{n-1}|), since s^0 projects exact data.  Later kbar are
+the depth-1 Anderson mix of the last two updates (Walker & Ni, SIAM J. Numer.
+Anal. 49, 2011), or the plain update K(|s|) when the mix is not a positive,
+finite conductivity.  The stopping tests measure the residual of the kbar
+each solve used, so the limit is plain Picard's to within the tolerance.
+The sign convention is u = -K(|s|) s throughout.
 
 Both mass blocks are diagonal, so s and p are eliminated exactly, leaving
 the symmetric positive definite velocity system
@@ -71,6 +78,23 @@ _CG_MAXITER = 8
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 ForcingField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+
+
+def _anderson_mix(
+    g: np.ndarray, f: np.ndarray, g_prev: np.ndarray, f_prev: np.ndarray
+) -> np.ndarray:
+    """Depth-1 Anderson mix of a fixed-point iteration x -> G(x).
+
+    g = G(x) and f = g - x are the current update and its residual, g_prev
+    and f_prev the previous pair.  Returns g - gamma (g - g_prev), with gamma
+    the least-squares fit of f by the residual difference f - f_prev, or g
+    itself when the two residuals coincide.
+    """
+    df = f - f_prev
+    dff = float(df @ df)
+    if dff == 0.0:
+        return g
+    return g - (float(df @ f) / dff) * (g - g_prev)
 
 
 class PicardError(RuntimeError):
@@ -310,37 +334,50 @@ class ExpandedMixedSolver:
         state_prev: DiscreteState,
         t_n: float,
         f: ForcingField | None,
+        s_older: np.ndarray | None = None,
     ) -> tuple[DiscreteState, int, dict]:
-        """One backward Euler step with Picard resolution of K(|s|)."""
+        """One backward Euler step with accelerated Picard resolution of K(|s|).
+
+        The first kbar is taken at 2 s^{n-1} - s^{n-2} when s_older, the
+        gradient two levels back, is given, and at s^{n-1} otherwise.
+        """
         cfg = self.config
         dt = cfg.dt
         load = self._load_vector(f, t_n)
         s_iter = state_prev.s.reshape(-1)
         u = state_prev.u
-        kbar = K_eval(self.law, np.linalg.norm(state_prev.s, axis=1))
+        s_start = state_prev.s if s_older is None else 2.0 * state_prev.s - s_older
+        kbar = K_eval(self.law, np.linalg.norm(s_start, axis=1))
+        k_prev = f_prev = None
         increments: list[float] = []
         residual = np.inf
         for iteration in range(1, cfg.picard_max + 1):
             p, s_flat, u = self._solve_frozen(kbar, state_prev.p, load, u)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(self.law, np.linalg.norm(s_new, axis=1))
-            residual = float(np.max(np.abs((k_new - kbar)[:, None] * s_new), initial=0.0))
+            update = k_new - kbar
+            residual = float(np.max(np.abs(update[:, None] * s_new), initial=0.0))
             increment = float(np.max(np.abs(s_flat - s_iter), initial=0.0))
             increments.append(increment)
             scale = 1.0 + float(np.max(np.abs(s_flat), initial=0.0))
             s_iter = s_flat
-            kbar = k_new
             if residual <= 0.1 * cfg.picard_tol * scale:
                 break
             if increment <= cfg.picard_tol * scale and residual <= 10.0 * cfg.picard_tol * scale:
                 break
+            kbar = k_new
+            if f_prev is not None:
+                mixed = _anderson_mix(k_new, update, k_prev, f_prev)
+                if np.all(np.isfinite(mixed) & (mixed > 0.0)):
+                    kbar = mixed
+            k_prev, f_prev = k_new, update
         else:
             raise PicardError(
                 f"Picard iteration did not converge in {cfg.picard_max} iterations "
                 f"(last residual {residual:.3e})",
                 residual=residual,
             )
-        state = DiscreteState(p=p, s=s_iter.reshape(-1, 2), u=u, t=t_n)
+        state = DiscreteState(p=p, s=s_new, u=u, t=t_n)
         diagnostics = {
             "mass_residual": self._mass_residual(state_prev.p, p, load, dt),
             "f_integral": float(load.sum()),
@@ -386,8 +423,14 @@ class ExpandedMixedSolver:
         f_integrals: list[float] = []
         picard_increments: list[tuple[float, ...]] = []
         states = [state] if store_states else None
+        # s^0 projects exact data and is no discrete solution, so the
+        # extrapolated start waits until s^1 and s^2 exist
+        s_older = None
         for n in range(1, num_steps + 1):
-            state, iterations, diagnostics = self._advance(state, float(times[n]), f)
+            s_prev = state.s
+            state, iterations, diagnostics = self._advance(state, float(times[n]), f, s_older)
+            if n >= 2:
+                s_older = s_prev
             picard_iters.append(iterations)
             mass_residuals.append(diagnostics["mass_residual"])
             f_integrals.append(diagnostics["f_integral"])

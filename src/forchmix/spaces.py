@@ -14,7 +14,6 @@ edges carry no degree of freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,19 +82,9 @@ def triangle_quadrature(degree: int = 4) -> QuadratureRule:
     return _collapsed_rule(degree)
 
 
-def reference_monomial_integral(p: int, q: int) -> float:
-    """Exact integral of x^p y^q over the unit right triangle."""
-    return factorial(p) * factorial(q) / factorial(p + q + 2)
-
-
 def cell_points(mesh: TriMesh, rule: QuadratureRule) -> np.ndarray:
     """Physical quadrature points on every cell, shape (F, m, 2)."""
     return rule.points @ mesh.vertices[mesh.triangles]
-
-
-def integrate_cellwise(mesh: TriMesh, rule: QuadratureRule, values: np.ndarray) -> np.ndarray:
-    """Cell integrals from point values of shape (F, m): |T| * sum(w * v)."""
-    return mesh.areas * (values @ rule.weights)
 
 
 @dataclass(frozen=True)
@@ -121,29 +110,6 @@ def build_dofmap(mesh: TriMesh) -> DofMap:
         n_p=mesh.num_triangles,
         n_s=2 * mesh.num_triangles,
     )
-
-
-def rt0_eval(mesh: TriMesh, t: int, k: int, x) -> np.ndarray:
-    """RT0 basis of local edge k on triangle t at points x of shape (..., 2).
-
-    phi = sign * |e| / (2|T|) * (x - p_opp) where p_opp is the vertex opposite
-    the edge; its normal trace is 1 on edge k (along the global edge normal)
-    and 0 on the other edges.
-    """
-    if not 0 <= k < 3:
-        raise IndexError(f"local edge index {k} out of range")
-    e = mesh.tri_edges[t, k]
-    scale = mesh.tri_edge_signs[t, k] * mesh.edge_lengths[e] / (2.0 * mesh.areas[t])
-    opp = mesh.vertices[mesh.triangles[t, k]]
-    return scale * (np.asarray(x, dtype=float) - opp)
-
-
-def rt0_div(mesh: TriMesh, t: int, k: int) -> float:
-    """Constant divergence sign * |e| / |T| of the basis of local edge k."""
-    if not 0 <= k < 3:
-        raise IndexError(f"local edge index {k} out of range")
-    e = mesh.tri_edges[t, k]
-    return float(mesh.tri_edge_signs[t, k] * mesh.edge_lengths[e] / mesh.areas[t])
 
 
 def rt0_cell_affine(mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray):

@@ -2,20 +2,73 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from forchmix.cli import RunSpec, main, parse_args
 
 _FAST = ["--mesh", "2,4", "--T", "0.1", "--dt", "0.05"]
+
+# Invalid flag values, each invalid by construction.  No float or int
+# literal contains any of "#@?%qz", so a token holding one never parses.
+_NOT_A_NUMBER = st.builds(
+    lambda head, bad, tail: head + bad + tail,
+    st.text("0123456789.e-", max_size=3),
+    st.text("#@?%qz", min_size=1, max_size=2),
+    st.text("0123456789.e-", max_size=3),
+)
+_NONFINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+_NEGATIVE = st.floats(min_value=5e-324, max_value=1e308).map(lambda x: repr(-x))
+_NOT_POSITIVE = st.one_of(_NOT_A_NUMBER, _NONFINITE, _NEGATIVE, st.sampled_from(["0", "-0.0"]))
+_SIZES = st.lists(st.integers(1, 4096), max_size=3)
+
+
+def _joined(sizes) -> str:
+    return ",".join(str(n) for n in sizes)
+
+
+_BAD_VALUES = {
+    "--mesh": st.one_of(
+        _NOT_A_NUMBER,
+        st.sampled_from(["", ",", "4,,8", "4,8,"]),
+        # a non-positive size anywhere in the list
+        st.builds(lambda a, n, b: _joined([*a, n, *b]), _SIZES, st.integers(max_value=0), _SIZES),
+        # a last size no larger than an earlier one
+        _SIZES.filter(bool).flatmap(
+            lambda sizes: st.integers(1, max(sizes)).map(lambda n: _joined([*sizes, n]))
+        ),
+    ),
+    # a final time of 1e16 or more is over 2**53 steps of the fixed dt = 0.05
+    "--T": st.one_of(
+        _NOT_A_NUMBER, _NONFINITE, _NEGATIVE, st.floats(min_value=1e16, max_value=1e308).map(repr)
+    ),
+    "--tol": _NOT_POSITIVE,
+    "--dt": _NOT_POSITIVE,
+    "--dt-cap": _NOT_POSITIVE,
+    "--law": st.one_of(
+        _NOT_A_NUMBER,
+        st.builds("1:0,1:{}".format, _NONFINITE),
+        st.builds("{}:0".format, st.floats(min_value=0.1, max_value=10)),  # one term
+        # no constant term
+        st.lists(st.floats(min_value=0.1, max_value=5), min_size=2, max_size=3, unique=True).map(
+            lambda exps: ",".join(f"1:{e!r}" for e in exps)
+        ),
+        st.builds("1:0,{}:1,1:2".format, _NEGATIVE),  # a negative coefficient
+        st.sampled_from(["1:0,0:1", "1:0,1:1,2:1", "1:0,,1:1"]),
+    ),
+}
 
 
 def test_defaults() -> None:
     spec = parse_args([])
     assert spec == RunSpec(
         law_text="1:0,1:1",
-        mesh_sizes=(4, 8, 16, 32, 64, 128, 256),
+        mesh_sizes=(4, 8, 16, 32, 64),
         dt="h2",
         dt_cap=1e-2,
         t_final=1.0,
@@ -114,6 +167,26 @@ def test_step_count_overflow_exits_with_code_two(argv: list[str], capsys) -> Non
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "more than 2**53" in err.splitlines()[-1]
+
+
+def _study_must_not_run(*args, **kwargs):
+    raise AssertionError("convergence_study ran on invalid flags")
+
+
+@pytest.mark.parametrize("flag", sorted(_BAD_VALUES))
+@given(data=st.data())
+def test_malformed_flags_exit_with_usage_and_code_two(flag: str, data) -> None:
+    value = data.draw(_BAD_VALUES[flag], label="value")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("forchmix.cli.convergence_study", _study_must_not_run)
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
+            main([*_FAST, f"{flag}={value}"])
+    assert excinfo.value.code == 2
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert text.startswith("usage: forchmix ")
+    assert text.splitlines()[-1].startswith("forchmix: error: ")
 
 
 def test_main_writes_markdown_to_stdout(capsys) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -11,19 +13,49 @@ from forchmix import (
     hdiv_interpolate,
     l2_project_scalar,
     l2_project_vector,
-    rt0_div,
-    rt0_eval,
     triangle_quadrature,
     unit_square_mesh,
 )
-from forchmix.mesh import build_mesh
+from forchmix.mesh import TriMesh, build_mesh
 from forchmix.spaces import (
+    QuadratureRule,
     cell_points,
-    integrate_cellwise,
-    reference_monomial_integral,
     rt0_at_cell_points,
     rt0_cell_affine,
 )
+
+
+def reference_monomial_integral(p: int, q: int) -> float:
+    """Exact integral of x^p y^q over the unit right triangle."""
+    return factorial(p) * factorial(q) / factorial(p + q + 2)
+
+
+def integrate_cellwise(mesh: TriMesh, rule: QuadratureRule, values: np.ndarray) -> np.ndarray:
+    """Cell integrals from point values of shape (F, m): |T| * sum(w * v)."""
+    return mesh.areas * (values @ rule.weights)
+
+
+def rt0_eval(mesh: TriMesh, t: int, k: int, x) -> np.ndarray:
+    """RT0 basis of local edge k on triangle t at points x of shape (..., 2).
+
+    phi = sign * |e| / (2|T|) * (x - p_opp) where p_opp is the vertex opposite
+    the edge; its normal trace is 1 on edge k (along the global edge normal)
+    and 0 on the other edges.
+    """
+    if not 0 <= k < 3:
+        raise IndexError(f"local edge index {k} out of range")
+    e = mesh.tri_edges[t, k]
+    scale = mesh.tri_edge_signs[t, k] * mesh.edge_lengths[e] / (2.0 * mesh.areas[t])
+    opp = mesh.vertices[mesh.triangles[t, k]]
+    return scale * (np.asarray(x, dtype=float) - opp)
+
+
+def rt0_div(mesh: TriMesh, t: int, k: int) -> float:
+    """Constant divergence sign * |e| / |T| of the basis of local edge k."""
+    if not 0 <= k < 3:
+        raise IndexError(f"local edge index {k} out of range")
+    e = mesh.tri_edges[t, k]
+    return float(mesh.tri_edge_signs[t, k] * mesh.edge_lengths[e] / mesh.areas[t])
 
 
 def _reference_mesh():
