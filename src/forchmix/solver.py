@@ -8,9 +8,12 @@ Each time step solves the nonlinear system
 
 by a Picard iteration on the cellwise conductivity: with K frozen at a
 cellwise constant kbar the block system is linear and symmetric, and its
-solution s gives the update K(|s|).  From the third step on, the first kbar
-is K(|2 s^{n-1} - s^{n-2}|), the linear extrapolation in time; the first two
-steps start from K(|s^{n-1}|), since s^0 projects exact data.  Later kbar are
+solution s gives the update K(|s|).  A step starts from its history: the
+first kbar is K at the quadratic extrapolation in time
+3 s^{n-1} - 3 s^{n-2} + s^{n-3} from the fourth step on, at the linear one
+2 s^{n-1} - s^{n-2} on the third, and at s^{n-1} on the first two, since s^0
+projects exact data and is no discrete solution.  The same extrapolation of
+u is the first warm start of the velocity solve.  Later kbar are
 the depth-1 Anderson mix of the last two updates (Walker & Ni, SIAM J. Numer.
 Anal. 49, 2011), or the plain update K(|s|) when the mix is not a positive,
 finite conductivity.  The stopping tests measure the residual of the kbar
@@ -30,15 +33,19 @@ from per-cell 3x3 blocks, and each iterate only refills their values.
 
 The first solve of a run factors A.  Every later solve runs conjugate
 gradients on the current A, preconditioned by that factorization and
-warm-started from the previous velocity, to a residual 1e-12 times the
-starting one.  When CG misses that within _CG_MAXITER iterations, A is
-factored afresh at the current K and solved directly, and the new
-factorization serves the solves that follow.
+warm-started from the extrapolated or the previous iterate's velocity.  CG
+stops at a step-level accuracy: a residual 1e-12 times that of u^{n-1} in
+the current system, so a better warm start saves iterations rather than
+buying digits below rounding.  When CG misses that within _CG_MAXITER
+iterations, A is factored afresh at the current K and solved directly, and
+the new factorization serves the solves that follow.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,9 +73,12 @@ from .spaces import (
 SIGN_CONVENTION = "u = -K(|s|) s"
 
 # Preconditioned CG on the condensed system stops once the residual is this
-# fraction of the warm start's.  A stop relative to the right-hand side
-# instead leaves rounding-level noise in the iterates, enough to break the
-# monotone decay of a run approaching a steady state.
+# fraction of the anchor's: the previous level's velocity in the current
+# system, which measures how far the step moves the solution.  A stop
+# relative to the right-hand side instead leaves rounding-level noise in the
+# iterates, enough to break the decay of a run approaching a steady state; a
+# stop relative to the warm start's own residual asks a good warm start for
+# digits below rounding.
 _CG_RTOL = 1e-12
 # CG iterations before the factorization is renewed at the current K.  As K
 # drifts over a long run the stale LU needs more iterations; past about eight
@@ -95,6 +105,23 @@ def _anderson_mix(
     if dff == 0.0:
         return g
     return g - (float(df @ f) / dff) * (g - g_prev)
+
+
+def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
+    """The next time level of the polynomial through the given ones.
+
+    levels holds the last one, two or three levels, oldest first; the result
+    is the last level itself, 2 x^{n-1} - x^{n-2}, or
+    3 (x^{n-1} - x^{n-2}) + x^{n-3}, which all return a constant history
+    exactly.
+    """
+    if len(levels) == 3:
+        oldest, older, last = levels
+        return 3.0 * (last - older) + oldest
+    if len(levels) == 2:
+        older, last = levels
+        return 2.0 * last - older
+    return levels[-1]
 
 
 class PicardError(RuntimeError):
@@ -282,8 +309,13 @@ class ExpandedMixedSolver:
         p_prev: np.ndarray,
         load: np.ndarray,
         u_guess: np.ndarray,
+        u_anchor: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve one frozen-conductivity block system; returns (p, s_flat, u)."""
+        """Solve one frozen-conductivity block system; returns (p, s_flat, u).
+
+        u_guess warm-starts CG, which stops at _CG_RTOL times the residual of
+        u_anchor in this system; without an anchor that is the warm start's.
+        """
         areas = self.mesh.areas
         dt = self.config.dt
         weights = 1.0 / (kbar * areas)
@@ -291,7 +323,7 @@ class ExpandedMixedSolver:
         self._diag = self._diag_map @ weights + self._diag_dt
         p_hat = p_prev + dt * load / areas
         rhs = self._b_div.T @ p_hat
-        u = None if self._lu is None else self._pcg(rhs, u_guess)
+        u = None if self._lu is None else self._pcg(rhs, u_guess, u_anchor)
         if u is None:
             a = (self._upper + self._lower + sp.diags(self._diag)).tocsc()
             self._lu = splu(a, permc_spec="MMD_AT_PLUS_A")
@@ -303,15 +335,22 @@ class ExpandedMixedSolver:
             raise RuntimeError("frozen-coefficient linear system produced non-finite values")
         return p, s_flat, u
 
-    def _pcg(self, rhs: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    def _pcg(
+        self, rhs: np.ndarray, u: np.ndarray, anchor: np.ndarray | None
+    ) -> np.ndarray | None:
         """CG on the current A from u, preconditioned by the stored LU.
 
-        Returns None when the residual has not fallen to _CG_RTOL times the
-        starting residual within _CG_MAXITER iterations.
+        Stops at _CG_RTOL times the residual of anchor, or of u itself when
+        anchor is None or solves the system exactly, so a zero target is
+        never asked for; u is returned as it is when it already meets the
+        target.  Returns None when the residual has not fallen to the target
+        within _CG_MAXITER iterations.
         """
         r = rhs - self._apply(u)
-        tol = _CG_RTOL * np.linalg.norm(r)
-        if tol == 0.0:  # the warm start solves the system exactly
+        r_norm = np.linalg.norm(r)
+        anchor_norm = r_norm if anchor is None else np.linalg.norm(rhs - self._apply(anchor))
+        tol = _CG_RTOL * (anchor_norm or r_norm)
+        if r_norm <= tol:
             return u
         u = u.copy()
         z = self._lu.solve(r)
@@ -331,28 +370,30 @@ class ExpandedMixedSolver:
 
     def _advance(
         self,
-        state_prev: DiscreteState,
+        levels: Sequence[DiscreteState],
         t_n: float,
         f: ForcingField | None,
-        s_older: np.ndarray | None = None,
     ) -> tuple[DiscreteState, int, dict]:
         """One backward Euler step with accelerated Picard resolution of K(|s|).
 
-        The first kbar is taken at 2 s^{n-1} - s^{n-2} when s_older, the
-        gradient two levels back, is given, and at s^{n-1} otherwise.
+        levels are the last one to three time levels, oldest first, the
+        previous level last.  The first kbar is K at their extrapolation of
+        s and the first warm start their extrapolation of u; every velocity
+        solve of the step stops relative to the previous level's residual.
         """
         cfg = self.config
         dt = cfg.dt
+        state_prev = levels[-1]
         load = self._load_vector(f, t_n)
         s_iter = state_prev.s.reshape(-1)
-        u = state_prev.u
-        s_start = state_prev.s if s_older is None else 2.0 * state_prev.s - s_older
+        u = _extrapolate([level.u for level in levels])
+        s_start = _extrapolate([level.s for level in levels])
         kbar = K_eval(self.law, np.linalg.norm(s_start, axis=1))
         k_prev = f_prev = None
         increments: list[float] = []
         residual = np.inf
         for iteration in range(1, cfg.picard_max + 1):
-            p, s_flat, u = self._solve_frozen(kbar, state_prev.p, load, u)
+            p, s_flat, u = self._solve_frozen(kbar, state_prev.p, load, u, state_prev.u)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(self.law, np.linalg.norm(s_new, axis=1))
             update = k_new - kbar
@@ -398,8 +439,14 @@ class ExpandedMixedSolver:
         t_n: float,
         f: ForcingField | None = None,
     ) -> tuple[DiscreteState, int]:
-        """Advance one step to time t_n; returns the state and the Picard count."""
-        state, iterations, _ = self._advance(state_prev, t_n, f)
+        """Advance one step to time t_n; returns the state and the Picard count.
+
+        The step starts from K(|s^{n-1}|) and the warm start u^{n-1}, with no
+        extrapolation in time, so a run marched by hand takes more iterates
+        than run and ends within the Picard tolerance of it, not at the same
+        iterates.
+        """
+        state, iterations, _ = self._advance([state_prev], t_n, f)
         return state, iterations
 
     def run(
@@ -423,14 +470,13 @@ class ExpandedMixedSolver:
         f_integrals: list[float] = []
         picard_increments: list[tuple[float, ...]] = []
         states = [state] if store_states else None
-        # s^0 projects exact data and is no discrete solution, so the
-        # extrapolated start waits until s^1 and s^2 exist
-        s_older = None
+        # the levels a step extrapolates from; s^0 projects exact data and
+        # is no discrete solution, so it is used only by the first step
+        history: deque[DiscreteState] = deque(maxlen=3)
         for n in range(1, num_steps + 1):
-            s_prev = state.s
-            state, iterations, diagnostics = self._advance(state, float(times[n]), f, s_older)
-            if n >= 2:
-                s_older = s_prev
+            levels = list(history) or [state]
+            state, iterations, diagnostics = self._advance(levels, float(times[n]), f)
+            history.append(state)
             picard_iters.append(iterations)
             mass_residuals.append(diagnostics["mass_residual"])
             f_integrals.append(diagnostics["f_integral"])

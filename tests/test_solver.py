@@ -40,7 +40,7 @@ def _monolithic_solve(solver: ExpandedMixedSolver):
     mesh, dofmap, dt = solver.mesh, solver.dofmap, solver.config.dt
     forms = assemble_forms(mesh, dofmap, np.ones(mesh.num_triangles))
 
-    def solve_frozen(kbar, p_prev, load, u_guess):
+    def solve_frozen(kbar, p_prev, load, u_guess, u_anchor=None):
         system = sp.bmat(
             [
                 [sp.diags(mesh.areas / dt), None, forms.B_div],
@@ -140,6 +140,28 @@ def _count_factorizations(monkeypatch) -> list[int]:
     return calls
 
 
+class _CountingLU:
+    """A factorization whose triangular solves are counted."""
+
+    def __init__(self, lu, calls: list[int]) -> None:
+        self._lu, self._calls = lu, calls
+
+    def solve(self, rhs):
+        self._calls[0] += 1
+        return self._lu.solve(rhs)
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """Count the triangular solves of every factorization the solver makes;
+    the count is the list's one entry."""
+    calls = [0]
+    original = solver_module.splu
+    monkeypatch.setattr(
+        solver_module, "splu", lambda *args, **kwargs: _CountingLU(original(*args, **kwargs), calls)
+    )
+    return calls
+
+
 def test_config_validation() -> None:
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_final=1.0)
@@ -162,15 +184,24 @@ def test_config_validation() -> None:
     assert SolverConfig(dt=0.25, t_final=0.0).num_steps == 0
 
 
-def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw) -> None:
+def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw, monkeypatch) -> None:
+    """Every step of a zero run solves its system exactly from u^{n-1}: CG
+    returns the warm start at once, and the one factorization is the run's
+    first solve."""
+    factorizations = _count_factorizations(monkeypatch)
     mesh = unit_square_mesh(3)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
     state0 = solver.initial_state(_zero_scalar, _zero_vector)
     state, iterations = solver.picard_step(state0, 0.1, None)
     assert iterations == 1
-    assert np.all(state.p == 0.0)
-    assert np.all(state.s == 0.0)
-    assert np.all(state.u == 0.0)
+    factorizations[0] = 0
+    result = solver.run(None, _zero_scalar, _zero_vector, _zero_vector)
+    assert result.picard_iters == [1] * 10
+    assert factorizations[0] == 1
+    for each in (state, result.state):
+        assert np.all(each.p == 0.0)
+        assert np.all(each.s == 0.0)
+        assert np.all(each.u == 0.0)
 
 
 def test_constant_conductivity_converges_in_one_iteration() -> None:
@@ -243,6 +274,22 @@ def test_monolithic_matches_condensed(law: ForchheimerLaw, monkeypatch) -> None:
         _assert_runs_match(result, _oracle_run(mesh, each_law, config))
 
 
+def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, monkeypatch) -> None:
+    """When the anchor solves the system exactly, CG stops at _CG_RTOL times
+    the warm start's residual instead of asking for a zero residual, and the
+    stored factorization serves the solve."""
+    factorizations = _count_factorizations(monkeypatch)
+    mesh = unit_square_mesh(4)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
+    kbar, zero_p = np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)
+    n = solver.dofmap.n_rt0
+    solver._solve_frozen(kbar, zero_p, zero_p, np.zeros(n))
+    guess = np.random.default_rng(0).standard_normal(n)
+    _, _, u = solver._solve_frozen(kbar, zero_p, zero_p, guess, np.zeros(n))
+    assert factorizations[0] == 1
+    assert np.max(np.abs(u)) <= 1e-10 * np.max(np.abs(guess))
+
+
 def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeypatch) -> None:
     """When CG misses its tolerance within the cap, A is factored again at the
     current K and solved directly; the iterates still match the oracle."""
@@ -266,28 +313,63 @@ def test_accelerated_picard_matches_plain_picard(law_text: str) -> None:
     _assert_states_close(result.state, _tight_oracle(law_text), 1e-9)
 
 
-@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
-def test_every_step_is_a_picard_fixed_point(law_text: str) -> None:
+def _assert_picard_fixed_points(solver: ExpandedMixedSolver, exact, states) -> None:
     """Re-solving each step's frozen system at K(|s^n|) from p^{n-1} gives
     back s^n within 10 * picard_tol * (1 + max|s^n|)."""
+    for prev, state in zip(states, states[1:]):
+        load = solver._load_vector(exact.f, state.t)
+        kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
+        _, s_flat, _ = solver._solve_frozen(kbar, prev.p, load, state.u)
+        bound = 10.0 * solver.config.picard_tol * (1.0 + np.max(np.abs(state.s)))
+        assert np.max(np.abs(s_flat - state.s.reshape(-1))) <= bound
+
+
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
+def test_every_step_is_a_picard_fixed_point(law_text: str) -> None:
+    """Every level of a run, with its extrapolated starts, is a Picard
+    fixed point within the tolerance."""
     mesh, law, config, exact = _n16_setup(law_text)
     solver = ExpandedMixedSolver(mesh, law, config)
     result = solver.run(exact.f, exact.p0, exact.s0, exact.u0, store_states=True)
     assert result.states is not None
-    for prev, state in zip(result.states, result.states[1:]):
-        load = solver._load_vector(exact.f, state.t)
-        kbar = K_eval(law, np.linalg.norm(state.s, axis=1))
-        _, s_flat, _ = solver._solve_frozen(kbar, prev.p, load, state.u)
-        bound = 10.0 * config.picard_tol * (1.0 + np.max(np.abs(state.s)))
-        assert np.max(np.abs(s_flat - state.s.reshape(-1))) <= bound
+    _assert_picard_fixed_points(solver, exact, result.states)
+
+
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
+def test_every_hand_marched_step_is_a_picard_fixed_point(law_text: str) -> None:
+    """picard_step starts each step from s^{n-1} and u^{n-1}; the levels it
+    marches to are Picard fixed points within the tolerance too."""
+    mesh, law, config, exact = _n16_setup(law_text)
+    solver = ExpandedMixedSolver(mesh, law, config)
+    states = [solver.initial_state(exact.p0, exact.s0, exact.u0)]
+    for n in range(1, config.num_steps + 1):
+        state, _ = solver.picard_step(states[-1], n * config.dt, exact.f)
+        states.append(state)
+    _assert_picard_fixed_points(solver, exact, states)
 
 
 def test_picard_iteration_budget_on_the_stiff_law() -> None:
-    """The newton-stiff benchmark run (law 1:0,1e4:2) takes 74 iterates.  Plain Picard takes 133, without the
-    extrapolated start it takes 94 and without the mix 95."""
+    """The newton-stiff benchmark run (law 1:0,1e4:2) takes 61 iterates.
+    Plain Picard takes 133; with the linear instead of the quadratic start it
+    takes 74, without an extrapolated start 94 and without the mix 84."""
     mesh, law, config, exact = _n16_setup("1:0,1e4:2")
     result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
-    assert sum(result.picard_iters) <= 85
+    assert sum(result.picard_iters) <= 65
+
+
+def test_picard_and_solve_budgets_on_the_study_row(monkeypatch) -> None:
+    """The finest row of the cli-study benchmark (n=32, law 1:0,1:1, 64
+    steps of dt = 0.125/64) takes 73 iterates and 313 triangular solves.
+    With the linear start it takes 132 iterates; with CG stopped relative
+    to each warm start's own residual it takes 457 solves."""
+    solves = _count_solves(monkeypatch)
+    law = law_from_string("1:0,1:1")
+    exact = ManufacturedSolution(law)
+    config = SolverConfig(dt=0.125 / 64, t_final=0.125)
+    solver = ExpandedMixedSolver(unit_square_mesh(32), law, config)
+    result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+    assert sum(result.picard_iters) <= 80
+    assert solves[0] <= 350
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
@@ -362,8 +444,12 @@ def test_steady_compatible_forcing_stagnates(law: ForchheimerLaw, mms) -> None:
         float(np.max(np.abs(states[i].p - states[i - 1].p)))
         for i in range(1, len(states))
     ]
-    tail = increments[5:]
-    assert all(b <= a * 1.001 for a, b in zip(tail, tail[1:]))
+    # Above a few ulp of the steady pressure each increment shrinks by a
+    # factor of about 0.55 (measured 0.526 to 0.565); below that floor the
+    # increments are rounding noise and need only stay there.
+    floor = 64 * np.finfo(float).eps * np.max(np.abs(states[-1].p))
+    for a, b in zip(increments, increments[1:]):
+        assert b <= (0.6 * a if a > floor else floor)
     assert increments[-1] < 1e-10
 
 
