@@ -195,7 +195,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             t_final=spec.t_final,
             picard_tol=spec.picard_tol,
             picard_max=spec.picard_max,
-            keep_runs=False,
         )
     except (PicardError, RootSolveError, RuntimeError, ValueError) as exc:
         print(f"forchmix: numerical failure: {exc}", file=sys.stderr)

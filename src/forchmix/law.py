@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 _REL_TOL = 1e-13
 _MAX_ITER = 100
@@ -208,48 +207,46 @@ def _residual_and_slope(terms, s: np.ndarray, xi: np.ndarray) -> tuple[np.ndarra
     return s * g - xi, slope
 
 
-def solve_s_of_xi(law: ForchheimerLaw, xi, method: str = "auto"):
+def solve_s_of_xi(law: ForchheimerLaw, xi):
     """Solve s * g(s) = xi for the unique s >= 0.
 
-    method "auto" uses the quadratic closed form for two-term linear laws and
-    monotone Newton otherwise; method "newton" forces the Newton solve.
+    Two-term linear laws use the quadratic closed form, every other law the
+    monotone Newton solve.
     """
     xi_arr = _as_nonneg_array(xi, "xi")
-    if method == "auto" and law.is_two_term_linear:
+    if law.is_two_term_linear:
         a0, a1 = law.coefficients
         # root of a1*s^2 + a0*s - xi, written to avoid cancellation near 0
         s = 2.0 * xi_arr / (a0 + np.sqrt(a0 * a0 + 4.0 * a1 * xi_arr))
-    elif method in ("auto", "newton"):
-        s = _newton_s(law, xi_arr)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        s = _newton_s(law, xi_arr)
     return _match_input(s, xi)
 
 
-def K_eval(law: ForchheimerLaw, xi, method: str = "auto"):
+def K_eval(law: ForchheimerLaw, xi):
     """Conductivity K(xi) = 1/g(s(xi)); decreasing, with values in (0, 1/a_0]."""
-    s = solve_s_of_xi(law, xi, method=method)
+    s = solve_s_of_xi(law, xi)
     g = g_eval(law, s)
     return _match_input(1.0 / np.asarray(g), xi)
 
 
-def K_prime(law: ForchheimerLaw, xi, method: str = "auto"):
+def K_prime(law: ForchheimerLaw, xi):
     """Derivative K'(xi), from implicit differentiation of s*g(s) = xi.
 
     With s = s(xi): K' = -g'(s) / (g(s)^2 * (g(s) + s*g'(s))).  For laws whose
     smallest positive exponent is below 1 the derivative diverges at xi = 0.
     """
-    return _match_input(_K_and_K_prime(law, xi, method)[1], xi)
+    return _match_input(_K_and_K_prime(law, xi)[1], xi)
 
 
-def _K_and_K_prime(law: ForchheimerLaw, xi, method: str = "auto"):
+def _K_and_K_prime(law: ForchheimerLaw, xi):
     """Arrays K(xi) and K'(xi) from a single root solve for s(xi)."""
-    s = np.asarray(solve_s_of_xi(law, xi, method=method))
+    s = np.asarray(solve_s_of_xi(law, xi))
     g = np.asarray(g_eval(law, s))
     return 1.0 / g, -_g_prime(law, s) / (g * g * (g + _sg_prime(law, s)))
 
 
-def K_flux(law: ForchheimerLaw, y, method: str = "auto"):
+def K_flux(law: ForchheimerLaw, y):
     """Evaluate K(|y|) * y for vectors y of shape (..., d).
 
     This is the unsigned constitutive product; the flow solver fixes the sign
@@ -261,25 +258,5 @@ def K_flux(law: ForchheimerLaw, y, method: str = "auto"):
     if np.any(~np.isfinite(y_arr)):
         raise ValueError("y must be finite")
     mag = np.sqrt(np.sum(y_arr * y_arr, axis=-1))
-    k = np.asarray(K_eval(law, mag, method=method))
+    k = np.asarray(K_eval(law, mag))
     return k[..., np.newaxis] * y_arr
-
-
-def H_eval(law: ForchheimerLaw, xi: float) -> float:
-    """Energy density H(xi), the integral of K(sqrt(sigma)) over [0, xi^2].
-
-    Substituting sigma = t^2 gives the smooth form H(xi) = int_0^xi 2 t K(t) dt,
-    which is evaluated by adaptive quadrature to relative tolerance 1e-10.
-    """
-    if xi < 0.0:
-        raise ValueError("xi must be nonnegative")
-    if xi == 0.0:
-        return 0.0
-    value, abserr = quad(
-        lambda t: 2.0 * t * K_eval(law, t), 0.0, xi, epsabs=0.0, epsrel=1e-12, limit=200
-    )
-    if abserr > 1e-10 * abs(value) + 1e-15:
-        raise RuntimeError(
-            f"H quadrature did not reach the requested tolerance (error {abserr:.3e})"
-        )
-    return value

@@ -33,7 +33,6 @@ class TriMesh:
         centroids: (F, 2) triangle centroids.
         edge_lengths: (E,) edge lengths.
         h: maximum element diameter.
-        grid_n: subdivision count for structured meshes, else None.
     """
 
     vertices: np.ndarray
@@ -48,7 +47,6 @@ class TriMesh:
     centroids: np.ndarray
     edge_lengths: np.ndarray
     h: float
-    grid_n: int | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -73,7 +71,7 @@ def _outward_normals(p: np.ndarray) -> np.ndarray:
     return np.stack([d[..., 1] / length, -d[..., 0] / length], axis=-1)
 
 
-def build_mesh(vertices, triangles, grid_n: int | None = None) -> TriMesh:
+def build_mesh(vertices, triangles) -> TriMesh:
     """Assemble connectivity for a conforming set of ccw triangles."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -135,7 +133,6 @@ def build_mesh(vertices, triangles, grid_n: int | None = None) -> TriMesh:
         centroids=p.mean(axis=1),
         edge_lengths=edge_lengths,
         h=float(np.max(diameters)),
-        grid_n=grid_n,
     )
 
 
@@ -158,5 +155,5 @@ def unit_square_mesh(n: int) -> TriMesh:
     v00 = j * (n + 1) + i
     v11 = v00 + n + 2
     triangles = np.column_stack([v00, v00 + 1, v11, v00, v11, v11 - 1]).reshape(-1, 3)
-    return build_mesh(vertices, triangles, grid_n=n)
+    return build_mesh(vertices, triangles)
 

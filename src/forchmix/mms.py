@@ -119,7 +119,7 @@ def error_norms(
     not its cell average.
     """
     t = state.t if t is None else t
-    rule = rule or triangle_quadrature(4)
+    rule = rule or triangle_quadrature()
     beta = degeneracy_exponents(exact.law).beta
     pts = cell_points(mesh, rule)
     x, y = pts[..., 0], pts[..., 1]
@@ -181,10 +181,10 @@ class MeshRun:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Rows of a convergence study plus (optionally) the raw runs."""
+    """Rows of a convergence study plus the raw run of each row."""
 
     rows: list[ReportRow]
-    runs: list[MeshRun] | None = None
+    runs: list[MeshRun]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -248,7 +248,6 @@ def convergence_study(
     t_final: float = 1.0,
     picard_tol: float = 1e-6,
     picard_max: int = 25,
-    keep_runs: bool = True,
 ) -> ConvergenceReport:
     """Run the manufactured problem on each mesh and tabulate errors and rates.
 
@@ -302,4 +301,4 @@ def convergence_study(
         rows.append(row)
         runs.append(MeshRun(n=n, mesh=mesh, dofmap=solver.dofmap, state=result.state, result=result))
         prev = row
-    return ConvergenceReport(rows=rows, runs=runs if keep_runs else None)
+    return ConvergenceReport(rows=rows, runs=runs)

@@ -55,10 +55,11 @@ from scipy.sparse.linalg import splu
 
 from .law import ForchheimerLaw, K_eval
 from .mesh import TriMesh
-from .spaces import (
+# assemble_forms is not called here but stays importable from this module:
+# perfbench/spans.py traces the assembly layer through it.
+from .spaces import (  # noqa: F401
     CellForms,
     DofMap,
-    QuadratureRule,
     assemble_forms,
     build_dofmap,
     cell_forms,
@@ -157,6 +158,9 @@ class SolverConfig:
             raise ValueError("t_final must be an integer multiple of dt")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
             raise ValueError("picard_tol must be positive and finite")
+        # bool subclasses int, but True is no iteration count
+        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, int):
+            raise ValueError("picard_max must be an integer")
         if self.picard_max < 1:
             raise ValueError("picard_max must be at least 1")
 
@@ -199,17 +203,11 @@ class RunResult:
 class ExpandedMixedSolver:
     """Assembles the scheme on a fixed mesh and law and advances it in time."""
 
-    def __init__(
-        self,
-        mesh: TriMesh,
-        law: ForchheimerLaw,
-        config: SolverConfig,
-        quadrature: QuadratureRule | None = None,
-    ) -> None:
+    def __init__(self, mesh: TriMesh, law: ForchheimerLaw, config: SolverConfig) -> None:
         self.mesh = mesh
         self.law = law
         self.config = config
-        self.quadrature = quadrature or triangle_quadrature(4)
+        self.quadrature = triangle_quadrature()
         self.dofmap: DofMap = build_dofmap(mesh)
         local = cell_forms(mesh, self.dofmap)
         self._b_div, self._m_uz = local.blocks(self.dofmap.n_rt0)
@@ -267,6 +265,11 @@ class ExpandedMixedSolver:
         """A u from the stored diagonal and strict upper triangle."""
         return self._upper @ u + self._lower @ u + self._diag * u
 
+    def _factor(self):
+        """SuperLU factorization of the matrix the pattern holds now."""
+        a = (self._upper + self._lower + sp.diags(self._diag)).tocsc()
+        return splu(a, permc_spec="MMD_AT_PLUS_A")
+
     def _load_vector(self, f: ForcingField | None, t: float) -> np.ndarray:
         """Cell integrals of the forcing at time t."""
         if f is None:
@@ -285,8 +288,11 @@ class ExpandedMixedSolver:
 
         p and s are cell averages of p0 and of the supplied exact gradient
         s0.  When the exact initial velocity u0 is available its edge-flux
-        interpolant is used; otherwise u solves the gradient and flux
-        equations of the scheme at t=0 with conductivity frozen at K(|s|).
+        interpolant is used.  Otherwise u solves the gradient and flux
+        equations of the scheme at t=0 with conductivity frozen at K(|s|):
+        eliminating s leaves (M_uz^T M_sz^{-1} M_uz) u = B^T p, which is A(K)
+        without its dt part.  It is filled on the fixed pattern and factored
+        once here; the factorization the steps reuse is left alone.
         """
         p = l2_project_scalar(self.mesh, p0, self.quadrature)
         s = l2_project_vector(self.mesh, s0, self.quadrature)
@@ -294,11 +300,10 @@ class ExpandedMixedSolver:
             u = hdiv_interpolate(self.mesh, self.dofmap, u0)
         else:
             kbar = K_eval(self.law, np.linalg.norm(s, axis=1))
-            forms = assemble_forms(self.mesh, self.dofmap, kbar)
-            saddle = sp.bmat([[forms.M_sz, forms.M_uz], [forms.C_sv, None]], format="csc")
-            rhs = np.concatenate([np.zeros(self.dofmap.n_s), -(forms.C_pv @ p)])
-            solution = splu(saddle).solve(rhs)
-            u = solution[self.dofmap.n_s :]
+            weights = 1.0 / (kbar * self.mesh.areas)
+            self._upper.data[:] = self._upper_map @ weights
+            self._diag = self._diag_map @ weights
+            u = self._factor().solve(self._b_div.T @ p)
             if not np.all(np.isfinite(u)):
                 raise RuntimeError("initial velocity solve produced non-finite values")
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
@@ -309,12 +314,12 @@ class ExpandedMixedSolver:
         p_prev: np.ndarray,
         load: np.ndarray,
         u_guess: np.ndarray,
-        u_anchor: np.ndarray | None = None,
+        u_anchor: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve one frozen-conductivity block system; returns (p, s_flat, u).
 
         u_guess warm-starts CG, which stops at _CG_RTOL times the residual of
-        u_anchor in this system; without an anchor that is the warm start's.
+        u_anchor in this system.
         """
         areas = self.mesh.areas
         dt = self.config.dt
@@ -325,8 +330,7 @@ class ExpandedMixedSolver:
         rhs = self._b_div.T @ p_hat
         u = None if self._lu is None else self._pcg(rhs, u_guess, u_anchor)
         if u is None:
-            a = (self._upper + self._lower + sp.diags(self._diag)).tocsc()
-            self._lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+            self._lu = self._factor()
             u = self._lu.solve(rhs)
         mk = np.repeat(kbar, 2) * self._area2
         s_flat = -(self._m_uz @ u) / mk
@@ -335,21 +339,18 @@ class ExpandedMixedSolver:
             raise RuntimeError("frozen-coefficient linear system produced non-finite values")
         return p, s_flat, u
 
-    def _pcg(
-        self, rhs: np.ndarray, u: np.ndarray, anchor: np.ndarray | None
-    ) -> np.ndarray | None:
+    def _pcg(self, rhs: np.ndarray, u: np.ndarray, anchor: np.ndarray) -> np.ndarray | None:
         """CG on the current A from u, preconditioned by the stored LU.
 
         Stops at _CG_RTOL times the residual of anchor, or of u itself when
-        anchor is None or solves the system exactly, so a zero target is
-        never asked for; u is returned as it is when it already meets the
-        target.  Returns None when the residual has not fallen to the target
-        within _CG_MAXITER iterations.
+        anchor solves the system exactly, so a zero target is never asked
+        for; u is returned as it is when it already meets the target.
+        Returns None when the residual has not fallen to the target within
+        _CG_MAXITER iterations.
         """
         r = rhs - self._apply(u)
         r_norm = np.linalg.norm(r)
-        anchor_norm = r_norm if anchor is None else np.linalg.norm(rhs - self._apply(anchor))
-        tol = _CG_RTOL * (anchor_norm or r_norm)
+        tol = _CG_RTOL * (np.linalg.norm(rhs - self._apply(anchor)) or r_norm)
         if r_norm <= tol:
             return u
         u = u.copy()

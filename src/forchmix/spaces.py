@@ -1,7 +1,7 @@
 """Lowest-order mixed spaces on triangles.
 
-Provides symmetric triangle quadrature, the lowest-order Raviart-Thomas (RT0)
-basis with the mesh's global edge orientation, piecewise-constant L2
+Provides the scheme's triangle quadrature, the lowest-order Raviart-Thomas
+(RT0) basis with the mesh's global edge orientation, piecewise-constant L2
 projections, the H(div) edge-flux interpolant, and the (bi)linear-form blocks
 of the expanded mixed scheme.  The RT0 degree of freedom on an edge is the
 average normal flux, so the basis function of an edge has unit normal trace
@@ -20,12 +20,19 @@ import scipy.sparse as sp
 
 from .mesh import TriMesh
 
-# 6-point symmetric rule, exact through total degree 4; weights sum to 1
+# 6-point symmetric rule, exact through total degree 4: two orbits of three
+# points, barycentric (first, other, other) and its rotations
 _DEGREE4_WEIGHTS = (0.223381589678011, 0.109951743655322)
 _DEGREE4_ABSCISSAE = (
     (0.108103018168070, 0.445948490915965),
     (0.816847572980459, 0.091576213509771),
 )
+# Gauss points per edge of the flux interpolant, exact for normal traces of
+# polynomial degree up to 9
+_EDGE_GAUSS = 5
+# boundary normal flux, relative to 1 + the largest interior flux, above which
+# a field counts as violating the zero-flux boundary condition
+_BOUNDARY_FLUX_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,48 +45,16 @@ class QuadratureRule:
     degree: int
 
 
-def _symmetric_orbit(first: float, other: float) -> list[tuple[float, float, float]]:
-    return [(first, other, other), (other, first, other), (other, other, first)]
-
-
-def _collapsed_rule(degree: int) -> QuadratureRule:
-    """Tensor Gauss rule mapped to the triangle by collapsing one square edge.
-
-    With m Gauss points per axis the rule integrates total degree 2m - 2
-    exactly (the collapse adds one degree in the first variable); weights stay
-    positive.
-    """
-    m = degree // 2 + 2
-    nodes, gw = np.polynomial.legendre.leggauss(m)
-    u = 0.5 * (nodes + 1.0)
-    wu = 0.5 * gw
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = np.outer(wu, wu) * (1.0 - uu)
-    x = uu.ravel()
-    y = (vv * (1.0 - uu)).ravel()
-    weights = ww.ravel()
-    points = np.column_stack([1.0 - x - y, x, y])
-    return QuadratureRule(points=points, weights=weights / weights.sum(), degree=2 * m - 2)
-
-
-def triangle_quadrature(degree: int = 4) -> QuadratureRule:
-    """Symmetric rule exact for polynomials of the given total degree."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree <= 1:
-        points = np.array([[1.0, 1.0, 1.0]]) / 3.0
-        return QuadratureRule(points=points, weights=np.array([1.0]), degree=1)
-    if degree <= 2:
-        points = np.array(_symmetric_orbit(2.0 / 3.0, 1.0 / 6.0))
-        return QuadratureRule(points=points, weights=np.full(3, 1.0 / 3.0), degree=2)
-    if degree <= 4:
-        points = []
-        weights = []
-        for (first, other), w in zip(_DEGREE4_ABSCISSAE, _DEGREE4_WEIGHTS):
-            points.extend(_symmetric_orbit(first, other))
-            weights.extend([w] * 3)
-        return QuadratureRule(points=np.array(points), weights=np.array(weights), degree=4)
-    return _collapsed_rule(degree)
+def triangle_quadrature() -> QuadratureRule:
+    """The 6-point symmetric rule exact through total degree 4, which every
+    cell integral of the scheme and its error norms uses."""
+    points = [
+        orbit
+        for first, other in _DEGREE4_ABSCISSAE
+        for orbit in ((first, other, other), (other, first, other), (other, other, first))
+    ]
+    weights = np.repeat(_DEGREE4_WEIGHTS, 3)
+    return QuadratureRule(points=np.array(points), weights=weights, degree=4)
 
 
 def cell_points(mesh: TriMesh, rule: QuadratureRule) -> np.ndarray:
@@ -143,7 +118,7 @@ def rt0_at_cell_points(
 
 def l2_project_scalar(mesh: TriMesh, f, rule: QuadratureRule | None = None) -> np.ndarray:
     """Cellwise L2 projection (cell averages) of a scalar field f(x, y)."""
-    rule = rule or triangle_quadrature(4)
+    rule = rule or triangle_quadrature()
     pts = cell_points(mesh, rule)
     values = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     return values @ rule.weights
@@ -151,26 +126,21 @@ def l2_project_scalar(mesh: TriMesh, f, rule: QuadratureRule | None = None) -> n
 
 def l2_project_vector(mesh: TriMesh, z, rule: QuadratureRule | None = None) -> np.ndarray:
     """Componentwise cell averages of a vector field z(x, y) -> (..., 2)."""
-    rule = rule or triangle_quadrature(4)
+    rule = rule or triangle_quadrature()
     pts = cell_points(mesh, rule)
     values = np.asarray(z(pts[..., 0], pts[..., 1]), dtype=float)
     return np.einsum("fqd,q->fd", values, rule.weights)
 
 
-def hdiv_interpolate(
-    mesh: TriMesh,
-    dofmap: DofMap,
-    v,
-    n_gauss: int = 5,
-    boundary_tol: float = 1e-10,
-) -> np.ndarray:
+def hdiv_interpolate(mesh: TriMesh, dofmap: DofMap, v) -> np.ndarray:
     """Edge-flux interpolant: dof on edge e is the average of v.n over e.
 
-    The field must have (numerically) zero normal flux on boundary edges;
-    a larger flux raises ValueError because the constrained space cannot
-    represent it.  Averages use n_gauss-point Gauss quadrature per edge.
+    The field must have (numerically) zero normal flux on boundary edges,
+    at most _BOUNDARY_FLUX_TOL relative to the largest interior flux; a
+    larger flux raises ValueError because the constrained space cannot
+    represent it.  Averages use _EDGE_GAUSS-point Gauss quadrature per edge.
     """
-    nodes, gw = np.polynomial.legendre.leggauss(n_gauss)
+    nodes, gw = np.polynomial.legendre.leggauss(_EDGE_GAUSS)
     frac = 0.5 * (nodes + 1.0)
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
@@ -183,7 +153,7 @@ def hdiv_interpolate(
     if dofmap.n_rt0 > 0:
         interior_scale += float(np.max(np.abs(fluxes[dofmap.dof_edge])))
     worst_boundary = float(np.max(np.abs(fluxes[mesh.boundary_edge]), initial=0.0))
-    if worst_boundary > boundary_tol * interior_scale:
+    if worst_boundary > _BOUNDARY_FLUX_TOL * interior_scale:
         raise ValueError(
             f"field has nonzero boundary normal flux {worst_boundary:.3e}; "
             "it is not representable with the zero-flux boundary condition"
@@ -259,7 +229,8 @@ def assemble_forms(mesh: TriMesh, dofmap: DofMap, kbar: np.ndarray) -> FormBlock
 
     Every integrand is a polynomial of degree at most one once kbar is frozen
     per cell, so all entries are exact: the (u, z) pairing reduces to
-    |T| * phi(centroid).
+    |T| * phi(centroid).  The solver works on the condensed velocity matrix
+    instead; these blocks serve the tests' monolithic reference solves.
     """
     kbar = np.asarray(kbar, dtype=float)
     if kbar.shape != (mesh.num_triangles,):

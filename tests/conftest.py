@@ -63,9 +63,7 @@ def uncapped_errors(
     The cap is inactive for n >= 16 (h^2 < 1e-2 there), so those rows are
     identical to the capped study and are reused; only n = 4, 8 rerun.
     """
-    small = convergence_study(
-        law, [4, 8], dt="h2", dt_cap=float("inf"), keep_runs=False
-    )
+    small = convergence_study(law, [4, 8], dt="h2", dt_cap=float("inf"))
     rows = list(small.rows) + list(capped_report.rows[2:])
     return [(row.n, row.h, row.err_p, row.err_s, row.err_u) for row in rows]
 

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from forchmix import (
+from forchmix.law import (
     DegeneracyExponents,
     ForchheimerLaw,
-    H_eval,
     K_eval,
     K_flux,
     K_prime,
+    _newton_s,
     degeneracy_exponents,
     g_eval,
     law_from_string,
@@ -90,7 +91,7 @@ def test_root_solve_closed_form_values() -> None:
 def test_root_solve_newton_matches_closed_form() -> None:
     xi = np.concatenate([[0.0], np.logspace(-8.0, 8.0, 400)])
     closed = solve_s_of_xi(TWO_TERM, xi)
-    newton = solve_s_of_xi(TWO_TERM, xi, method="newton")
+    newton = _newton_s(TWO_TERM, xi)
     assert newton[0] == 0.0
     assert np.max(np.abs(newton[1:] - closed[1:]) / closed[1:]) < 1e-13
 
@@ -110,7 +111,7 @@ def test_root_solve_fits_a_small_iteration_budget(text: str, monkeypatch) -> Non
     monkeypatch.setattr("forchmix.law._MAX_ITER", 10)
     law = law_from_string(text)
     xi = np.concatenate([[0.0, 5e-324], np.logspace(-300.0, 300.0, 601)])
-    s = solve_s_of_xi(law, xi, method="newton")
+    s = _newton_s(law, xi)
     assert s[0] == 0.0
     assert np.all(np.abs(s * g_eval(law, s) - xi) <= 1e-14 * xi)
 
@@ -120,9 +121,7 @@ def test_conductivity_of_a_huge_coefficient_is_finite() -> None:
     assert 0.0 < k < 1e-100
 
 
-def test_root_solve_rejects_unknown_method_and_negative_xi() -> None:
-    with pytest.raises(ValueError):
-        solve_s_of_xi(TWO_TERM, 1.0, method="bisect")
+def test_root_solve_rejects_negative_xi() -> None:
     with pytest.raises(ValueError):
         solve_s_of_xi(TWO_TERM, -0.5)
 
@@ -220,6 +219,21 @@ def test_flux_map_lipschitz() -> None:
         assert np.all(num <= den / law.coefficients[0] + 1e-12)
 
 
+def H_eval(law: ForchheimerLaw, xi: float) -> float:
+    """Energy density H(xi), the integral of K(sqrt(sigma)) over [0, xi^2].
+
+    Substituting sigma = t^2 gives the smooth form H(xi) = int_0^xi 2 t K(t) dt,
+    which is evaluated by adaptive quadrature to relative tolerance 1e-10.
+    """
+    if xi == 0.0:
+        return 0.0
+    value, abserr = quad(
+        lambda t: 2.0 * t * K_eval(law, t), 0.0, xi, epsabs=0.0, epsrel=1e-12, limit=200
+    )
+    assert abserr <= 1e-10 * abs(value) + 1e-15
+    return value
+
+
 def test_h_eval_values() -> None:
     assert H_eval(TWO_TERM, 0.0) == 0.0
     exact = (5.0 * math.sqrt(5.0) - 7.0) / 6.0
@@ -278,5 +292,5 @@ def test_property_conductivity_bounded_and_nonincreasing(law: ForchheimerLaw) ->
 def test_property_newton_matches_closed_form(a0: float, a1: float) -> None:
     law = ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(a0, a1))
     closed = solve_s_of_xi(law, _XI_GRID[1:])
-    newton = solve_s_of_xi(law, _XI_GRID[1:], method="newton")
+    newton = _newton_s(law, _XI_GRID[1:])
     assert np.max(np.abs(newton - closed) / closed) < 1e-13

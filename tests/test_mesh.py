@@ -8,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from forchmix import TriMesh, triangle_quadrature, unit_square_mesh
+from quadrature_oracle import triangle_rule
+
+from forchmix import TriMesh, unit_square_mesh
 from forchmix.mesh import build_mesh
 from forchmix.spaces import cell_points
 
 
-def _loop_mesh(vertices, triangles, grid_n: int | None = None) -> TriMesh:
+def _loop_mesh(vertices, triangles) -> TriMesh:
     """Reference construction: fills edge_tris and edge_normals triangle by
     triangle, the way build_mesh did before it was vectorized."""
     vertices = np.asarray(vertices, dtype=float)
@@ -76,7 +78,6 @@ def _loop_mesh(vertices, triangles, grid_n: int | None = None) -> TriMesh:
         centroids=p.mean(axis=1),
         edge_lengths=edge_lengths,
         h=float(np.max(edge_lengths[tri_edges])),
-        grid_n=grid_n,
     )
 
 
@@ -95,7 +96,7 @@ def _loop_unit_square(n: int) -> TriMesh:
             triangles[idx] = (v00, v10, v11)
             triangles[idx + 1] = (v00, v11, v01)
             idx += 2
-    return _loop_mesh(vertices, triangles, grid_n=n)
+    return _loop_mesh(vertices, triangles)
 
 
 def _scrambled_mesh(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +231,7 @@ def test_scrambled_mesh_matches_loop_construction(seed: int) -> None:
 
 @pytest.mark.parametrize("degree", [1, 2, 4, 7])
 def test_cell_points_match_barycentric_sum(degree: int) -> None:
-    rule = triangle_quadrature(degree)
+    rule = triangle_rule(degree)
     vertices, triangles = _scrambled_mesh(8, 2)
     for mesh in (unit_square_mesh(16), build_mesh(vertices, triangles)):
         expected = np.einsum("qk,fkd->fqd", rule.points, mesh.vertices[mesh.triangles])

@@ -9,21 +9,21 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from quadrature_oracle import triangle_rule
+
 import forchmix.solver as solver_module
 from forchmix import (
     DiscreteState,
     ExpandedMixedSolver,
     ForchheimerLaw,
-    K_eval,
-    K_flux,
+    ManufacturedSolution,
     PicardError,
     SolverConfig,
-    assemble_forms,
     law_from_string,
     unit_square_mesh,
 )
-from forchmix.mms import ManufacturedSolution
-from forchmix.spaces import cell_points, hdiv_interpolate, triangle_quadrature
+from forchmix.law import K_eval, K_flux
+from forchmix.spaces import assemble_forms, cell_points, hdiv_interpolate, triangle_quadrature
 
 
 def _zero_scalar(x, y):
@@ -40,7 +40,7 @@ def _monolithic_solve(solver: ExpandedMixedSolver):
     mesh, dofmap, dt = solver.mesh, solver.dofmap, solver.config.dt
     forms = assemble_forms(mesh, dofmap, np.ones(mesh.num_triangles))
 
-    def solve_frozen(kbar, p_prev, load, u_guess, u_anchor=None):
+    def solve_frozen(kbar, p_prev, load, u_guess, u_anchor):
         system = sp.bmat(
             [
                 [sp.diags(mesh.areas / dt), None, forms.B_div],
@@ -57,6 +57,17 @@ def _monolithic_solve(solver: ExpandedMixedSolver):
         return solution[:n_p], solution[n_p : n_p + n_s], solution[n_p + n_s :]
 
     return solve_frozen
+
+
+def _saddle_initial_velocity(solver: ExpandedMixedSolver, p: np.ndarray, s: np.ndarray):
+    """Oracle for initial_state's velocity without u0: the gradient and flux
+    equations at t=0, M_sz s + M_uz u = 0 and C_sv s = -C_pv p with K frozen
+    at K(|s|), solved as one saddle system for (s, u)."""
+    kbar = K_eval(solver.law, np.linalg.norm(s, axis=1))
+    forms = assemble_forms(solver.mesh, solver.dofmap, kbar)
+    saddle = sp.bmat([[forms.M_sz, forms.M_uz], [forms.C_sv, None]], format="csc")
+    rhs = np.concatenate([np.zeros(solver.dofmap.n_s), -(forms.C_pv @ p)])
+    return splu(saddle).solve(rhs)[solver.dofmap.n_s :]
 
 
 def _oracle_run(mesh, law: ForchheimerLaw, config: SolverConfig):
@@ -88,7 +99,7 @@ def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
         u, s_iter = state.u, state.s.reshape(-1)
         for _ in range(max_iter):
-            p, s_flat, u = solver._solve_frozen(kbar, state.p, load, u)
+            p, s_flat, u = solver._solve_frozen(kbar, state.p, load, u, u)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(solver.law, np.linalg.norm(s_new, axis=1))
             residual = np.max(np.abs((k_new - kbar)[:, None] * s_new))
@@ -171,8 +182,9 @@ def test_config_validation() -> None:
         SolverConfig(dt=0.3, t_final=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_final=1.0, picard_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_final=1.0, picard_max=0)
+    for bad in (0, -3, 2.5, float("inf"), float("nan"), True, "25", None):
+        with pytest.raises(ValueError):
+            SolverConfig(dt=0.1, t_final=1.0, picard_max=bad)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolverConfig(dt=bad, t_final=1.0)
@@ -221,7 +233,7 @@ def test_initial_state_projections(law: ForchheimerLaw, mms) -> None:
     state = solver.initial_state(mms.p0, mms.s0, mms.u0)
     assert state.t == 0.0
 
-    oracle_rule = triangle_quadrature(11)
+    oracle_rule = triangle_rule(11)
     pts = cell_points(mesh, oracle_rule)
     p_oracle = np.asarray(mms.p0(pts[..., 0], pts[..., 1])) @ oracle_rule.weights
     assert np.max(np.abs(state.p - p_oracle)) < 1e-12
@@ -248,6 +260,41 @@ def test_initial_state_velocity_fallback(law: ForchheimerLaw, mms) -> None:
         diffs.append(float(np.max(np.abs(fallback.u - with_exact.u))))
     assert diffs[0] < 0.05
     assert diffs[1] < 0.6 * diffs[0]
+
+
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2", "1:0,1:0.5,1:3"])
+def test_initial_velocity_matches_the_saddle_solve(law_text: str) -> None:
+    """The velocity solved on the condensed pattern equals the saddle-system
+    solution for (s, u) to rounding."""
+    law = law_from_string(law_text)
+    exact = ManufacturedSolution(law)
+    for n in (3, 4, 8, 16):
+        solver = ExpandedMixedSolver(unit_square_mesh(n), law, SolverConfig(dt=0.1, t_final=1.0))
+        state = solver.initial_state(exact.p0, exact.s0)
+        want = _saddle_initial_velocity(solver, state.p, state.s)
+        assert np.max(np.abs(state.u - want)) <= 1e-13 * np.max(np.abs(want)), n
+
+
+def test_initial_velocity_keeps_the_step_factorization(law: ForchheimerLaw, mms, monkeypatch) -> None:
+    """The t=0 velocity solve factors once and leaves the factorization that
+    the steps reuse in place."""
+    factorizations = _count_factorizations(monkeypatch)
+    mesh = unit_square_mesh(4)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
+    state = solver.initial_state(mms.p0, mms.s0, mms.u0)
+    kbar = K_eval(law, np.linalg.norm(state.s, axis=1))
+    load = solver._load_vector(mms.f, 0.1)
+    first = solver._solve_frozen(kbar, state.p, load, state.u, state.u)
+    lu = solver._lu
+    factorizations[0] = 0
+    solver.initial_state(mms.p0, mms.s0)
+    assert factorizations[0] == 1
+    assert solver._lu is lu
+    again = solver._solve_frozen(kbar, state.p, load, state.u, state.u)
+    assert factorizations[0] == 1
+    assert solver._lu is lu
+    for got, want in zip(again, first):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_mass_balance_every_step(law: ForchheimerLaw, mms) -> None:
@@ -283,7 +330,7 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
     kbar, zero_p = np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)
     n = solver.dofmap.n_rt0
-    solver._solve_frozen(kbar, zero_p, zero_p, np.zeros(n))
+    solver._solve_frozen(kbar, zero_p, zero_p, np.zeros(n), np.zeros(n))
     guess = np.random.default_rng(0).standard_normal(n)
     _, _, u = solver._solve_frozen(kbar, zero_p, zero_p, guess, np.zeros(n))
     assert factorizations[0] == 1
@@ -319,7 +366,7 @@ def _assert_picard_fixed_points(solver: ExpandedMixedSolver, exact, states) -> N
     for prev, state in zip(states, states[1:]):
         load = solver._load_vector(exact.f, state.t)
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
-        _, s_flat, _ = solver._solve_frozen(kbar, prev.p, load, state.u)
+        _, s_flat, _ = solver._solve_frozen(kbar, prev.p, load, state.u, state.u)
         bound = 10.0 * solver.config.picard_tol * (1.0 + np.max(np.abs(state.s)))
         assert np.max(np.abs(s_flat - state.s.reshape(-1))) <= bound
 
@@ -426,7 +473,7 @@ def test_unforced_pressure_norm_nonincreasing(decay_run) -> None:
 def test_steady_compatible_forcing_stagnates(law: ForchheimerLaw, mms) -> None:
     """A time-independent zero-mean forcing drives p to a steady state."""
     mesh = unit_square_mesh(8)
-    rule = triangle_quadrature(4)
+    rule = triangle_quadrature()
     pts = cell_points(mesh, rule)
     f_values = mms.f(pts[..., 0], pts[..., 1], 0.0)
     mean_f = float(mesh.areas @ (f_values @ rule.weights))
@@ -457,7 +504,7 @@ def test_final_norm_bounded_by_data(law: ForchheimerLaw, mms, coarse_run) -> Non
     """||p^N|| <= ||p^0|| + sum dt ||f^n|| with 5 percent slack."""
     result, _ = coarse_run
     mesh = unit_square_mesh(4)
-    rule = triangle_quadrature(4)
+    rule = triangle_quadrature()
     pts = cell_points(mesh, rule)
     dt = float(result.times[1] - result.times[0])
     f_norms = []
