@@ -12,37 +12,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
-from .law import RootSolveError, law_from_string
+from .law import ForchheimerLaw, RootSolveError, law_from_string
 from .mms import _pick_dt, convergence_study
 from .solver import PicardError
 
 _DEFAULT_MESHES = (4, 8, 16, 32, 64)
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Validated CLI configuration."""
-
-    law_text: str
-    mesh_sizes: tuple[int, ...]
-    dt: float | str
-    dt_cap: float
-    t_final: float
-    picard_tol: float
-    picard_max: int
-    fmt: str
-    out: str | None
-
-
-def _law_text(text: str) -> str:
+def _law(text: str) -> ForchheimerLaw:
     try:
-        law_from_string(text)
+        return law_from_string(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return text
 
 
 def _mesh_sizes(text: str) -> tuple[int, ...]:
@@ -100,12 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--law",
-        type=_law_text,
+        type=_law,
         default="1:0,1:1",
         help="comma list of coefficient:exponent terms (default '1:0,1:1', i.e. g(s)=1+s)",
     )
     parser.add_argument(
         "--mesh",
+        dest="mesh_sizes",
         type=_mesh_sizes,
         default=_DEFAULT_MESHES,
         help=(
@@ -135,12 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tol",
+        dest="picard_tol",
         type=_positive,
         default=1e-6,
         help="relative Picard tolerance (default 1e-6)",
     )
     parser.add_argument(
         "--max-picard",
+        dest="picard_max",
         type=_at_least_one,
         default=25,
         help="Picard iteration cap per step (default 25)",
@@ -160,41 +146,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str] | None = None) -> RunSpec:
-    """Parse CLI flags into a RunSpec; malformed flags exit with code 2."""
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse and check CLI flags; malformed flags exit with code 2.
+
+    The namespace holds the law as a ForchheimerLaw, the study's keyword
+    arguments under convergence_study's names, and fmt and out.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     # the finest mesh, h = sqrt(2)/n, takes the most steps under either policy
     try:
-        _pick_dt(args.dt, args.dt_cap, math.sqrt(2.0) / args.mesh[-1], args.t_final)
+        _pick_dt(args.dt, args.dt_cap, math.sqrt(2.0) / args.mesh_sizes[-1], args.t_final)
     except ValueError as exc:
         parser.error(str(exc))
-    return RunSpec(
-        law_text=args.law,
-        mesh_sizes=tuple(args.mesh),
-        dt=args.dt,
-        dt_cap=args.dt_cap,
-        t_final=args.t_final,
-        picard_tol=args.tol,
-        picard_max=args.max_picard,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the study described by argv and write the report."""
-    spec = parse_args(argv)
-    law = law_from_string(spec.law_text)
+    args = parse_args(argv)
     try:
         report = convergence_study(
-            law,
-            list(spec.mesh_sizes),
-            dt=spec.dt,
-            dt_cap=spec.dt_cap,
-            t_final=spec.t_final,
-            picard_tol=spec.picard_tol,
-            picard_max=spec.picard_max,
+            args.law,
+            args.mesh_sizes,
+            dt=args.dt,
+            dt_cap=args.dt_cap,
+            t_final=args.t_final,
+            picard_tol=args.picard_tol,
+            picard_max=args.picard_max,
         )
     except (PicardError, RootSolveError, RuntimeError, ValueError) as exc:
         print(f"forchmix: numerical failure: {exc}", file=sys.stderr)
@@ -206,12 +185,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"forchmix: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    text = report.to_csv() if spec.fmt == "csv" else report.to_markdown()
+    text = report.to_csv() if args.fmt == "csv" else report.to_markdown()
     try:
-        if spec.out is None:
+        if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(spec.out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except OSError as exc:
         print(f"forchmix: cannot write report: {exc}", file=sys.stderr)

@@ -136,16 +136,6 @@ def g_eval(law: ForchheimerLaw, s):
     return _match_input(total, s)
 
 
-def _sg_prime(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
-    """Evaluate s * g'(s), which stays finite at s = 0 for any valid law."""
-    total = np.zeros_like(s_arr)
-    for coef, exp in zip(law.coefficients, law.exponents):
-        if coef == 0.0 or exp == 0.0:
-            continue
-        total = total + coef * exp * s_arr**exp
-    return total
-
-
 def _g_prime(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
     """Evaluate g'(s); diverges at s = 0 when the law has exponents in (0,1)."""
     total = np.zeros_like(s_arr)
@@ -181,8 +171,8 @@ def _newton_s(law: ForchheimerLaw, xi_arr: np.ndarray) -> np.ndarray:
     active = np.arange(s.size)
     s_act, xi_act = s, xi
     for _ in range(_MAX_ITER):
-        residual, slope = _residual_and_slope(terms, s_act, xi_act)
-        step = residual / slope
+        g, slope = _g_and_slope(terms, s_act)
+        step = (s_act * g - xi_act) / slope
         s_act = s_act - step
         done = step <= _REL_TOL * s_act
         if done.all():
@@ -192,19 +182,20 @@ def _newton_s(law: ForchheimerLaw, xi_arr: np.ndarray) -> np.ndarray:
             s[active[done]] = s_act[done]
             keep = ~done
             active, s_act, xi_act = active[keep], s_act[keep], xi_act[keep]
-    residual, _ = _residual_and_slope(terms, s_act, xi_act)
-    raise RootSolveError("root solve for s(xi) did not converge", float(np.max(np.abs(residual))))
+    g, _ = _g_and_slope(terms, s_act)
+    residual = np.max(np.abs(s_act * g - xi_act))
+    raise RootSolveError("root solve for s(xi) did not converge", float(residual))
 
 
-def _residual_and_slope(terms, s: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return s*g(s) - xi and (s*g(s))' = g(s) + s*g'(s), one power per term."""
+def _g_and_slope(terms, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return g(s) and (s*g(s))' = g(s) + s*g'(s), one power per (a, e) term."""
     g = np.zeros_like(s)
     slope = np.zeros_like(s)
     for a, e in terms:
         term = a if e == 0.0 else a * s**e
         g += term
         slope += (e + 1.0) * term
-    return s * g - xi, slope
+    return g, slope
 
 
 def solve_s_of_xi(law: ForchheimerLaw, xi):
@@ -242,8 +233,8 @@ def K_prime(law: ForchheimerLaw, xi):
 def _K_and_K_prime(law: ForchheimerLaw, xi):
     """Arrays K(xi) and K'(xi) from a single root solve for s(xi)."""
     s = np.asarray(solve_s_of_xi(law, xi))
-    g = np.asarray(g_eval(law, s))
-    return 1.0 / g, -_g_prime(law, s) / (g * g * (g + _sg_prime(law, s)))
+    g, slope = _g_and_slope(zip(law.coefficients, law.exponents), s)
+    return 1.0 / g, -_g_prime(law, s) / (g * g * slope)
 
 
 def K_flux(law: ForchheimerLaw, y):

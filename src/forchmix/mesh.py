@@ -10,6 +10,7 @@ Meshes are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ def unit_square_mesh(n: int) -> TriMesh:
     The result has (n+1)^2 vertices, 2n^2 triangles, 3n^2 + 2n edges, and
     mesh size h = sqrt(2)/n.
     """
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError("n must be a positive integer")
     ticks = np.linspace(0.0, 1.0, n + 1)
     grid_x, grid_y = np.meshgrid(ticks, ticks)

@@ -17,6 +17,7 @@ velocity in L^beta with beta = 2 - a from the law's degeneracy exponents.
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,15 +111,15 @@ def error_norms(
     dofmap: DofMap,
     state: DiscreteState,
     exact: ManufacturedSolution,
-    t: float | None = None,
     rule: QuadratureRule | None = None,
 ) -> tuple[float, float, float]:
-    """(e_p, e_s, e_u): L2 pressure error and L^beta gradient/velocity errors.
+    """(e_p, e_s, e_u): L2 pressure error and L^beta gradient/velocity errors
+    of state against the exact fields at time state.t.
 
     The velocity error evaluates the RT0 field pointwise inside each cell,
     not its cell average.
     """
-    t = state.t if t is None else t
+    t = state.t
     rule = rule or triangle_quadrature()
     beta = degeneracy_exponents(exact.law).beta
     pts = cell_points(mesh, rule)
@@ -172,10 +173,8 @@ class ReportRow:
 class MeshRun:
     """Raw per-mesh artifacts kept alongside the serialized rows."""
 
-    n: int
     mesh: TriMesh
     dofmap: DofMap
-    state: DiscreteState
     result: RunResult
 
 
@@ -241,7 +240,7 @@ def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
 
 def convergence_study(
     law: ForchheimerLaw,
-    mesh_sizes: list[int],
+    mesh_sizes: Sequence[int],
     *,
     dt: float | str = "h2",
     dt_cap: float = 1e-2,
@@ -299,6 +298,6 @@ def convergence_study(
             picard_avg=picard_avg,
         )
         rows.append(row)
-        runs.append(MeshRun(n=n, mesh=mesh, dofmap=solver.dofmap, state=result.state, result=result))
+        runs.append(MeshRun(mesh=mesh, dofmap=solver.dofmap, result=result))
         prev = row
     return ConvergenceReport(rows=rows, runs=runs)

@@ -31,7 +31,7 @@ K enters A only through one weight 1/(K_T |T|) per cell, so A keeps one
 sparsity pattern: its diagonal and strict upper triangle are laid out once
 from per-cell 3x3 blocks, and each iterate only refills their values.
 
-The first solve of a run factors A.  Every later solve runs conjugate
+The first solve of a march factors A.  Every later solve runs conjugate
 gradients on the current A, preconditioned by that factorization and
 warm-started from the extrapolated or the previous iterate's velocity.  CG
 stops at a step-level accuracy: a residual 1e-12 times that of u^{n-1} in
@@ -39,13 +39,17 @@ the current system, so a better warm start saves iterations rather than
 buying digits below rounding.  When CG misses that within _CG_MAXITER
 iterations, A is factored afresh at the current K and solved directly, and
 the new factorization serves the solves that follow.
+
+steps is the one marching loop: run drains it, and a caller that wants
+every level, or control between steps, iterates it directly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,9 +73,6 @@ from .spaces import (  # noqa: F401
     l2_project_vector,
     triangle_quadrature,
 )
-
-# The flux law every part of the scheme assumes; it is fixed, not an option.
-SIGN_CONVENTION = "u = -K(|s|) s"
 
 # Preconditioned CG on the condensed system stops once the residual is this
 # fraction of the anchor's: the previous level's velocity in the current
@@ -149,6 +150,12 @@ class SolverConfig:
     picard_max: int = 25
 
     def __post_init__(self) -> None:
+        # bool subclasses int, but True is no time, tolerance or count
+        for name, kind in (("dt", numbers.Real), ("t_final", numbers.Real),
+                           ("picard_tol", numbers.Real), ("picard_max", int)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
@@ -158,9 +165,6 @@ class SolverConfig:
             raise ValueError("t_final must be an integer multiple of dt")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
             raise ValueError("picard_tol must be positive and finite")
-        # bool subclasses int, but True is no iteration count
-        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, int):
-            raise ValueError("picard_max must be an integer")
         if self.picard_max < 1:
             raise ValueError("picard_max must be at least 1")
 
@@ -185,19 +189,13 @@ class DiscreteState:
 class RunResult:
     """Final state plus per-step diagnostics of a time-stepping run.
 
-    picard_iters[n], mass_residuals[n], f_integrals[n] and
-    picard_increments[n] describe step n+1; p_norms has one entry per time
-    level including t=0.  states is populated only when requested.
+    picard_iters[n], mass_residuals[n] and f_integrals[n] describe step n+1.
     """
 
     state: DiscreteState
-    times: np.ndarray
     picard_iters: list[int]
     mass_residuals: list[float]
     f_integrals: list[float]
-    p_norms: list[float]
-    picard_increments: list[tuple[float, ...]]
-    states: list[DiscreteState] | None = None
 
 
 class ExpandedMixedSolver:
@@ -374,16 +372,17 @@ class ExpandedMixedSolver:
         levels: Sequence[DiscreteState],
         t_n: float,
         f: ForcingField | None,
-    ) -> tuple[DiscreteState, int, dict]:
+    ) -> tuple[DiscreteState, int, float, float]:
         """One backward Euler step with accelerated Picard resolution of K(|s|).
 
         levels are the last one to three time levels, oldest first, the
         previous level last.  The first kbar is K at their extrapolation of
         s and the first warm start their extrapolation of u; every velocity
         solve of the step stops relative to the previous level's residual.
+        Returns the new level, its Picard count, its mass residual
+        |int(p^n) - int(p^{n-1}) - dt int(f^n)|, identically small, and int(f^n).
         """
         cfg = self.config
-        dt = cfg.dt
         state_prev = levels[-1]
         load = self._load_vector(f, t_n)
         s_iter = state_prev.s.reshape(-1)
@@ -391,7 +390,6 @@ class ExpandedMixedSolver:
         s_start = _extrapolate([level.s for level in levels])
         kbar = K_eval(self.law, np.linalg.norm(s_start, axis=1))
         k_prev = f_prev = None
-        increments: list[float] = []
         residual = np.inf
         for iteration in range(1, cfg.picard_max + 1):
             p, s_flat, u = self._solve_frozen(kbar, state_prev.p, load, u, state_prev.u)
@@ -400,7 +398,6 @@ class ExpandedMixedSolver:
             update = k_new - kbar
             residual = float(np.max(np.abs(update[:, None] * s_new), initial=0.0))
             increment = float(np.max(np.abs(s_flat - s_iter), initial=0.0))
-            increments.append(increment)
             scale = 1.0 + float(np.max(np.abs(s_flat), initial=0.0))
             s_iter = s_flat
             if residual <= 0.1 * cfg.picard_tol * scale:
@@ -419,36 +416,29 @@ class ExpandedMixedSolver:
                 f"(last residual {residual:.3e})",
                 residual=residual,
             )
-        state = DiscreteState(p=p, s=s_new, u=u, t=t_n)
-        diagnostics = {
-            "mass_residual": self._mass_residual(state_prev.p, p, load, dt),
-            "f_integral": float(load.sum()),
-            "increments": tuple(increments),
-        }
-        return state, iteration, diagnostics
-
-    def _mass_residual(
-        self, p_prev: np.ndarray, p: np.ndarray, load: np.ndarray, dt: float
-    ) -> float:
-        """|int(p^n) - int(p^{n-1}) - dt int(f^n)|, identically small."""
         areas = self.mesh.areas
-        return float(abs(areas @ p - areas @ p_prev - dt * load.sum()))
+        mass_residual = float(abs(areas @ p - areas @ state_prev.p - cfg.dt * load.sum()))
+        return DiscreteState(p=p, s=s_new, u=u, t=t_n), iteration, mass_residual, float(load.sum())
 
-    def picard_step(
-        self,
-        state_prev: DiscreteState,
-        t_n: float,
-        f: ForcingField | None = None,
-    ) -> tuple[DiscreteState, int]:
-        """Advance one step to time t_n; returns the state and the Picard count.
+    def steps(
+        self, state0: DiscreteState, f: ForcingField | None
+    ) -> Iterator[tuple[DiscreteState, int, float, float]]:
+        """March from the level state0 at t=0 to t_final, one step per item.
 
-        The step starts from K(|s^{n-1}|) and the warm start u^{n-1}, with no
-        extrapolation in time, so a run marched by hand takes more iterates
-        than run and ends within the Picard tolerance of it, not at the same
-        iterates.
+        Yields (state, picard_iters, mass_residual, f_integral) for each
+        step.  The march factors afresh on its first solve, and each step
+        starts from the extrapolation of the levels before it.
         """
-        state, iterations, _ = self._advance([state_prev], t_n, f)
-        return state, iterations
+        cfg = self.config
+        self._lu = None
+        times = np.linspace(0.0, cfg.t_final, cfg.num_steps + 1)
+        # the levels a step extrapolates from; s^0 projects exact data and
+        # is no discrete solution, so it is used only by the first step
+        history: deque[DiscreteState] = deque(maxlen=3)
+        for t_n in times[1:]:
+            step = self._advance(list(history) or [state0], float(t_n), f)
+            history.append(step[0])
+            yield step
 
     def run(
         self,
@@ -456,42 +446,14 @@ class ExpandedMixedSolver:
         p0: ScalarField,
         s0: VectorField,
         u0: VectorField | None = None,
-        store_states: bool = False,
     ) -> RunResult:
-        """March from t=0 to t_final, collecting per-step diagnostics."""
-        cfg = self.config
-        num_steps = cfg.num_steps
-        self._lu = None
-        times = np.linspace(0.0, cfg.t_final, num_steps + 1)
+        """March from the projected initial data to t_final by draining steps."""
         state = self.initial_state(p0, s0, u0)
-        areas = self.mesh.areas
-        p_norms = [float(np.sqrt(areas @ state.p**2))]
         picard_iters: list[int] = []
         mass_residuals: list[float] = []
         f_integrals: list[float] = []
-        picard_increments: list[tuple[float, ...]] = []
-        states = [state] if store_states else None
-        # the levels a step extrapolates from; s^0 projects exact data and
-        # is no discrete solution, so it is used only by the first step
-        history: deque[DiscreteState] = deque(maxlen=3)
-        for n in range(1, num_steps + 1):
-            levels = list(history) or [state]
-            state, iterations, diagnostics = self._advance(levels, float(times[n]), f)
-            history.append(state)
+        for state, iterations, mass_residual, f_integral in self.steps(state, f):
             picard_iters.append(iterations)
-            mass_residuals.append(diagnostics["mass_residual"])
-            f_integrals.append(diagnostics["f_integral"])
-            picard_increments.append(diagnostics["increments"])
-            p_norms.append(float(np.sqrt(areas @ state.p**2)))
-            if states is not None:
-                states.append(state)
-        return RunResult(
-            state=state,
-            times=times,
-            picard_iters=picard_iters,
-            mass_residuals=mass_residuals,
-            f_integrals=f_integrals,
-            p_norms=p_norms,
-            picard_increments=picard_increments,
-            states=states,
-        )
+            mass_residuals.append(mass_residual)
+            f_integrals.append(f_integral)
+        return RunResult(state, picard_iters, mass_residuals, f_integrals)

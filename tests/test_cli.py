@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from forchmix.cli import RunSpec, main, parse_args
+from forchmix import law_from_string
+from forchmix.cli import main, parse_args
 
 _FAST = ["--mesh", "2,4", "--T", "0.1", "--dt", "0.05"]
 
@@ -65,9 +67,9 @@ _BAD_VALUES = {
 
 
 def test_defaults() -> None:
-    spec = parse_args([])
-    assert spec == RunSpec(
-        law_text="1:0,1:1",
+    args = parse_args([])
+    assert args == argparse.Namespace(
+        law=law_from_string("1:0,1:1"),
         mesh_sizes=(4, 8, 16, 32, 64),
         dt="h2",
         dt_cap=1e-2,
@@ -80,27 +82,27 @@ def test_defaults() -> None:
 
 
 def test_parses_law_and_meshes() -> None:
-    spec = parse_args(["--law", "1:0,2:1", "--mesh", "4,8"])
-    assert spec.law_text == "1:0,2:1"
-    assert spec.mesh_sizes == (4, 8)
+    args = parse_args(["--law", "2:1,1:0", "--mesh", "4,8"])
+    assert args.law == law_from_string("1:0,2:1")
+    assert args.mesh_sizes == (4, 8)
 
 
 def test_parses_fixed_dt_and_tolerance() -> None:
-    spec = parse_args(["--dt", "0.001", "--tol", "1e-8"])
-    assert spec.dt == pytest.approx(0.001)
-    assert spec.picard_tol == pytest.approx(1e-8)
+    args = parse_args(["--dt", "0.001", "--tol", "1e-8"])
+    assert args.dt == pytest.approx(0.001)
+    assert args.picard_tol == pytest.approx(1e-8)
 
 
 def test_parses_remaining_flags() -> None:
-    spec = parse_args(
+    args = parse_args(
         ["--dt-cap", "0.5", "--T", "2.0", "--max-picard", "9",
          "--format", "csv", "--out", "report.csv"]
     )
-    assert spec.dt_cap == 0.5
-    assert spec.t_final == 2.0
-    assert spec.picard_max == 9
-    assert spec.fmt == "csv"
-    assert spec.out == "report.csv"
+    assert args.dt_cap == 0.5
+    assert args.t_final == 2.0
+    assert args.picard_max == 9
+    assert args.fmt == "csv"
+    assert args.out == "report.csv"
 
 
 @pytest.mark.parametrize(

@@ -144,8 +144,12 @@ def test_entity_counts(n: int) -> None:
 
 
 def test_rejects_nonpositive_n() -> None:
-    with pytest.raises(ValueError):
-        unit_square_mesh(0)
+    """n must be a Python or numpy integer of at least 1; a bool, a float
+    (even a whole one) or a string is no mesh size."""
+    for bad in (0, -2, 2.5, 2.0, True, False, "2", None, np.float64(2.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="positive integer"):
+            unit_square_mesh(bad)
+    assert np.array_equal(unit_square_mesh(np.int64(3)).triangles, unit_square_mesh(3).triangles)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

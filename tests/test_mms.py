@@ -157,7 +157,7 @@ def test_error_norms_match_projection_error(law: ForchheimerLaw, mms) -> None:
     mesh = unit_square_mesh(4)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.5, t_final=1.0))
     state = solver.initial_state(mms.p0, mms.s0, mms.u0)
-    e_p, _, _ = error_norms(mesh, solver.dofmap, state, mms, t=0.0)
+    e_p, _, _ = error_norms(mesh, solver.dofmap, state, mms)
 
     rule = triangle_quadrature()
     pts = cell_points(mesh, rule)
@@ -225,6 +225,9 @@ def test_convergence_study_validates_mesh_sizes(law: ForchheimerLaw) -> None:
         convergence_study(law, [4, 4])
     with pytest.raises(ValueError):
         convergence_study(law, [8, 4])
+    for bad in ([2.5], [True, 2], [2, 4.0]):
+        with pytest.raises(ValueError, match="positive integer"):
+            convergence_study(law, bad, dt=0.05, t_final=0.05)
 
 
 def _tiny_report(law: ForchheimerLaw) -> ConvergenceReport:
@@ -269,11 +272,11 @@ def test_markdown_layout(law: ForchheimerLaw) -> None:
 
 def test_oversampled_error_quadrature_is_consistent(capped_report, mms) -> None:
     """Degree-7 error quadrature changes the n=16 norms by under 1 percent."""
+    assert capped_report.rows[2].n == 16
     run = capped_report.runs[2]
-    assert run.n == 16
-    base = error_norms(run.mesh, run.dofmap, run.state, mms)
+    base = error_norms(run.mesh, run.dofmap, run.result.state, mms)
     fine = error_norms(
-        run.mesh, run.dofmap, run.state, mms, rule=triangle_rule(7)
+        run.mesh, run.dofmap, run.result.state, mms, rule=triangle_rule(7)
     )
     for coarse_value, fine_value in zip(base, fine):
         assert abs(coarse_value - fine_value) / fine_value < 0.01

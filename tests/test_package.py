@@ -1,9 +1,11 @@
-"""The package surface: its exports and the attributes the benchmark's tracer
-replaces."""
+"""The package surface: its exports, the README examples, and the attributes
+the benchmark's tracer replaces."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import re
 from pathlib import Path
 
@@ -17,6 +19,17 @@ def test_readme_names_every_export() -> None:
     named = set(re.findall(r"`([A-Za-z_]\w*)`", readme))
     assert sorted(set(forchmix.__all__) - named) == []
     assert all(hasattr(forchmix, name) for name in forchmix.__all__)
+
+
+def test_readme_python_examples_run() -> None:
+    """Every fenced python block of README runs, so an example that uses a
+    removed or renamed name fails here."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for number, block in enumerate(blocks):
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, f"README.md python block {number}", "exec"), {})
 
 
 def test_benchmark_tracer_finds_every_layer() -> None:

@@ -185,13 +185,15 @@ def test_config_validation() -> None:
     for bad in (0, -3, 2.5, float("inf"), float("nan"), True, "25", None):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_final=1.0, picard_max=bad)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), True, False, "0.1", None, 1j):
         with pytest.raises(ValueError):
             SolverConfig(dt=bad, t_final=1.0)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_final=bad)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_final=1.0, picard_tol=bad)
+    # numpy reals are reals
+    assert SolverConfig(dt=np.float64(0.5), t_final=np.int64(1)).num_steps == 2
     assert SolverConfig(dt=0.25, t_final=1.0).num_steps == 4
     assert SolverConfig(dt=0.25, t_final=0.0).num_steps == 0
 
@@ -204,7 +206,7 @@ def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw, monkeypatch)
     mesh = unit_square_mesh(3)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
     state0 = solver.initial_state(_zero_scalar, _zero_vector)
-    state, iterations = solver.picard_step(state0, 0.1, None)
+    state, iterations, _, _ = next(solver.steps(state0, None))
     assert iterations == 1
     factorizations[0] = 0
     result = solver.run(None, _zero_scalar, _zero_vector, _zero_vector)
@@ -223,7 +225,7 @@ def test_constant_conductivity_converges_in_one_iteration() -> None:
     mesh = unit_square_mesh(4)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=1e-2, t_final=1.0))
     state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
-    _, iterations = solver.picard_step(state0, 1e-2, mms.f)
+    _, iterations, _, _ = next(solver.steps(state0, mms.f))
     assert iterations == 1
 
 
@@ -371,49 +373,69 @@ def _assert_picard_fixed_points(solver: ExpandedMixedSolver, exact, states) -> N
         assert np.max(np.abs(s_flat - state.s.reshape(-1))) <= bound
 
 
+def _levels(solver: ExpandedMixedSolver, exact, f) -> list[DiscreteState]:
+    """Every time level of a march through steps under forcing f, from the
+    projected initial data of exact at t=0 on."""
+    state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
+    return [state0] + [state for state, *_ in solver.steps(state0, f)]
+
+
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
 def test_every_step_is_a_picard_fixed_point(law_text: str) -> None:
-    """Every level of a run, with its extrapolated starts, is a Picard
+    """Every level of a march, with its extrapolated starts, is a Picard
     fixed point within the tolerance."""
     mesh, law, config, exact = _n16_setup(law_text)
     solver = ExpandedMixedSolver(mesh, law, config)
-    result = solver.run(exact.f, exact.p0, exact.s0, exact.u0, store_states=True)
-    assert result.states is not None
-    _assert_picard_fixed_points(solver, exact, result.states)
+    _assert_picard_fixed_points(solver, exact, _levels(solver, exact, exact.f))
 
 
-@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
-def test_every_hand_marched_step_is_a_picard_fixed_point(law_text: str) -> None:
-    """picard_step starts each step from s^{n-1} and u^{n-1}; the levels it
-    marches to are Picard fixed points within the tolerance too."""
-    mesh, law, config, exact = _n16_setup(law_text)
+def _study_row_setup():
+    """The finest row of the cli-study benchmark: n=32, law 1:0,1:1, 64
+    steps of dt = 0.125/64."""
+    law = law_from_string("1:0,1:1")
+    config = SolverConfig(dt=0.125 / 64, t_final=0.125)
+    return unit_square_mesh(32), law, config, ManufacturedSolution(law)
+
+
+@pytest.mark.parametrize("setup", ["newton-stiff", "study-row"])
+def test_steps_reproduce_run_bitwise(setup: str) -> None:
+    """run drains steps: a march through steps on the same solver gives the
+    same levels, Picard counts, mass residuals and forcing integrals bit for
+    bit, at the times of run's grid."""
+    stiff = setup == "newton-stiff"
+    mesh, law, config, exact = _n16_setup("1:0,1e4:2") if stiff else _study_row_setup()
     solver = ExpandedMixedSolver(mesh, law, config)
-    states = [solver.initial_state(exact.p0, exact.s0, exact.u0)]
-    for n in range(1, config.num_steps + 1):
-        state, _ = solver.picard_step(states[-1], n * config.dt, exact.f)
-        states.append(state)
-    _assert_picard_fixed_points(solver, exact, states)
+    result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+    state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
+    levels, iters, masses, f_ints = zip(*solver.steps(state0, exact.f))
+    times = np.linspace(0.0, config.t_final, config.num_steps + 1)
+    assert [level.t for level in levels] == times[1:].tolist()
+    assert list(iters) == result.picard_iters
+    assert list(masses) == result.mass_residuals
+    assert list(f_ints) == result.f_integrals
+    for field in ("p", "s", "u"):
+        assert np.array_equal(getattr(levels[-1], field), getattr(result.state, field)), field
 
 
 def test_picard_iteration_budget_on_the_stiff_law() -> None:
-    """The newton-stiff benchmark run (law 1:0,1e4:2) takes 61 iterates.
-    Plain Picard takes 133; with the linear instead of the quadratic start it
-    takes 74, without an extrapolated start 94 and without the mix 84."""
+    """The newton-stiff benchmark run (law 1:0,1e4:2) takes 61 iterates,
+    marched by hand through steps as by run.  Plain Picard takes 133; with
+    the linear instead of the quadratic start it takes 74, without an
+    extrapolated start 94 and without the mix 84."""
     mesh, law, config, exact = _n16_setup("1:0,1e4:2")
-    result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
-    assert sum(result.picard_iters) <= 65
+    solver = ExpandedMixedSolver(mesh, law, config)
+    state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
+    assert sum(iterations for _, iterations, _, _ in solver.steps(state0, exact.f)) <= 65
 
 
 def test_picard_and_solve_budgets_on_the_study_row(monkeypatch) -> None:
-    """The finest row of the cli-study benchmark (n=32, law 1:0,1:1, 64
-    steps of dt = 0.125/64) takes 73 iterates and 313 triangular solves.
-    With the linear start it takes 132 iterates; with CG stopped relative
-    to each warm start's own residual it takes 457 solves."""
+    """The finest row of the cli-study benchmark takes 73 iterates and 313
+    triangular solves.  With the linear start it takes 132 iterates; with
+    CG stopped relative to each warm start's own residual it takes 457
+    solves."""
     solves = _count_solves(monkeypatch)
-    law = law_from_string("1:0,1:1")
-    exact = ManufacturedSolution(law)
-    config = SolverConfig(dt=0.125 / 64, t_final=0.125)
-    solver = ExpandedMixedSolver(unit_square_mesh(32), law, config)
+    mesh, law, config, exact = _study_row_setup()
+    solver = ExpandedMixedSolver(mesh, law, config)
     result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     assert sum(result.picard_iters) <= 80
     assert solves[0] <= 350
@@ -446,7 +468,7 @@ def test_sign_convention_consistency(law: ForchheimerLaw, mms) -> None:
         mesh, law, SolverConfig(dt=1e-2, t_final=1.0, picard_tol=1e-10)
     )
     state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
-    state, _ = solver.picard_step(state0, 1e-2, mms.f)
+    state, *_ = next(solver.steps(state0, mms.f))
     forms = solver._m_uz @ state.u
     avg_u = (forms / np.repeat(mesh.areas, 2)).reshape(-1, 2)
     assert np.max(np.abs(avg_u + K_flux(law, state.s))) < 1e-8
@@ -457,15 +479,14 @@ def test_run_with_zero_steps_returns_initial_state(law: ForchheimerLaw, mms) -> 
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.0))
     result = solver.run(mms.f, mms.p0, mms.s0, mms.u0)
     expected = solver.initial_state(mms.p0, mms.s0, mms.u0)
-    assert result.times.tolist() == [0.0]
-    assert result.picard_iters == []
-    assert len(result.p_norms) == 1
+    assert list(solver.steps(expected, mms.f)) == []
+    assert result.picard_iters == result.mass_residuals == result.f_integrals == []
     assert np.array_equal(result.state.p, expected.p)
     assert np.array_equal(result.state.u, expected.u)
 
 
 def test_unforced_pressure_norm_nonincreasing(decay_run) -> None:
-    norms = np.asarray(decay_run.p_norms)
+    norms, _ = decay_run
     assert np.all(np.diff(norms) <= 1e-12)
     assert norms[-1] < norms[0]
 
@@ -484,9 +505,7 @@ def test_steady_compatible_forcing_stagnates(law: ForchheimerLaw, mms) -> None:
     solver = ExpandedMixedSolver(
         mesh, law, SolverConfig(dt=0.1, t_final=6.0, picard_tol=1e-10)
     )
-    result = solver.run(forcing, mms.p0, mms.s0, mms.u0, store_states=True)
-    states = result.states
-    assert states is not None
+    states = _levels(solver, mms, forcing)
     increments = [
         float(np.max(np.abs(states[i].p - states[i - 1].p)))
         for i in range(1, len(states))
@@ -500,27 +519,43 @@ def test_steady_compatible_forcing_stagnates(law: ForchheimerLaw, mms) -> None:
     assert increments[-1] < 1e-10
 
 
-def test_final_norm_bounded_by_data(law: ForchheimerLaw, mms, coarse_run) -> None:
-    """||p^N|| <= ||p^0|| + sum dt ||f^n|| with 5 percent slack."""
-    result, _ = coarse_run
+def test_final_norm_bounded_by_data(law: ForchheimerLaw, mms) -> None:
+    """||p^N|| <= ||p^0|| + sum dt ||f^n|| with 5 percent slack, on the
+    two-step n=4 run at dt = 0.5."""
     mesh = unit_square_mesh(4)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.5, t_final=1.0))
+    levels = _levels(solver, mms, mms.f)
     rule = triangle_quadrature()
     pts = cell_points(mesh, rule)
-    dt = float(result.times[1] - result.times[0])
     f_norms = []
-    for t in result.times[1:]:
-        values = mms.f(pts[..., 0], pts[..., 1], float(t))
+    for level in levels[1:]:
+        values = mms.f(pts[..., 0], pts[..., 1], level.t)
         f_norms.append(float(np.sqrt(mesh.areas @ (values**2 @ rule.weights))))
-    bound = result.p_norms[0] + dt * sum(f_norms)
-    assert result.p_norms[-1] <= 1.05 * bound
+    p_norms = [float(np.sqrt(mesh.areas @ level.p**2)) for level in levels]
+    bound = p_norms[0] + solver.config.dt * sum(f_norms)
+    assert p_norms[-1] <= 1.05 * bound
 
 
-def test_picard_increments_eventually_decrease(capped_report) -> None:
-    """On every step of the n=4 study run the increment tail is monotone."""
-    run = capped_report.runs[0]
-    for step in run.result.picard_increments:
-        tail = step[1:]
+def test_picard_increments_eventually_decrease(law: ForchheimerLaw, mms) -> None:
+    """On every step of the n=4 study run (100 steps of dt = 1e-2) the
+    increments max|s_k - s_{k-1}| between a step's Picard iterates, after
+    the first, never grow."""
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=1e-2, t_final=1.0))
+    iterates = []
+    solve_frozen = solver._solve_frozen
+
+    def spy(*args):
+        p, s_flat, u = solve_frozen(*args)
+        iterates.append(s_flat)
+        return p, s_flat, u
+
+    solver._solve_frozen = spy
+    state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
+    for _ in solver.steps(state0, mms.f):
+        assert iterates
+        tail = [np.max(np.abs(b - a)) for a, b in zip(iterates, iterates[1:])]
         assert all(b <= a * 1.0001 for a, b in zip(tail, tail[1:]))
+        iterates.clear()
 
 
 def test_picard_cap_raises_with_residual(law: ForchheimerLaw, mms) -> None:
@@ -530,6 +565,6 @@ def test_picard_cap_raises_with_residual(law: ForchheimerLaw, mms) -> None:
     )
     state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
     with pytest.raises(PicardError) as excinfo:
-        solver.picard_step(state0, 1e-2, mms.f)
+        next(solver.steps(state0, mms.f))
     assert excinfo.value.residual > 0.0
     assert "residual" in str(excinfo.value)
