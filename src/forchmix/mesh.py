@@ -137,6 +137,11 @@ def build_mesh(vertices, triangles) -> TriMesh:
     )
 
 
+def _is_mesh_size(n) -> bool:
+    """Whether unit_square_mesh accepts n: an integer of at least 1, not a bool."""
+    return not isinstance(n, bool) and isinstance(n, numbers.Integral) and n >= 1
+
+
 def unit_square_mesh(n: int) -> TriMesh:
     """Structured mesh of [0,1]^2: n x n squares, each split along the
     lower-left to upper-right diagonal into two right triangles.
@@ -144,7 +149,7 @@ def unit_square_mesh(n: int) -> TriMesh:
     The result has (n+1)^2 vertices, 2n^2 triangles, 3n^2 + 2n edges, and
     mesh size h = sqrt(2)/n.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    if not _is_mesh_size(n):
         raise ValueError("n must be a positive integer")
     ticks = np.linspace(0.0, 1.0, n + 1)
     grid_x, grid_y = np.meshgrid(ticks, ticks)

@@ -17,6 +17,7 @@ velocity in L^beta with beta = 2 - a from the law's degeneracy exponents.
 from __future__ import annotations
 
 import io
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,8 +33,8 @@ from .law import (  # noqa: F401
     _K_and_K_prime,
     degeneracy_exponents,
 )
-from .mesh import TriMesh, unit_square_mesh
-from .solver import DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig
+from .mesh import TriMesh, _is_mesh_size, unit_square_mesh
+from .solver import _MAX_STEPS, DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig
 from .spaces import (
     DofMap,
     QuadratureRule,
@@ -43,9 +44,6 @@ from .spaces import (
 )
 
 _DECAY = 5.0
-# Past 2**53 a double no longer holds every whole step count, so t_final
-# cannot be snapped to a whole number of steps.
-_MAX_STEPS = 2.0**53
 
 
 def forcing_f(law: ForchheimerLaw, x, y, t) -> np.ndarray:
@@ -221,15 +219,22 @@ def _md_rate(rate: float | None) -> str:
 
 
 def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
-    """Resolve the dt policy and snap so that t_final is a whole number of steps."""
+    """Resolve the dt policy and snap so that t_final is a whole number of steps.
+
+    A ValueError names the argument at fault.
+    """
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError("t_final must be nonnegative and finite")
+    if not dt_cap > 0.0:
+        raise ValueError("dt_cap must be positive, or inf for no cap")
     if isinstance(dt, str):
         if dt != "h2":
             raise ValueError("dt must be a positive number or 'h2'")
         raw = min(dt_cap, h * h)
     else:
         raw = float(dt)
-    if raw <= 0.0:
-        raise ValueError("dt must be positive")
+        if not (math.isfinite(raw) and raw > 0.0):
+            raise ValueError("dt must be positive and finite")
     if t_final == 0.0:
         return raw
     steps = t_final / raw
@@ -251,13 +256,18 @@ def convergence_study(
     """Run the manufactured problem on each mesh and tabulate errors and rates.
 
     dt is either a fixed step or the policy "h2", meaning
-    dt = min(dt_cap, h^2) per mesh; either way the step is snapped to divide
-    t_final exactly.  Rates compare consecutive rows.
+    dt = min(dt_cap, h^2) per mesh (inf: no cap); either way the step is
+    snapped to divide t_final exactly.  Rates compare consecutive rows.
+    Every argument is checked before the first mesh runs.
     """
     if not mesh_sizes:
         raise ValueError("mesh_sizes must be nonempty")
+    if not all(_is_mesh_size(n) for n in mesh_sizes):
+        raise ValueError("mesh_sizes must be positive integers")
     if any(b <= a for a, b in zip(mesh_sizes, mesh_sizes[1:])):
         raise ValueError("mesh_sizes must be strictly increasing")
+    # the finest mesh, h = sqrt(2)/n, takes the most steps under either policy
+    _pick_dt(dt, dt_cap, math.sqrt(2.0) / mesh_sizes[-1], t_final)
     exact = ManufacturedSolution(law)
     rows: list[ReportRow] = []
     runs: list[MeshRun] = []

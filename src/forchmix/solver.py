@@ -40,8 +40,8 @@ buying digits below rounding.  When CG misses that within _CG_MAXITER
 iterations, A is factored afresh at the current K and solved directly, and
 the new factorization serves the solves that follow.
 
-steps is the one marching loop: run drains it, and a caller that wants
-every level, or control between steps, iterates it directly.
+run projects the exact initial data p0, s0 and u0 and drains steps, the
+one marching loop, which a caller iterates for every level.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ _CG_RTOL = 1e-12
 # drifts over a long run the stale LU needs more iterations; past about eight
 # a fresh factorization costs less than the iterations it saves.
 _CG_MAXITER = 8
+# a double holds every whole step count only up to 2**53
+_MAX_STEPS = 2.0**53
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -161,6 +163,8 @@ class SolverConfig:
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError("t_final must be nonnegative and finite")
         steps = self.t_final / self.dt
+        if not steps <= _MAX_STEPS:
+            raise ValueError(f"t_final / dt = {steps:.3g} steps, more than 2**53")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("t_final must be an integer multiple of dt")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
@@ -263,11 +267,6 @@ class ExpandedMixedSolver:
         """A u from the stored diagonal and strict upper triangle."""
         return self._upper @ u + self._lower @ u + self._diag * u
 
-    def _factor(self):
-        """SuperLU factorization of the matrix the pattern holds now."""
-        a = (self._upper + self._lower + sp.diags(self._diag)).tocsc()
-        return splu(a, permc_spec="MMD_AT_PLUS_A")
-
     def _load_vector(self, f: ForcingField | None, t: float) -> np.ndarray:
         """Cell integrals of the forcing at time t."""
         if f is None:
@@ -276,34 +275,15 @@ class ExpandedMixedSolver:
         values = np.asarray(f(x, y, t), dtype=float)
         return self.mesh.areas * (values @ self.quadrature.weights)
 
-    def initial_state(
-        self,
-        p0: ScalarField,
-        s0: VectorField,
-        u0: VectorField | None = None,
-    ) -> DiscreteState:
-        """Project the initial data onto the discrete spaces.
-
-        p and s are cell averages of p0 and of the supplied exact gradient
-        s0.  When the exact initial velocity u0 is available its edge-flux
-        interpolant is used.  Otherwise u solves the gradient and flux
-        equations of the scheme at t=0 with conductivity frozen at K(|s|):
-        eliminating s leaves (M_uz^T M_sz^{-1} M_uz) u = B^T p, which is A(K)
-        without its dt part.  It is filled on the fixed pattern and factored
-        once here; the factorization the steps reuse is left alone.
+    def initial_state(self, p0: ScalarField, s0: VectorField, u0: VectorField) -> DiscreteState:
+        """Project the initial data onto the discrete spaces: p and s are cell
+        averages of p0 and of the exact gradient s0, and u is the edge-flux
+        interpolant of the exact velocity u0, for which a caller without one
+        passes the constitutive flux -K_flux(law, s0(x, y)).
         """
         p = l2_project_scalar(self.mesh, p0, self.quadrature)
         s = l2_project_vector(self.mesh, s0, self.quadrature)
-        if u0 is not None:
-            u = hdiv_interpolate(self.mesh, self.dofmap, u0)
-        else:
-            kbar = K_eval(self.law, np.linalg.norm(s, axis=1))
-            weights = 1.0 / (kbar * self.mesh.areas)
-            self._upper.data[:] = self._upper_map @ weights
-            self._diag = self._diag_map @ weights
-            u = self._factor().solve(self._b_div.T @ p)
-            if not np.all(np.isfinite(u)):
-                raise RuntimeError("initial velocity solve produced non-finite values")
+        u = hdiv_interpolate(self.mesh, self.dofmap, u0)
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
 
     def _solve_frozen(
@@ -316,8 +296,8 @@ class ExpandedMixedSolver:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve one frozen-conductivity block system; returns (p, s_flat, u).
 
-        u_guess warm-starts CG, which stops at _CG_RTOL times the residual of
-        u_anchor in this system.
+        Fills A(kbar) on the pattern; CG from u_guess stops at _CG_RTOL times
+        u_anchor's residual, and a missing LU or a CG miss factors A here.
         """
         areas = self.mesh.areas
         dt = self.config.dt
@@ -328,7 +308,8 @@ class ExpandedMixedSolver:
         rhs = self._b_div.T @ p_hat
         u = None if self._lu is None else self._pcg(rhs, u_guess, u_anchor)
         if u is None:
-            self._lu = self._factor()
+            a = (self._upper + self._lower + sp.diags(self._diag)).tocsc()
+            self._lu = splu(a, permc_spec="MMD_AT_PLUS_A")
             u = self._lu.solve(rhs)
         mk = np.repeat(kbar, 2) * self._area2
         s_flat = -(self._m_uz @ u) / mk
@@ -441,13 +422,9 @@ class ExpandedMixedSolver:
             yield step
 
     def run(
-        self,
-        f: ForcingField | None,
-        p0: ScalarField,
-        s0: VectorField,
-        u0: VectorField | None = None,
+        self, f: ForcingField | None, p0: ScalarField, s0: VectorField, u0: VectorField
     ) -> RunResult:
-        """March from the projected initial data to t_final by draining steps."""
+        """March from the projections of p0, s0 and u0 to t_final by draining steps."""
         state = self.initial_state(p0, s0, u0)
         picard_iters: list[int] = []
         mass_residuals: list[float] = []

@@ -64,27 +64,19 @@ def cell_points(mesh: TriMesh, rule: QuadratureRule) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Degrees of freedom: one RT0 dof per interior edge, one scalar and two
-    vector dofs per triangle."""
+    """RT0 degrees of freedom, one per interior edge; the scalar and vector
+    unknowns are one and two per triangle, in the mesh's triangle order."""
 
     edge_dof: np.ndarray
     dof_edge: np.ndarray
     n_rt0: int
-    n_p: int
-    n_s: int
 
 
 def build_dofmap(mesh: TriMesh) -> DofMap:
     interior = np.flatnonzero(~mesh.boundary_edge)
     edge_dof = np.full(mesh.num_edges, -1, dtype=np.int64)
     edge_dof[interior] = np.arange(len(interior))
-    return DofMap(
-        edge_dof=edge_dof,
-        dof_edge=interior,
-        n_rt0=len(interior),
-        n_p=mesh.num_triangles,
-        n_s=2 * mesh.num_triangles,
-    )
+    return DofMap(edge_dof=edge_dof, dof_edge=interior, n_rt0=len(interior))
 
 
 def rt0_cell_affine(mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray):

