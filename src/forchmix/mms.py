@@ -8,7 +8,9 @@ has gradient s = exp(-5t) (x(1-x), y(1-y)), so the velocity
 u = -K(|s|) s satisfies u.n = 0 on all four sides exactly.  The forcing
 f = p_t + div u is derived in closed form from this convention; at points
 where s = 0 the removable singularity of the K' term is replaced by its
-limit -K(0) (d1 s1 + d2 s2).
+limit -K(0) (d1 s1 + d2 s2).  It separates into factors of t and of the
+points (see forcing_f), so a caller with fixed points, such as the solver's
+quadrature points, binds it to them once.
 
 Errors are measured at the final time: pressure in L2, gradient and
 velocity in L^beta with beta = 2 - a from the law's degeneracy exponents.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import io
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,26 +48,59 @@ from .spaces import (
 _DECAY = 5.0
 
 
-def forcing_f(law: ForchheimerLaw, x, y, t) -> np.ndarray:
-    """Forcing f = p_t + div u of the manufactured solution.
+def forcing_f(law: ForchheimerLaw, x, y, t=None):
+    """Forcing f = p_t + div u of the manufactured solution at the points
+    (x, y): its values at time t, or with t omitted the function
+    t -> f(x, y, t), which evaluates the factors that depend only on the
+    points once.
 
-    div u expands to -[K(|s|)(d1 s1 + d2 s2)
-    + K'(|s|)(s1^2 d1 s1 + s2^2 d2 s2)/|s|]; the second term vanishes as
-    |s| -> 0, so the limit value is used where s = 0.
+    With e = exp(-5t) the fields separate: p = e P, s = e S and
+    d1 s1 + d2 s2 = e D, and div u = -[K(|s|) e D + K'(|s|) e^2 R] with
+    R = (S1^2 d1 S1 + S2^2 d2 S2)/|S|, so
+
+        f = -5 e P - e K(e|S|) D - e^2 K'(e|S|) R.
+
+    The K' term vanishes as |s| -> 0, so its limit 0 is used where s = 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    decay = np.exp(-_DECAY * np.asarray(t, dtype=float))
-    p = decay * (0.5 * (x**2 + y**2) - (x**3 + y**3) / 3.0)
-    s1 = decay * x * (1.0 - x)
-    s2 = decay * y * (1.0 - y)
-    ds1 = decay * (1.0 - 2.0 * x)
-    ds2 = decay * (1.0 - 2.0 * y)
-    xi = np.hypot(s1, s2)
-    k, kp = _K_and_K_prime(law, xi)
-    safe_xi = np.where(xi > 0.0, xi, 1.0)
-    radial = np.where(xi > 0.0, kp * (s1**2 * ds1 + s2**2 * ds2) / safe_xi, 0.0)
-    return -_DECAY * p - k * (ds1 + ds2) - radial
+    pressure = 0.5 * (x**2 + y**2) - (x**3 + y**3) / 3.0
+    s1, s2 = x * (1.0 - x), y * (1.0 - y)
+    ds1, ds2 = 1.0 - 2.0 * x, 1.0 - 2.0 * y
+    norm = np.hypot(s1, s2)
+    divergence = ds1 + ds2
+    # the numerator vanishes with S, so R = 0 there
+    radial = (s1**2 * ds1 + s2**2 * ds2) / np.where(norm > 0.0, norm, 1.0)
+
+    def at(t) -> np.ndarray:
+        decay = np.exp(-_DECAY * np.asarray(t, dtype=float))
+        xi = decay * norm
+        k, kp = _K_and_K_prime(law, xi)
+        return (
+            -_DECAY * decay * pressure
+            - decay * (k * divergence)
+            - decay * decay * np.where(xi > 0.0, kp * radial, 0.0)
+        )
+
+    return at if t is None else at(t)
+
+
+@dataclass(frozen=True)
+class ManufacturedForcing:
+    """The manufactured forcing f(x, y, t) of a law.
+
+    bind(x, y) returns t -> f(x, y, t) with the factors that depend only on
+    the points evaluated once, as the solver does for its fixed quadrature
+    points; a call evaluates them afresh.
+    """
+
+    law: ForchheimerLaw
+
+    def __call__(self, x, y, t) -> np.ndarray:
+        return forcing_f(self.law, x, y, t)
+
+    def bind(self, x, y) -> Callable[[float], np.ndarray]:
+        return forcing_f(self.law, x, y)
 
 
 @dataclass(frozen=True)
@@ -91,8 +126,10 @@ class ManufacturedSolution:
     def u(self, x, y, t) -> np.ndarray:
         return -K_flux(self.law, self.s(x, y, t))
 
-    def f(self, x, y, t) -> np.ndarray:
-        return forcing_f(self.law, x, y, t)
+    @property
+    def f(self) -> ManufacturedForcing:
+        """The forcing f(x, y, t) = p_t + div u, bindable to fixed points."""
+        return ManufacturedForcing(self.law)
 
     def p0(self, x, y) -> np.ndarray:
         return self.p(x, y, 0.0)
@@ -260,10 +297,12 @@ def convergence_study(
     snapped to divide t_final exactly.  Rates compare consecutive rows.
     Every argument is checked before the first mesh runs.
     """
-    if not mesh_sizes:
+    if len(mesh_sizes) == 0:
         raise ValueError("mesh_sizes must be nonempty")
     if not all(_is_mesh_size(n) for n in mesh_sizes):
         raise ValueError("mesh_sizes must be positive integers")
+    # numpy integers included; the rows report plain ints
+    mesh_sizes = [int(n) for n in mesh_sizes]
     if any(b <= a for a, b in zip(mesh_sizes, mesh_sizes[1:])):
         raise ValueError("mesh_sizes must be strictly increasing")
     # the finest mesh, h = sqrt(2)/n, takes the most steps under either policy

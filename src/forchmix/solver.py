@@ -34,14 +34,18 @@ from per-cell 3x3 blocks, and each iterate only refills their values.
 The first solve of a march factors A.  Every later solve runs conjugate
 gradients on the current A, preconditioned by that factorization and
 warm-started from the extrapolated or the previous iterate's velocity.  CG
-stops at a step-level accuracy: a residual 1e-12 times that of u^{n-1} in
-the current system, so a better warm start saves iterations rather than
-buying digits below rounding.  When CG misses that within _CG_MAXITER
-iterations, A is factored afresh at the current K and solved directly, and
-the new factorization serves the solves that follow.
+stops at a step-level accuracy: a residual a fraction of that of u^{n-1}
+in the current system, so a better warm start saves iterations rather than
+buying digits below rounding.  The fraction follows the Picard tolerance,
+1e-2 * picard_tol kept within [1e-12, 1e-8]: 1e-8 at the default 1e-6, and
+1e-12 for the tight tolerances of an oracle run.  When CG misses that
+within _CG_MAXITER iterations, A is factored afresh at the current K and
+solved directly, and the new factorization serves the solves that follow.
 
 run projects the exact initial data p0, s0 and u0 and drains steps, the
-one marching loop, which a caller iterates for every level.
+one marching loop, which a caller iterates for every level.  A march binds
+its forcing to the fixed quadrature points once (see ForcingField), so a
+step evaluates only t -> f(x, y, t).
 """
 
 from __future__ import annotations
@@ -74,14 +78,19 @@ from .spaces import (  # noqa: F401
     triangle_quadrature,
 )
 
-# Preconditioned CG on the condensed system stops once the residual is this
-# fraction of the anchor's: the previous level's velocity in the current
-# system, which measures how far the step moves the solution.  A stop
-# relative to the right-hand side instead leaves rounding-level noise in the
-# iterates, enough to break the decay of a run approaching a steady state; a
-# stop relative to the warm start's own residual asks a good warm start for
-# digits below rounding.
-_CG_RTOL = 1e-12
+# Preconditioned CG on the condensed system stops once the residual is a
+# fraction _cg_rtol(picard_tol) of the anchor's: the previous level's
+# velocity in the current system, which measures how far the step moves the
+# solution.  A stop relative to the right-hand side instead leaves
+# rounding-level noise in the iterates, enough to break the decay of a run
+# approaching a steady state; a stop relative to the warm start's own
+# residual asks a good warm start for digits below rounding.  The fraction
+# follows the Picard tolerance, as Eisenstat-Walker forcing terms tie an
+# inner solve to its outer iteration (SIAM J. Sci. Comput. 17, 1996): two
+# digits below picard_tol, no looser than _CG_RTOL_MAX, so the default 1e-6
+# stops at 1e-8, and no tighter than _CG_RTOL_MIN, where rounding takes over.
+_CG_RTOL_MIN = 1e-12
+_CG_RTOL_MAX = 1e-8
 # CG iterations before the factorization is renewed at the current K.  As K
 # drifts over a long run the stale LU needs more iterations; past about eight
 # a fresh factorization costs less than the iterations it saves.
@@ -91,7 +100,17 @@ _MAX_STEPS = 2.0**53
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# A forcing f(x, y, t), evaluated at the solver's quadrature points.  One
+# that also has bind(x, y), returning t -> f(x, y, t) with the work that
+# depends only on the points done once, is bound that way at the start of a
+# march (ManufacturedSolution.f is one); any other binds as
+# lambda t: f(x, y, t).  None stands for no forcing.
 ForcingField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+
+
+def _cg_rtol(picard_tol: float) -> float:
+    """The CG stop, relative to the anchor's residual, for a Picard tolerance."""
+    return min(max(1e-2 * picard_tol, _CG_RTOL_MIN), _CG_RTOL_MAX)
 
 
 def _anderson_mix(
@@ -214,7 +233,7 @@ class ExpandedMixedSolver:
         local = cell_forms(mesh, self.dofmap)
         self._b_div, self._m_uz = local.blocks(self.dofmap.n_rt0)
         self._area2 = np.repeat(mesh.areas, 2)
-        self._qpoints = cell_points(mesh, self.quadrature)
+        self._cg_rtol = _cg_rtol(config.picard_tol)
         self._build_pattern(local)
         self._lu = None
 
@@ -267,13 +286,18 @@ class ExpandedMixedSolver:
         """A u from the stored diagonal and strict upper triangle."""
         return self._upper @ u + self._lower @ u + self._diag * u
 
-    def _load_vector(self, f: ForcingField | None, t: float) -> np.ndarray:
-        """Cell integrals of the forcing at time t."""
+    def _loads(self, f: ForcingField | None) -> Callable[[float], np.ndarray]:
+        """t -> the cell integrals of the forcing f at time t, with f bound
+        to the quadrature points once."""
         if f is None:
-            return np.zeros(self.mesh.num_triangles)
-        x, y = self._qpoints[..., 0], self._qpoints[..., 1]
-        values = np.asarray(f(x, y, t), dtype=float)
-        return self.mesh.areas * (values @ self.quadrature.weights)
+            zero = np.zeros(self.mesh.num_triangles)
+            return lambda t: zero
+        points = cell_points(self.mesh, self.quadrature)
+        x, y = points[..., 0], points[..., 1]
+        bind = getattr(f, "bind", None)
+        values = bind(x, y) if bind is not None else lambda t: f(x, y, t)
+        areas, weights = self.mesh.areas, self.quadrature.weights
+        return lambda t: areas * (np.asarray(values(t), dtype=float) @ weights)
 
     def initial_state(self, p0: ScalarField, s0: VectorField, u0: VectorField) -> DiscreteState:
         """Project the initial data onto the discrete spaces: p and s are cell
@@ -296,8 +320,9 @@ class ExpandedMixedSolver:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve one frozen-conductivity block system; returns (p, s_flat, u).
 
-        Fills A(kbar) on the pattern; CG from u_guess stops at _CG_RTOL times
-        u_anchor's residual, and a missing LU or a CG miss factors A here.
+        Fills A(kbar) on the pattern; CG from u_guess stops at the config's
+        CG tolerance times u_anchor's residual, and a missing LU or a CG miss
+        factors A here.
         """
         areas = self.mesh.areas
         dt = self.config.dt
@@ -321,15 +346,16 @@ class ExpandedMixedSolver:
     def _pcg(self, rhs: np.ndarray, u: np.ndarray, anchor: np.ndarray) -> np.ndarray | None:
         """CG on the current A from u, preconditioned by the stored LU.
 
-        Stops at _CG_RTOL times the residual of anchor, or of u itself when
-        anchor solves the system exactly, so a zero target is never asked
-        for; u is returned as it is when it already meets the target.
+        Stops at _cg_rtol(picard_tol) times the residual of anchor, or of u
+        itself when anchor solves the system exactly, so a zero target is
+        never asked for; u is returned as it is when it already meets the
+        target.
         Returns None when the residual has not fallen to the target within
         _CG_MAXITER iterations.
         """
         r = rhs - self._apply(u)
         r_norm = np.linalg.norm(r)
-        tol = _CG_RTOL * (np.linalg.norm(rhs - self._apply(anchor)) or r_norm)
+        tol = self._cg_rtol * (np.linalg.norm(rhs - self._apply(anchor)) or r_norm)
         if r_norm <= tol:
             return u
         u = u.copy()
@@ -352,20 +378,20 @@ class ExpandedMixedSolver:
         self,
         levels: Sequence[DiscreteState],
         t_n: float,
-        f: ForcingField | None,
+        load: np.ndarray,
     ) -> tuple[DiscreteState, int, float, float]:
         """One backward Euler step with accelerated Picard resolution of K(|s|).
 
         levels are the last one to three time levels, oldest first, the
-        previous level last.  The first kbar is K at their extrapolation of
-        s and the first warm start their extrapolation of u; every velocity
-        solve of the step stops relative to the previous level's residual.
+        previous level last, and load holds the cell integrals of f^n.  The
+        first kbar is K at their extrapolation of s and the first warm start
+        their extrapolation of u; every velocity solve of the step stops
+        relative to the previous level's residual.
         Returns the new level, its Picard count, its mass residual
         |int(p^n) - int(p^{n-1}) - dt int(f^n)|, identically small, and int(f^n).
         """
         cfg = self.config
         state_prev = levels[-1]
-        load = self._load_vector(f, t_n)
         s_iter = state_prev.s.reshape(-1)
         u = _extrapolate([level.u for level in levels])
         s_start = _extrapolate([level.s for level in levels])
@@ -407,24 +433,28 @@ class ExpandedMixedSolver:
         """March from the level state0 at t=0 to t_final, one step per item.
 
         Yields (state, picard_iters, mass_residual, f_integral) for each
-        step.  The march factors afresh on its first solve, and each step
-        starts from the extrapolation of the levels before it.
+        step.  The march binds the forcing f (see ForcingField) to the
+        quadrature points once, factors afresh on its first solve, and
+        starts each step from the extrapolation of the levels before it.
         """
         cfg = self.config
         self._lu = None
+        loads = self._loads(f)
         times = np.linspace(0.0, cfg.t_final, cfg.num_steps + 1)
         # the levels a step extrapolates from; s^0 projects exact data and
         # is no discrete solution, so it is used only by the first step
         history: deque[DiscreteState] = deque(maxlen=3)
-        for t_n in times[1:]:
-            step = self._advance(list(history) or [state0], float(t_n), f)
+        for t_n in times[1:].tolist():
+            step = self._advance(list(history) or [state0], t_n, loads(t_n))
             history.append(step[0])
             yield step
 
     def run(
         self, f: ForcingField | None, p0: ScalarField, s0: VectorField, u0: VectorField
     ) -> RunResult:
-        """March from the projections of p0, s0 and u0 to t_final by draining steps."""
+        """March from the projections of p0, s0 and u0 to t_final by draining
+        steps, under the forcing f: None, a callable f(x, y, t), or one that
+        also binds to points (see ForcingField)."""
         state = self.initial_state(p0, s0, u0)
         picard_iters: list[int] = []
         mass_residuals: list[float] = []

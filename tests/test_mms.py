@@ -78,8 +78,9 @@ def test_forcing_limit_where_gradient_vanishes(law: ForchheimerLaw, mms) -> None
 
 
 def test_forcing_solves_for_s_once_per_call(monkeypatch) -> None:
-    """One root solve serves K and K', and the values equal K_eval and
-    K_prime evaluated separately, bit for bit."""
+    """One root solve serves K and K', and the values equal the separated
+    formula with K_eval and K_prime evaluated separately, bit for bit, and
+    the direct formula in s = exp(-5t) S to rounding."""
     stiff = law_from_string("1:0,1e4:2")
     rng = np.random.default_rng(5)
     x = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, size=997)])
@@ -94,7 +95,20 @@ def test_forcing_solves_for_s_once_per_call(monkeypatch) -> None:
     kp = K_prime(stiff, xi)
     safe_xi = np.where(xi > 0.0, xi, 1.0)
     radial = np.where(xi > 0.0, kp * (s1**2 * ds1 + s2**2 * ds2) / safe_xi, 0.0)
-    expected = -5.0 * p - K_eval(stiff, xi) * (ds1 + ds2) - radial
+    direct = -5.0 * p - K_eval(stiff, xi) * (ds1 + ds2) - radial
+
+    big_p = 0.5 * (x**2 + y**2) - (x**3 + y**3) / 3.0
+    big_s1, big_s2 = x * (1.0 - x), y * (1.0 - y)
+    big_d1, big_d2 = 1.0 - 2.0 * x, 1.0 - 2.0 * y
+    norm = np.hypot(big_s1, big_s2)
+    big_r = (big_s1**2 * big_d1 + big_s2**2 * big_d2) / np.where(norm > 0.0, norm, 1.0)
+    sep_xi = decay * norm
+    sep_kp = np.where(sep_xi > 0.0, K_prime(stiff, sep_xi) * big_r, 0.0)
+    expected = (
+        -5.0 * decay * big_p
+        - decay * (K_eval(stiff, sep_xi) * (big_d1 + big_d2))
+        - decay * decay * sep_kp
+    )
 
     solves = []
     newton = law_module._newton_s
@@ -106,8 +120,14 @@ def test_forcing_solves_for_s_once_per_call(monkeypatch) -> None:
     monkeypatch.setattr(law_module, "_newton_s", counting_newton)
     forcing = forcing_f(stiff, x, y, t)
     assert solves == [x.size]
+    # a bound forcing solves once per evaluation, not at binding
+    bound = forcing_f(stiff, x, y)
+    assert solves == [x.size]
+    assert np.array_equal(bound(t), forcing)
+    assert solves == [x.size] * 2
     assert forcing.dtype == expected.dtype
     assert np.array_equal(forcing, expected)
+    assert np.max(np.abs(forcing - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
 def test_pde_residual_vanishes(mms) -> None:
@@ -256,6 +276,15 @@ def test_convergence_study_checks_every_argument_before_a_run(
     assert runs == []
     convergence_study(law, [2], dt=0.05, t_final=0.05)
     assert runs == [8]
+
+
+def test_convergence_study_takes_a_numpy_array_of_sizes(law: ForchheimerLaw) -> None:
+    """Sizes in a numpy integer array run as the same sizes in a list do."""
+    with pytest.raises(ValueError, match="nonempty"):
+        convergence_study(law, np.array([], dtype=int))
+    report = convergence_study(law, np.array([2, 4]), dt=0.05, t_final=0.05)
+    assert [type(row.n) for row in report.rows] == [int, int]
+    assert report.to_csv() == convergence_study(law, [2, 4], dt=0.05, t_final=0.05).to_csv()
 
 
 def _tiny_report(law: ForchheimerLaw) -> ConvergenceReport:

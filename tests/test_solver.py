@@ -11,6 +11,7 @@ from scipy.sparse.linalg import splu
 
 from quadrature_oracle import triangle_rule
 
+import forchmix.mms as mms_module
 import forchmix.solver as solver_module
 from forchmix import (
     DiscreteState,
@@ -80,9 +81,10 @@ def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
     tol = cfg.picard_tol
     state = solver.initial_state(exact.p0, exact.s0, exact.u0)
     solver._lu = None
+    loads = solver._loads(exact.f)
     for n in range(1, cfg.num_steps + 1):
         t_n = n * cfg.dt
-        load = solver._load_vector(exact.f, t_n)
+        load = loads(t_n)
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
         u, s_iter = state.u, state.s.reshape(-1)
         for _ in range(max_iter):
@@ -275,9 +277,9 @@ def test_monolithic_matches_condensed(law: ForchheimerLaw, monkeypatch) -> None:
 
 
 def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, monkeypatch) -> None:
-    """When the anchor solves the system exactly, CG stops at _CG_RTOL times
-    the warm start's residual instead of asking for a zero residual, and the
-    stored factorization serves the solve."""
+    """When the anchor solves the system exactly, CG stops at its tolerance
+    times the warm start's residual instead of asking for a zero residual,
+    and the stored factorization serves the solve."""
     factorizations = _count_factorizations(monkeypatch)
     mesh = unit_square_mesh(4)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
@@ -288,6 +290,34 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
     _, _, u = solver._solve_frozen(kbar, zero_p, zero_p, guess, np.zeros(n))
     assert factorizations[0] == 1
     assert np.max(np.abs(u)) <= 1e-10 * np.max(np.abs(guess))
+
+
+def test_cg_stop_follows_the_picard_tolerance(law: ForchheimerLaw, mms) -> None:
+    """CG stops at 1e-2 * picard_tol times the anchor's residual, kept within
+    [1e-12, 1e-8]: a run at picard_tol = 1e-10 still stops every CG solve at
+    1e-12, and one at the default 1e-6 at 1e-8, looser than 1e-12."""
+    rule = [solver_module._cg_rtol(tol) for tol in (1e-3, 1e-6, 1e-9, 1e-10, 1e-14)]
+    assert rule == pytest.approx([1e-8, 1e-8, 1e-11, 1e-12, 1e-12], rel=1e-12)
+    largest = []
+    for tol in (1e-10, 1e-6):
+        config = SolverConfig(dt=1e-2, t_final=0.1, picard_tol=tol)
+        solver = ExpandedMixedSolver(unit_square_mesh(8), law, config)
+        # the residual of every velocity CG returns over its anchor's
+        ratios = []
+        pcg = solver._pcg
+
+        def spy(rhs, u, anchor):
+            out = pcg(rhs, u, anchor)
+            anchor_norm = np.linalg.norm(rhs - solver._apply(anchor))
+            if out is not None and anchor_norm > 0.0:
+                ratios.append(np.linalg.norm(rhs - solver._apply(out)) / anchor_norm)
+            return out
+
+        solver._pcg = spy
+        solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+        assert len(ratios) >= 20
+        largest.append(max(ratios))
+    assert largest[0] <= 1e-12 < largest[1] <= 1e-8
 
 
 def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeypatch) -> None:
@@ -316,8 +346,9 @@ def test_accelerated_picard_matches_plain_picard(law_text: str) -> None:
 def _assert_picard_fixed_points(solver: ExpandedMixedSolver, exact, states) -> None:
     """Re-solving each step's frozen system at K(|s^n|) from p^{n-1} gives
     back s^n within 10 * picard_tol * (1 + max|s^n|)."""
+    loads = solver._loads(exact.f)
     for prev, state in zip(states, states[1:]):
-        load = solver._load_vector(exact.f, state.t)
+        load = loads(state.t)
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
         _, s_flat, _ = solver._solve_frozen(kbar, prev.p, load, state.u, state.u)
         bound = 10.0 * solver.config.picard_tol * (1.0 + np.max(np.abs(state.s)))
@@ -368,6 +399,38 @@ def test_steps_reproduce_run_bitwise(setup: str) -> None:
         assert np.array_equal(getattr(levels[-1], field), getattr(result.state, field)), field
 
 
+@pytest.mark.parametrize("setup", ["newton-stiff", "study-row"])
+def test_bound_forcing_matches_a_plain_callable_bitwise(setup: str, monkeypatch) -> None:
+    """A march binds ManufacturedSolution.f to the quadrature points once;
+    the same forcing as a plain f(x, y, t) is evaluated afresh every step,
+    and both give the same levels, Picard counts, mass residuals and
+    forcing integrals bit for bit."""
+    stiff = setup == "newton-stiff"
+    mesh, law, config, exact = _n16_setup("1:0,1e4:2") if stiff else _study_row_setup()
+    bindings = [0]
+    forcing_f = mms_module.forcing_f
+
+    def counting(*args):
+        bindings[0] += 1
+        return forcing_f(*args)
+
+    monkeypatch.setattr(mms_module, "forcing_f", counting)
+
+    def march(f):
+        bindings[0] = 0
+        solver = ExpandedMixedSolver(mesh, law, config)
+        state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
+        return list(solver.steps(state0, f)), bindings[0]
+
+    bound, bound_bindings = march(exact.f)
+    plain, plain_bindings = march(lambda x, y, t: exact.f(x, y, t))
+    assert (bound_bindings, plain_bindings) == (1, config.num_steps)
+    assert [step[1:] for step in bound] == [step[1:] for step in plain]
+    for (a, *_), (b, *_) in zip(bound, plain):
+        for field in ("p", "s", "u"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
 def test_picard_iteration_budget_on_the_stiff_law() -> None:
     """The newton-stiff benchmark run (law 1:0,1e4:2) takes 61 iterates,
     marched by hand through steps as by run.  Plain Picard takes 133; with
@@ -380,16 +443,17 @@ def test_picard_iteration_budget_on_the_stiff_law() -> None:
 
 
 def test_picard_and_solve_budgets_on_the_study_row(monkeypatch) -> None:
-    """The finest row of the cli-study benchmark takes 73 iterates and 313
+    """The finest row of the cli-study benchmark takes 73 iterates and 161
     triangular solves.  With the linear start it takes 132 iterates; with
-    CG stopped relative to each warm start's own residual it takes 457
-    solves."""
+    CG stopped at a fixed 1e-12 instead of 1e-2 * picard_tol it takes 313
+    solves, and 457 when that stop is relative to each warm start's own
+    residual instead of the previous level's."""
     solves = _count_solves(monkeypatch)
     mesh, law, config, exact = _study_row_setup()
     solver = ExpandedMixedSolver(mesh, law, config)
     result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     assert sum(result.picard_iters) <= 80
-    assert solves[0] <= 350
+    assert solves[0] <= 170
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
