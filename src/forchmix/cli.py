@@ -94,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=_DEFAULT_MESHES,
         help=(
             "comma list of strictly increasing mesh sizes n (default 4,8,16,32,64); "
-            "under the h2 policy with T=1 mesh n takes n^2/2 steps, about 40 s "
-            "at n=64, 11 min at n=128 and 3 h at n=256 on one 2.1 GHz core"
+            "under the h2 policy with T=1 mesh n takes n^2/2 steps; README gives their cost"
         ),
     )
     parser.add_argument(

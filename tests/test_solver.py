@@ -7,9 +7,10 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 from quadrature_oracle import triangle_rule
+from test_mesh import _scrambled_mesh
 
 import forchmix.mms as mms_module
 import forchmix.solver as solver_module
@@ -20,11 +21,19 @@ from forchmix import (
     ManufacturedSolution,
     PicardError,
     SolverConfig,
+    TriMesh,
     law_from_string,
     unit_square_mesh,
 )
 from forchmix.law import K_eval, K_flux
-from forchmix.spaces import assemble_forms, cell_points, hdiv_interpolate, triangle_quadrature
+from forchmix.mesh import build_mesh
+from forchmix.spaces import (
+    DofMap,
+    assemble_forms,
+    cell_points,
+    hdiv_interpolate,
+    triangle_quadrature,
+)
 
 
 def _zero_scalar(x, y):
@@ -127,16 +136,18 @@ def _assert_states_close(got: DiscreteState, want: DiscreteState, rel: float) ->
         assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b)), field
 
 
-def _count_factorizations(monkeypatch) -> list[int]:
-    """Count the solver's calls of splu; the count is the list's one entry."""
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the solver module's calls of its function name (splu for the
+    factorizations, _nested_dissection for the orderings); the count is the
+    list's one entry."""
     calls = [0]
-    original = solver_module.splu
+    original = getattr(solver_module, name)
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "splu", counting)
+    monkeypatch.setattr(solver_module, name, counting)
     return calls
 
 
@@ -196,7 +207,7 @@ def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw, monkeypatch)
     """Every step of a zero run solves its system exactly from u^{n-1}: CG
     returns the warm start at once, and the one factorization is the run's
     first solve."""
-    factorizations = _count_factorizations(monkeypatch)
+    factorizations = _count_calls(monkeypatch, "splu")
     mesh = unit_square_mesh(3)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
     state0 = solver.initial_state(_zero_scalar, _zero_vector, _zero_vector)
@@ -265,7 +276,7 @@ def test_monolithic_matches_condensed(law: ForchheimerLaw, monkeypatch) -> None:
     runs CG preconditioned by that LU, reproduces the monolithic oracle."""
     mesh = unit_square_mesh(16)
     config = SolverConfig(dt=mesh.h**2, t_final=12 * mesh.h**2)
-    factorizations = _count_factorizations(monkeypatch)
+    factorizations = _count_calls(monkeypatch, "splu")
     for each_law in (law, law_from_string("1:0,1e4:2")):
         exact = ManufacturedSolution(each_law)
         factorizations[0] = 0
@@ -280,7 +291,7 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
     """When the anchor solves the system exactly, CG stops at its tolerance
     times the warm start's residual instead of asking for a zero residual,
     and the stored factorization serves the solve."""
-    factorizations = _count_factorizations(monkeypatch)
+    factorizations = _count_calls(monkeypatch, "splu")
     mesh = unit_square_mesh(4)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
     kbar, zero_p = np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)
@@ -324,13 +335,104 @@ def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeyp
     """When CG misses its tolerance within the cap, A is factored again at the
     current K and solved directly; the iterates still match the oracle."""
     monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
-    factorizations = _count_factorizations(monkeypatch)
+    factorizations = _count_calls(monkeypatch, "splu")
+    orderings = _count_calls(monkeypatch, "_nested_dissection")
     mesh = unit_square_mesh(8)
     config = SolverConfig(dt=1e-2, t_final=5e-2)
     exact = ManufacturedSolution(law)
     result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
     assert factorizations[0] > 1
+    # every refactorization reuses the order built for the first
+    assert orderings[0] == 1
     _assert_runs_match(result, _oracle_run(mesh, law, config))
+
+
+# square meshes of several sizes, and the renumbered, reordered and jittered
+# n=8 mesh of the mesh tests
+_ORDERING_MESHES = [1, 2, 3, 16, "scrambled"]
+
+
+def _ordering_mesh(spec: int | str) -> TriMesh:
+    return build_mesh(*_scrambled_mesh(8, 0)) if spec == "scrambled" else unit_square_mesh(spec)
+
+
+def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_matrix:
+    """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, in the
+    edge order, assembled from the global forms."""
+    mesh = solver.mesh
+    forms = assemble_forms(mesh, solver.dofmap, kbar)
+    mass = sp.diags(1.0 / forms.M_sz.diagonal())
+    div = sp.diags(solver.config.dt / mesh.areas)
+    return (forms.M_uz.T @ mass @ forms.M_uz + forms.B_div.T @ div @ forms.B_div).tocsc()
+
+
+def _recursive_nested_dissection(mesh: TriMesh, dofmap: DofMap) -> np.ndarray:
+    """Oracle for the bit arithmetic of the nested-dissection order: bisect
+    the box of the quantized centroids recursively, 31 levels per axis from
+    the wider one, and number the edges inside each half, then the edges
+    between the halves, each group in dof order."""
+    c = mesh.centroids
+    lo, span = c.min(axis=0), np.ptp(c, axis=0)
+    q = ((c - lo) * ((2**31 - 1) / np.where(span > 0.0, span, 1.0))).astype(np.int64)
+    axes = (1, 0) if span[1] > span[0] else (0, 1)
+    tris = mesh.edge_tris[dofmap.dof_edge]
+    order: list[int] = []
+
+    def number(edges: np.ndarray, depth: int) -> None:
+        if depth == 62:
+            order.extend(edges)
+            return
+        side = (q[tris[edges], axes[depth % 2]] >> (30 - depth // 2)) & 1
+        for half in (0, 1):
+            inside = edges[(side[:, 0] == half) & (side[:, 1] == half)]
+            if len(inside):
+                number(inside, depth + 1)
+        order.extend(edges[side[:, 0] != side[:, 1]])
+
+    number(np.arange(dofmap.n_rt0), 0)
+    return np.array(order, dtype=np.int64)
+
+
+@pytest.mark.parametrize("spec", _ORDERING_MESHES)
+def test_nested_dissection_order(spec: int | str, law: ForchheimerLaw) -> None:
+    """The order is a permutation of the dofs, and it is the recursive
+    bisection's, separator edges after both halves."""
+    mesh = _ordering_mesh(spec)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
+    order = solver_module._nested_dissection(mesh, solver.dofmap)
+    assert np.array_equal(np.sort(order), np.arange(solver.dofmap.n_rt0))
+    assert np.array_equal(order, _recursive_nested_dissection(mesh, solver.dofmap))
+
+
+@pytest.mark.parametrize("spec", _ORDERING_MESHES)
+def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerLaw) -> None:
+    """The factorization of the reordered A, taken without pivoting, solves
+    the system of the edge-ordered A: its solution agrees with spsolve's to
+    1e-12 (relative) for a conductivity spanning 1e-4..1."""
+    mesh = _ordering_mesh(spec)
+    rng = np.random.default_rng(0)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
+    kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
+    kbar[:2] = 1e-4, 1.0
+    p_prev = rng.standard_normal(mesh.num_triangles)
+    zero_u = np.zeros(solver.dofmap.n_rt0)
+    _, _, u = solver._solve_frozen(kbar, p_prev, 0.0 * p_prev, zero_u, zero_u)
+    want = spsolve(_condensed_matrix(solver, kbar), solver._b_div.T @ p_prev)
+    assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
+    """At n=32 the factors in nested-dissection order hold fewer nonzeros
+    than SuperLU's minimum degree order of A + A^T gives, and two runs on one
+    solver build the order once."""
+    orderings = _count_calls(monkeypatch, "_nested_dissection")
+    mesh = unit_square_mesh(32)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=1e-3, t_final=2e-3))
+    for _ in range(2):
+        solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+    assert orderings[0] == 1
+    a = _condensed_matrix(solver, np.ones(mesh.num_triangles))
+    assert solver._lu.nnz < splu(a, permc_spec="MMD_AT_PLUS_A").nnz
 
 
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
