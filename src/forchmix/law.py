@@ -127,13 +127,17 @@ def _match_input(result: np.ndarray, reference) -> np.ndarray | float:
 
 def g_eval(law: ForchheimerLaw, s):
     """Evaluate g(s) for s >= 0.  Result is at least a_0 > 0."""
-    s_arr = _as_nonneg_array(s, "s")
+    return _match_input(_g(law, _as_nonneg_array(s, "s")), s)
+
+
+def _g(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
+    """g(s) on an array already known to be finite and nonnegative."""
     total = np.zeros_like(s_arr)
     for coef, exp in zip(law.coefficients, law.exponents):
         if coef == 0.0:
             continue
         total = total + (coef if exp == 0.0 else coef * s_arr**exp)
-    return _match_input(total, s)
+    return total
 
 
 def _g_prime(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
@@ -215,10 +219,11 @@ def solve_s_of_xi(law: ForchheimerLaw, xi):
 
 
 def K_eval(law: ForchheimerLaw, xi):
-    """Conductivity K(xi) = 1/g(s(xi)); decreasing, with values in (0, 1/a_0]."""
-    s = solve_s_of_xi(law, xi)
-    g = g_eval(law, s)
-    return _match_input(1.0 / np.asarray(g), xi)
+    """Conductivity K(xi) = 1/g(s(xi)); decreasing, with values in (0, 1/a_0].
+
+    xi is checked once, by the root solve; its root needs no check.
+    """
+    return _match_input(1.0 / _g(law, np.asarray(solve_s_of_xi(law, xi))), xi)
 
 
 def K_prime(law: ForchheimerLaw, xi):

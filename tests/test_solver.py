@@ -473,10 +473,10 @@ def test_every_step_is_a_picard_fixed_point(law_text: str) -> None:
     _assert_picard_fixed_points(solver, exact, _levels(solver, exact, exact.f))
 
 
-def _study_row_setup():
-    """The finest row of the cli-study benchmark: n=32, law 1:0,1:1, 64
-    steps of dt = 0.125/64."""
-    law = law_from_string("1:0,1:1")
+def _study_row_setup(law_text: str = "1:0,1:1"):
+    """The finest row of the cli-study benchmark: n=32, law 1:0,1:1 unless
+    another is given, 64 steps of dt = 0.125/64."""
+    law = law_from_string(law_text)
     config = SolverConfig(dt=0.125 / 64, t_final=0.125)
     return unit_square_mesh(32), law, config, ManufacturedSolution(law)
 
@@ -545,17 +545,54 @@ def test_picard_iteration_budget_on_the_stiff_law() -> None:
 
 
 def test_picard_and_solve_budgets_on_the_study_row(monkeypatch) -> None:
-    """The finest row of the cli-study benchmark takes 73 iterates and 161
-    triangular solves.  With the linear start it takes 132 iterates; with
-    CG stopped at a fixed 1e-12 instead of 1e-2 * picard_tol it takes 313
-    solves, and 457 when that stop is relative to each warm start's own
-    residual instead of the previous level's."""
+    """The finest row of the cli-study benchmark takes 73 iterates and 102
+    triangular solves, where the quadratic warm start of the velocity took
+    161.  With the linear start it takes 132 iterates; with CG stopped at a
+    fixed 1e-12 instead of 1e-2 * picard_tol the quadratic warm start took
+    313 solves, and 457 when that stop was relative to each warm start's
+    own residual instead of the previous level's."""
     solves = _count_solves(monkeypatch)
     mesh, law, config, exact = _study_row_setup()
     solver = ExpandedMixedSolver(mesh, law, config)
     result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     assert sum(result.picard_iters) <= 80
-    assert solves[0] <= 170
+    assert solves[0] <= 110
+
+
+def test_picard_budget_keeps_the_gradient_start_quadratic() -> None:
+    """The study row under law 1:0,100:1 takes 89 iterates.  The cubic start
+    that serves the velocity would take 130 as the gradient's start, so the
+    first kbar stays at most quadratic."""
+    mesh, law, config, exact = _study_row_setup("1:0,100:1")
+    result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
+    assert sum(result.picard_iters) <= 95
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_extrapolate_is_exact_on_polynomial_histories(depth: int) -> None:
+    """From depth equally spaced levels, _extrapolate returns the next level
+    of a history of degree depth - 1 in time to rounding, and a constant
+    history bit for bit.  Up to three levels it is the previous constant,
+    linear and quadratic extrapolation, bit for bit."""
+    rng = np.random.default_rng(depth)
+    coefficients = rng.standard_normal((depth, 50))
+    t0, dt = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)
+
+    def level(j: int) -> np.ndarray:
+        return sum(c * (t0 + j * dt) ** k for k, c in enumerate(coefficients))
+
+    levels = [level(j) for j in range(depth)]
+    scale = max(np.max(np.abs(x)) for x in levels + [level(depth)])
+    assert np.allclose(solver_module._extrapolate(levels), level(depth), rtol=0.0, atol=1e-13 * scale)
+    constant = coefficients[0]
+    assert np.array_equal(solver_module._extrapolate([constant] * depth), constant)
+    previous = {
+        1: lambda last: last,
+        2: lambda older, last: 2.0 * last - older,
+        3: lambda oldest, older, last: 3.0 * (last - older) + oldest,
+    }
+    if depth in previous:
+        assert np.array_equal(solver_module._extrapolate(levels), previous[depth](*levels))
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
