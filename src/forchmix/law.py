@@ -114,9 +114,11 @@ def law_from_string(text: str) -> ForchheimerLaw:
 
 def _as_nonneg_array(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if np.any(~np.isfinite(arr)):
+    # NaN reaches the minimum and an infinite entry an extreme; [] passes
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} must be finite")
-    if np.any(arr < 0.0):
+    if lo < 0.0:
         raise ValueError(f"{name} must be nonnegative")
     return arr
 

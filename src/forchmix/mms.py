@@ -60,7 +60,7 @@ def forcing_f(law: ForchheimerLaw, x, y, t=None):
 
         f = -5 e P - e K(e|S|) D - e^2 K'(e|S|) R.
 
-    The K' term vanishes as |s| -> 0, so its limit 0 is used where s = 0.
+    The K' term vanishes as |s| -> 0, so its limit 0 is used where e|S| = 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -76,11 +76,11 @@ def forcing_f(law: ForchheimerLaw, x, y, t=None):
         decay = np.exp(-_DECAY * np.asarray(t, dtype=float))
         xi = decay * norm
         k, kp = _K_and_K_prime(law, xi)
-        return (
-            -_DECAY * decay * pressure
-            - decay * (k * divergence)
-            - decay * decay * np.where(xi > 0.0, kp * radial, 0.0)
-        )
+        kp_term = kp * radial
+        # K' may be infinite where xi = 0: at corners, or all once decay underflows
+        if not np.min(xi, initial=np.inf) > 0.0:
+            kp_term = np.where(xi > 0.0, kp_term, 0.0)
+        return -_DECAY * decay * pressure - decay * (k * divergence) - decay * decay * kp_term
 
     return at if t is None else at(t)
 

@@ -9,22 +9,17 @@ Each time step solves the nonlinear system
 by a Picard iteration on the cellwise conductivity: with K frozen at a
 cellwise constant kbar the block system is linear and symmetric, and its
 solution s gives the update K(|s|).  A step starts from its history: the
-first kbar is K at the quadratic extrapolation in time
-3 s^{n-1} - 3 s^{n-2} + s^{n-3} from the fourth step on, at the linear one
-2 s^{n-1} - s^{n-2} on the third, and at s^{n-1} on the first two, since s^0
-projects exact data and is no discrete solution.  The first warm start of
-the velocity solve is the extrapolation of u through up to four levels: the
-cubic 4 u^{n-1} - 6 u^{n-2} + 4 u^{n-3} - u^{n-4} from the fifth step on,
-the same extrapolations as of s before.  The cubic leaves a residual CG
-meets in one iteration on a steady step, where the quadratic needed two
-(102 against 161 triangular solves on the n=32 row of the benchmark study);
-as the start of kbar it would cost Picard iterates (130 against 89 on that
-row under law 1:0,100:1), so s stays at most quadratic.  Later kbar are
-the depth-1 Anderson mix of the last two updates (Walker & Ni, SIAM J. Numer.
-Anal. 49, 2011), or the plain update K(|s|) when the mix is not a positive,
-finite conductivity.  The stopping tests measure the residual of the kbar
-each solve used, so the limit is plain Picard's to within the tolerance.
-The sign convention is u = -K(|s|) s throughout.
+first kbar is K at the extrapolation in time of s through up to three
+levels, s^0 excluded (it projects exact data and is no discrete solution),
+and the first warm start of the velocity solve the extrapolation of u
+through up to four, which from the fifth step on is the cubic
+4 u^{n-1} - 6 u^{n-2} + 4 u^{n-3} - u^{n-4}; a cubic start of kbar would
+cost Picard iterates.  Later kbar are the depth-1 Anderson mix of the last
+two updates (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), or the plain
+update K(|s|) when the mix is not a positive, finite conductivity.  The
+stopping tests measure the residual of the kbar each solve used, so the
+limit is plain Picard's to within the tolerance.  The sign convention is
+u = -K(|s|) s throughout.
 
 Both mass blocks are diagonal, so s and p are eliminated exactly, leaving
 the symmetric positive definite velocity system
@@ -34,24 +29,23 @@ the symmetric positive definite velocity system
 
 after which s = -M_sz^{-1} M_uz u and p = p_prev + dt M_p^{-1} (F - B u).
 K enters A only through one weight 1/(K_T |T|) per cell, so A keeps one
-sparsity pattern: its diagonal and strict upper triangle are laid out once
-from per-cell 3x3 blocks, and each iterate only refills their values.
+sparsity pattern.  A solver numbers the velocity in nested-dissection order
+(George, SIAM J. Numer. Anal. 10, 1973), triangles bisected recursively and
+each separator edge after both halves; its constructor assembles M_uz and
+B_div in that order, and its first march lays A out once, as one symmetric
+CSC matrix in that order whose values an iterate refills with one sparse
+product from the cell weights.  The solves keep the velocity in that order,
+so SuperLU factors A as it is and no solve permutes a vector; a level's u
+is in the DofMap's edge order.
 
-The first solve of a march factors A in nested-dissection order (George,
-SIAM J. Numer. Anal. 10, 1973), which a solver builds at its first
-factorization and keeps: triangles bisected recursively, each separator edge
-after both halves.  At n=128 the factors hold 1.58 M nonzeros and take
-97 ms, against 2.49 M and 209 ms in minimum degree order.  Every later solve
-runs conjugate gradients on the current A, preconditioned by that
-factorization and warm-started from the extrapolated or the previous
-iterate's velocity.  CG stops at a step-level accuracy: a residual a
-fraction of that of u^{n-1} in the current system, so a better warm start
-saves iterations rather than buying digits below rounding.  The fraction
-follows the Picard tolerance, 1e-2 * picard_tol kept within [1e-12, 1e-8]:
-1e-8 at the default 1e-6, and 1e-12 for the tight tolerances of an oracle
-run.  When CG misses that within _CG_MAXITER iterations, A is factored
-afresh at the current K and solved directly, and the new factorization
-serves the solves that follow.
+The first solve of a march factors A.  Every later solve runs conjugate
+gradients on the current A, preconditioned by that factorization and
+warm-started from the extrapolated or the previous iterate's velocity.  CG
+stops at a step-level accuracy, a residual _cg_rtol(picard_tol) times that
+of u^{n-1} in the current system, so a better warm start saves iterations
+rather than buying digits below rounding.  When CG misses that within
+_CG_MAXITER iterations, A is factored afresh at the current K and solved
+directly, and the new factorization serves the solves that follow.
 
 run projects the exact initial data p0, s0 and u0 and drains steps, the
 one marching loop, which a caller iterates for every level.  A march binds
@@ -61,11 +55,12 @@ step evaluates only t -> f(x, y, t).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -89,17 +84,13 @@ from .spaces import (  # noqa: F401
     triangle_quadrature,
 )
 
-# Preconditioned CG on the condensed system stops once the residual is a
-# fraction _cg_rtol(picard_tol) of the anchor's: the previous level's
-# velocity in the current system, which measures how far the step moves the
-# solution.  A stop relative to the right-hand side instead leaves
-# rounding-level noise in the iterates, enough to break the decay of a run
-# approaching a steady state; a stop relative to the warm start's own
-# residual asks a good warm start for digits below rounding.  The fraction
-# follows the Picard tolerance, as Eisenstat-Walker forcing terms tie an
-# inner solve to its outer iteration (SIAM J. Sci. Comput. 17, 1996): two
-# digits below picard_tol, no looser than _CG_RTOL_MAX, so the default 1e-6
-# stops at 1e-8, and no tighter than _CG_RTOL_MIN, where rounding takes over.
+# CG stops once the residual is _cg_rtol(picard_tol) times the anchor's, the
+# previous level's velocity in the current system: a stop relative to the
+# right-hand side leaves rounding noise that breaks the decay to a steady
+# state, one relative to the warm start asks a good start for digits below
+# rounding.  The fraction follows the Picard tolerance, as Eisenstat-Walker
+# forcing terms do (SIAM J. Sci. Comput. 17, 1996): two digits below it,
+# within [_CG_RTOL_MIN, _CG_RTOL_MAX], so the default 1e-6 stops at 1e-8.
 _CG_RTOL_MIN = 1e-12
 _CG_RTOL_MAX = 1e-8
 # CG iterations before the factorization is renewed at the current K.  As K
@@ -169,21 +160,72 @@ def _nested_dissection(mesh: TriMesh, dofmap: DofMap) -> np.ndarray:
     interleaved.  An edge separates the part its triangles' paths share and
     follows that part's halves: sorted by the part's last path, deepest first.
     """
-    c = mesh.centroids
-    lo, span = c.min(axis=0), np.ptp(c, axis=0)
+    c = mesh.centroids.T.copy()  # by coordinate, which numpy reduces faster
+    lo, span = c.min(axis=1, keepdims=True), np.ptp(c, axis=1, keepdims=True)
     q = ((c - lo) * ((2**31 - 1) / np.where(span > 0.0, span, 1.0))).astype(np.uint64)
     # spread the bits of q to the even bits of a uint64
     for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
                         (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555)):
         q = (q | (q << np.uint64(shift))) & np.uint64(mask)
-    wide = int(span[1] > span[0])
-    path = (q[:, wide] << np.uint64(1)) | q[:, 1 - wide]
+    wide = int(span[1, 0] > span[0, 0])
+    path = (q[wide] << np.uint64(1)) | q[1 - wide]
     first, second = path[mesh.edge_tris[dofmap.dof_edge]].T
     # the bits below the common prefix, all set
     below = first ^ second
     for shift in (1, 2, 4, 8, 16, 32):
         below |= below >> np.uint64(shift)
     return np.lexsort((below, first | below))
+
+
+def _lay_out(
+    mesh: TriMesh, local: CellForms, n: int, dt: float
+) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
+    """The condensed matrix A of the n velocity dofs of the cell forms local,
+    in their order, as one symmetric CSC matrix, and the map that refills it:
+    A(kbar).data = fill @ (1 / (kbar |T|)) + fill_dt.
+
+    Cell T adds w_T G_T + (dt/|T|) b_T b_T^T to the rows and columns of its
+    interior edges, with w_T = 1/(K_T |T|), G_T the Gram matrix of the (u, z)
+    moments and b_T the divergence row.  Two distinct edges share at most one
+    cell, so an entry off the diagonal comes from one pair (k, l) of a cell's
+    local edges and a diagonal entry from the two cells of its edge.  The map
+    is laid out for those sources, the pairs k < l and then the diagonal, and
+    its rows are taken once into the order of A's entries.
+    """
+    num_tris = mesh.num_triangles
+    (m0, m1), div, dt_area = local.moments, local.div, dt / mesh.areas
+    # the pairs k < l of local edges that are both interior
+    k, l = np.array([0, 0, 1]), np.array([1, 2, 2])
+    pairs = np.flatnonzero(((local.dofs[k] >= 0) & (local.dofs[l] >= 0)).ravel())
+    rows, cols = local.dofs[k].ravel()[pairs], local.dofs[l].ravel()[pairs]
+    # own[j] holds edge j's slots 3T + k in its cells edge_tris[:, 0] and [:, 1]
+    inside = local.dofs.T >= 0
+    own = np.empty((n, 2), dtype=np.int64)
+    own[local.dofs.T[inside], (mesh.tri_edge_signs[inside] < 0).astype(np.intp)] = np.flatnonzero(inside)
+    m0_own, m1_own, div_own = (x.T.ravel()[own] for x in (m0, m1, div))
+    div_own = div_own**2 * dt_area[own // 3]
+    # a source's row of the map holds its pair's cell, or its edge's two cells
+    sources = sp.csr_matrix(
+        (
+            np.append((m0[k] * m0[l] + m1[k] * m1[l]).ravel()[pairs], (m0_own**2 + m1_own**2).ravel()),
+            np.append(pairs % num_tris, own.ravel() // 3),
+            np.append(np.arange(len(pairs)), len(pairs) + 2 * np.arange(n + 1)),
+        ),
+        shape=(len(pairs) + n, num_tris),
+    )
+    sources_dt = np.append((div[k] * div[l] * dt_area).ravel()[pairs], div_own[:, 0] + div_own[:, 1])
+    # A's pattern, each entry holding its source until the first refill
+    diagonal = np.arange(n)
+    a = sp.csc_matrix(
+        (
+            np.append(np.tile(np.arange(len(pairs)), 2), len(pairs) + diagonal).astype(float),
+            (np.concatenate((rows, cols, diagonal)), np.concatenate((cols, rows, diagonal))),
+        ),
+        shape=(n, n),
+    )
+    source = a.data.astype(np.int64)
+    a.data[:] = 0.0
+    return a, sources[source], sources_dt[source]
 
 
 class PicardError(RuntimeError):
@@ -269,83 +311,28 @@ class ExpandedMixedSolver:
         self.config = config
         self.quadrature = triangle_quadrature()
         self.dofmap: DofMap = build_dofmap(mesh)
+        n = self.dofmap.n_rt0
+        # the solves keep the velocity in nested-dissection order: velocity j
+        # is dof order[j], and the forms' columns follow
+        self._order = _nested_dissection(mesh, self.dofmap)
+        self._rank = np.empty_like(self._order)
+        self._rank[self._order] = np.arange(n)
         local = cell_forms(mesh, self.dofmap)
-        self._b_div, self._m_uz = local.blocks(self.dofmap.n_rt0)
+        # a boundary edge's dof -1 picks the appended -1
+        self._local = replace(local, dofs=np.append(self._rank, -1)[local.dofs])
+        self._b_div, m_uz = self._local.blocks(n)
+        # M_uz u and B_div u, for s and div u, from one product
+        self._forms = sp.vstack((m_uz, self._b_div), format="csr")
         self._area2 = np.repeat(mesh.areas, 2)
         self._cg_rtol = _cg_rtol(config.picard_tol)
-        self._build_pattern(local)
         self._lu = None
-        self._order = None  # set, with the reordered A, by the first _factor
 
-    def _build_pattern(self, local: CellForms) -> None:
-        """Fix the sparsity pattern of the condensed matrix A and maps into it.
-
-        Cell T adds w_T G_T + (dt/|T|) b_T b_T^T to the rows and columns of
-        its interior edges, with w_T = 1/(K_T |T|), G_T the Gram matrix of
-        the (u, z) moments and b_T the divergence row.  A is symmetric, and
-        two distinct edges share at most one cell, so A is kept as its
-        diagonal plus a CSR strict upper triangle each of whose entries
-        comes from one cell.  A sparse map per part takes w to its values.
-        """
-        n = self.dofmap.n_rt0
-        num_tris = self.mesh.num_triangles
-        dt_area = self.config.dt / self.mesh.areas
-        m0, m1 = local.moments
-        # the three pairs (k, l), k < l, of local edges
-        k, l = np.array([0, 0, 1]), np.array([1, 2, 2])
-        rows = np.minimum(local.dofs[k], local.dofs[l])
-        cols = np.maximum(local.dofs[k], local.dofs[l])
-        # a negative row marks a pair with a boundary edge
-        keys = np.where(rows >= 0, rows * n + cols, -1).ravel()
-        # cells are numbered along the mesh, so the keys arrive in long
-        # sorted runs, which the stable sort (timsort) exploits
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        interior = slice(np.searchsorted(keys, 0), None)
-        keys, order = keys[interior], order[interior]
-        indptr = np.searchsorted(keys, n * np.arange(n + 1))
-        self._upper = sp.csr_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
-        # a transposed view: refilling _upper.data in place refills it too
-        self._lower = self._upper.T
-        gram = (m0[k] * m0[l] + m1[k] * m1[l]).ravel()[order]
-        self._upper_map = sp.csr_matrix(
-            (gram, order % num_tris, np.arange(len(keys) + 1)), shape=(len(keys), num_tris)
-        )
-        self._upper_dt = (local.div[k] * local.div[l] * dt_area).ravel()[order]
-        edge, cell = np.nonzero(local.dofs >= 0)
-        dofs = local.dofs[edge, cell]
-        self._diag_map = sp.csr_matrix(
-            ((m0**2 + m1**2)[edge, cell], (dofs, cell)), shape=(n, num_tris)
-        )
-        self._diag_dt = np.bincount(
-            dofs, weights=(local.div**2 * dt_area)[edge, cell], minlength=n
-        )
-        self._diag = np.zeros(n)
-
-    def _factor(self) -> None:
-        """Factor the current A in nested-dissection order, laying out on the
-        first call the reordered pattern and its gather from (upper, diag)."""
-        if self._order is None:
-            order = _nested_dissection(self.mesh, self.dofmap)
-            self._order, self._rank = order, np.argsort(order)
-            n, nnz, upper = len(order), self._upper.nnz, self._upper.tocoo()
-            rows, cols = self._rank[np.hstack((upper.coords, upper.coords[::-1], [np.arange(n)] * 2))]
-            source = np.concatenate((np.tile(np.arange(nnz), 2), nnz + np.arange(n)))
-            # a canonical CSC pattern, which splu takes without a copy
-            pattern = sp.csc_matrix((source, (rows, cols)), shape=(n, n))
-            self._gather, self._ordered = pattern.data, pattern.astype(float)
-        self._ordered.data[:] = np.concatenate((self._upper.data, self._diag))[self._gather]
-        # A is symmetric positive definite, so diagonal pivots are stable, as in
-        # Cholesky, and keep the planned fill without a threshold search
-        self._lu = splu(self._ordered, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The stored factorization's solve of A u = rhs, in the edge order."""
-        return self._lu.solve(rhs[self._order])[self._rank]
-
-    def _apply(self, u: np.ndarray) -> np.ndarray:
-        """A u from the stored diagonal and strict upper triangle."""
-        return self._upper @ u + self._lower @ u + self._diag * u
+    @functools.cached_property
+    def _system(self) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
+        """A and its refill map (see _lay_out), laid out at a solver's first
+        march and kept; the cell forms serve nothing else and are let go."""
+        local, self._local = self._local, None
+        return _lay_out(self.mesh, local, self.dofmap.n_rt0, self.config.dt)
 
     def _loads(self, f: ForcingField | None) -> Callable[[float], np.ndarray]:
         """t -> the cell integrals of the forcing f at time t, with f bound
@@ -374,32 +361,32 @@ class ExpandedMixedSolver:
     def _solve_frozen(
         self,
         kbar: np.ndarray,
-        p_prev: np.ndarray,
-        load: np.ndarray,
+        p_hat: np.ndarray,
+        rhs: np.ndarray,
         u_guess: np.ndarray,
         u_anchor: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve one frozen-conductivity block system; returns (p, s_flat, u).
 
-        Fills A(kbar) on the pattern; CG from u_guess stops at the config's
-        CG tolerance times u_anchor's residual, and a missing LU or a CG miss
-        factors A here.
+        p_hat is p_prev + dt M_p^{-1} F and rhs = B^T p_hat; rhs and every
+        velocity are in the nested-dissection order.  Refills A(kbar); CG
+        from u_guess stops at the config's CG tolerance times u_anchor's
+        residual, and a missing LU or a CG miss factors A here.
         """
         areas = self.mesh.areas
-        dt = self.config.dt
-        weights = 1.0 / (kbar * areas)
-        self._upper.data[:] = self._upper_map @ weights + self._upper_dt
-        self._diag = self._diag_map @ weights + self._diag_dt
-        p_hat = p_prev + dt * load / areas
-        rhs = self._b_div.T @ p_hat
+        a, fill, fill_dt = self._system
+        np.add(fill @ (1.0 / (kbar * areas)), fill_dt, out=a.data)
         u = None if self._lu is None else self._pcg(rhs, u_guess, u_anchor)
         if u is None:
-            self._factor()
-            u = self._lu_solve(rhs)
-        mk = np.repeat(kbar, 2) * self._area2
-        s_flat = -(self._m_uz @ u) / mk
-        p = p_hat - dt * (self._b_div @ u) / areas
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s_flat)) and np.all(np.isfinite(u))):
+            # A is symmetric positive definite, so diagonal pivots are stable, as
+            # in Cholesky, and keep the planned fill without a threshold search
+            self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            u = self._lu.solve(rhs)
+        forms, split = self._forms @ u, len(self._area2)
+        s_flat = -forms[:split] / (np.repeat(kbar, 2) * self._area2)
+        p = p_hat - self.config.dt * forms[split:] / areas
+        # a non-finite u shows in s
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s_flat))):
             raise RuntimeError("frozen-coefficient linear system produced non-finite values")
         return p, s_flat, u
 
@@ -407,29 +394,27 @@ class ExpandedMixedSolver:
         """CG on the current A from u, preconditioned by the stored LU.
 
         Stops at _cg_rtol(picard_tol) times the residual of anchor, or of u
-        itself when anchor solves the system exactly, so a zero target is
-        never asked for; u is returned as it is when it already meets the
-        target.
-        Returns None when the residual has not fallen to the target within
-        _CG_MAXITER iterations.
+        when anchor solves the system exactly, returning u itself when it
+        meets that target, and None when _CG_MAXITER iterations miss it.
         """
-        r = rhs - self._apply(u)
+        a = self._system[0]
+        r = rhs - a @ u
         r_norm = np.linalg.norm(r)
-        tol = self._cg_rtol * (np.linalg.norm(rhs - self._apply(anchor)) or r_norm)
+        tol = self._cg_rtol * (np.linalg.norm(rhs - a @ anchor) or r_norm)
         if r_norm <= tol:
             return u
         u = u.copy()
-        z = self._lu_solve(r)
+        z = self._lu.solve(r)
         d = z
         rz = r @ z
         for _ in range(_CG_MAXITER):
-            ad = self._apply(d)
+            ad = a @ d
             alpha = rz / (d @ ad)
             u += alpha * d
             r -= alpha * ad
             if np.linalg.norm(r) <= tol:
                 return u
-            z = self._lu_solve(r)
+            z = self._lu.solve(r)
             rz, rz_prev = r @ z, rz
             d = z + (rz / rz_prev) * d
         return None
@@ -442,27 +427,30 @@ class ExpandedMixedSolver:
     ) -> tuple[DiscreteState, int, float, float]:
         """One backward Euler step with accelerated Picard resolution of K(|s|).
 
-        levels are the last one to four time levels, oldest first, the
-        previous level last, and load holds the cell integrals of f^n.  The
-        first kbar is K at the extrapolation of s through the last three of
-        them and the first warm start the extrapolation of u through all;
-        every velocity solve of the step stops relative to the previous
-        level's residual.
-        Returns the new level, its Picard count, its mass residual
-        |int(p^n) - int(p^{n-1}) - dt int(f^n)|, identically small, and int(f^n).
+        levels are the last one to four time levels, oldest first, and load
+        holds the cell integrals of f^n.  The first kbar is K at the
+        extrapolation of s through the last three levels, the first warm
+        start that of u through all.  Returns the new level, its Picard
+        count, its mass residual |int(p^n) - int(p^{n-1}) - dt int(f^n)|,
+        identically small, and int(f^n).
         """
         cfg = self.config
+        areas = self.mesh.areas
         state_prev = levels[-1]
         s_iter = state_prev.s.reshape(-1)
-        u = _extrapolate([level.u for level in levels])
-        s_start = _extrapolate([level.s for level in levels[-3:]])
-        kbar = K_eval(self.law, np.linalg.norm(s_start, axis=1))
+        p_hat = state_prev.p + cfg.dt * load / areas
+        rhs = self._b_div.T @ p_hat
+        anchor = state_prev.u[self._order]
+        u = _extrapolate([level.u for level in levels])[self._order]
+        s_start = _extrapolate([level.s for level in levels[-3:]]).reshape(-1)
+        # |s| per cell, bit for bit np.linalg.norm(axis=1) at a fraction of its cost
+        kbar = K_eval(self.law, np.sqrt(s_start[0::2] ** 2 + s_start[1::2] ** 2))
         k_prev = f_prev = None
         residual = np.inf
         for iteration in range(1, cfg.picard_max + 1):
-            p, s_flat, u = self._solve_frozen(kbar, state_prev.p, load, u, state_prev.u)
+            p, s_flat, u = self._solve_frozen(kbar, p_hat, rhs, u, anchor)
             s_new = s_flat.reshape(-1, 2)
-            k_new = K_eval(self.law, np.linalg.norm(s_new, axis=1))
+            k_new = K_eval(self.law, np.sqrt(s_flat[0::2] ** 2 + s_flat[1::2] ** 2))
             update = k_new - kbar
             residual = float(np.max(np.abs(update[:, None] * s_new), initial=0.0))
             increment = float(np.max(np.abs(s_flat - s_iter), initial=0.0))
@@ -484,9 +472,9 @@ class ExpandedMixedSolver:
                 f"(last residual {residual:.3e})",
                 residual=residual,
             )
-        areas = self.mesh.areas
         mass_residual = float(abs(areas @ p - areas @ state_prev.p - cfg.dt * load.sum()))
-        return DiscreteState(p=p, s=s_new, u=u, t=t_n), iteration, mass_residual, float(load.sum())
+        state = DiscreteState(p=p, s=s_new, u=u[self._rank], t=t_n)
+        return state, iteration, mass_residual, float(load.sum())
 
     def steps(
         self, state0: DiscreteState, f: ForcingField | None
@@ -496,12 +484,11 @@ class ExpandedMixedSolver:
         Yields (state, picard_iters, mass_residual, f_integral) for each
         step.  The march binds the forcing f (see ForcingField) to the
         quadrature points once, factors afresh on its first solve, and
-        starts each step from the extrapolation of the levels before it:
-        it keeps four, for the cubic warm start of u, of which the start
-        of kbar uses the last three.
+        keeps the last four levels, which each step extrapolates from.
         """
         cfg = self.config
         self._lu = None
+        _ = self._system  # before the forcing binds, to reuse the layout's scratch memory
         loads = self._loads(f)
         times = np.linspace(0.0, cfg.t_final, cfg.num_steps + 1)
         # the levels a step extrapolates from; s^0 projects exact data and

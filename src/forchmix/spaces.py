@@ -189,20 +189,23 @@ class CellForms:
     moments: np.ndarray
 
     def blocks(self, n_rt0: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """B_div (F x n_rt0) and M_uz (2F x n_rt0) summed from the cells."""
+        """B_div (F x n_rt0) and M_uz (2F x n_rt0), row by row from the cells."""
         num_tris = self.dofs.shape[1]
-        k, cell = np.nonzero(self.dofs >= 0)
-        dofs = self.dofs[k, cell]
-        b_div = sp.coo_matrix(
-            (self.div[k, cell], (cell, dofs)), shape=(num_tris, n_rt0)
-        ).tocsr()
-        m_uz = sp.coo_matrix(
+        # row T of B_div and rows 2T, 2T + 1 of M_uz hold cell T's interior edges
+        count, inside = np.sum(self.dofs >= 0, axis=0), self.dofs.T >= 0
+        b_div = sp.csr_matrix(
+            (self.div.T[inside], self.dofs.T[inside], np.append(0, np.cumsum(count))),
+            shape=(num_tris, n_rt0),
+        )
+        both = np.repeat(inside[:, None], 2, axis=1)
+        m_uz = sp.csr_matrix(
             (
-                self.moments[:, k, cell].ravel(),
-                (np.concatenate([2 * cell, 2 * cell + 1]), np.tile(dofs, 2)),
+                self.moments.transpose(2, 0, 1)[both],
+                np.broadcast_to(self.dofs.T[:, None], both.shape)[both],
+                np.append(0, np.cumsum(np.repeat(count, 2))),
             ),
             shape=(2 * num_tris, n_rt0),
-        ).tocsr()
+        )
         return b_div, m_uz
 
 

@@ -126,6 +126,35 @@ def test_root_solve_rejects_negative_xi() -> None:
         solve_s_of_xi(TWO_TERM, -0.5)
 
 
+@pytest.mark.parametrize(
+    "xi",
+    [
+        [-1.0, np.nan, 2.0],
+        [np.nan, -1.0],
+        [-np.inf, -1.0],
+        [1.0, np.inf],
+        [-3.0, np.inf],
+        [np.nan],
+    ],
+)
+def test_nonfinite_input_is_reported_before_a_negative_one(xi) -> None:
+    """A NaN or an infinite entry is "must be finite", whatever negatives
+    come with it, in the input check of every evaluation."""
+    for law in (TWO_TERM, THREE_TERM):
+        for evaluate in (solve_s_of_xi, K_eval, g_eval):
+            with pytest.raises(ValueError, match="must be finite"):
+                evaluate(law, np.array(xi))
+
+
+def test_negative_input_is_rejected_and_empty_input_passes() -> None:
+    for law in (TWO_TERM, THREE_TERM):
+        for evaluate, name in ((solve_s_of_xi, "xi"), (K_eval, "xi"), (g_eval, "s")):
+            with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+                evaluate(law, np.array([2.0, -1e-300, 0.0]))
+            assert evaluate(law, np.array([])).shape == (0,)
+        assert solve_s_of_xi(law, np.array([-0.0])) == 0.0
+
+
 def test_conductivity_values() -> None:
     assert K_eval(TWO_TERM, 0.0) == pytest.approx(1.0, abs=0.0)
     assert K_eval(TWO_TERM, 2.0) == pytest.approx(0.5, rel=1e-14)

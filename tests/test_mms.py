@@ -77,6 +77,21 @@ def test_forcing_limit_where_gradient_vanishes(law: ForchheimerLaw, mms) -> None
             assert near == pytest.approx(float(expected), abs=1e-7)
 
 
+@pytest.mark.parametrize("t", [150.0, 1e3])
+def test_forcing_stays_finite_once_the_decay_underflows(t: float) -> None:
+    """For t past exp(-5t)'s underflow every xi = exp(-5t)|S| is 0, where
+    K' diverges for a law with an exponent in (0, 1); the K' term takes its
+    limit 0 there, in a call and in a bound forcing, and f is 0."""
+    law = law_from_string("1:0,1:0.5")
+    assert np.exp(-5.0 * t) == 0.0
+    assert K_prime(law, 0.0) == -np.inf
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(0.0, 1.0, size=(2, 50))
+    for values in (forcing_f(law, x, y, t), forcing_f(law, x, y)(t)):
+        assert np.all(np.isfinite(values))
+        assert np.all(values == 0.0)
+
+
 def test_forcing_solves_for_s_once_per_call(monkeypatch) -> None:
     """One root solve serves K and K', and the values equal the separated
     formula with K_eval and K_prime evaluated separately, bit for bit, and

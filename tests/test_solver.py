@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from forchmix.mesh import build_mesh
 from forchmix.spaces import (
     DofMap,
     assemble_forms,
+    cell_forms,
     cell_points,
     hdiv_interpolate,
     triangle_quadrature,
@@ -46,11 +48,12 @@ def _zero_vector(x, y):
 
 def _monolithic_solve(solver: ExpandedMixedSolver):
     """Oracle for the solver's elimination of s and p: each frozen-conductivity
-    system is solved as the full (p, s, u) saddle system, factored afresh."""
+    system is solved as the full (p, s, u) saddle system, factored afresh,
+    from p_hat = p_prev + dt M_p^{-1} F; u returns in the solver's order."""
     mesh, dofmap, dt = solver.mesh, solver.dofmap, solver.config.dt
     forms = assemble_forms(mesh, dofmap, np.ones(mesh.num_triangles))
 
-    def solve_frozen(kbar, p_prev, load, u_guess, u_anchor):
+    def solve_frozen(kbar, p_hat, rhs, u_guess, u_anchor):
         system = sp.bmat(
             [
                 [sp.diags(mesh.areas / dt), None, forms.B_div],
@@ -60,9 +63,10 @@ def _monolithic_solve(solver: ExpandedMixedSolver):
             format="csc",
         )
         n_p, n_s = mesh.num_triangles, 2 * mesh.num_triangles
-        rhs = np.concatenate([mesh.areas * p_prev / dt + load, np.zeros(n_s + dofmap.n_rt0)])
+        rhs = np.concatenate([mesh.areas * p_hat / dt, np.zeros(n_s + dofmap.n_rt0)])
         solution = splu(system).solve(rhs)
-        return solution[:n_p], solution[n_p : n_p + n_s], solution[n_p + n_s :]
+        u = solution[n_p + n_s :][solver._order]
+        return solution[:n_p], solution[n_p : n_p + n_s], u
 
     return solve_frozen
 
@@ -82,6 +86,13 @@ def _assert_runs_match(result, oracle) -> None:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def _frozen_inputs(solver: ExpandedMixedSolver, p_prev: np.ndarray, load: np.ndarray):
+    """p_hat = p_prev + dt M_p^{-1} F and rhs = B^T p_hat, in the solver's
+    order, the inputs of its frozen solves."""
+    p_hat = p_prev + solver.config.dt * load / solver.mesh.areas
+    return p_hat, solver._b_div.T @ p_hat
+
+
 def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
     """Oracle for the accelerated loop: plain Picard over the solver's own
     frozen solves, each step started at K(|s^{n-1}|), with run's stopping
@@ -93,11 +104,11 @@ def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
     loads = solver._loads(exact.f)
     for n in range(1, cfg.num_steps + 1):
         t_n = n * cfg.dt
-        load = loads(t_n)
+        p_hat, rhs = _frozen_inputs(solver, state.p, loads(t_n))
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
-        u, s_iter = state.u, state.s.reshape(-1)
+        u, s_iter = state.u[solver._order], state.s.reshape(-1)
         for _ in range(max_iter):
-            p, s_flat, u = solver._solve_frozen(kbar, state.p, load, u, u)
+            p, s_flat, u = solver._solve_frozen(kbar, p_hat, rhs, u, u)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(solver.law, np.linalg.norm(s_new, axis=1))
             residual = np.max(np.abs((k_new - kbar)[:, None] * s_new))
@@ -110,7 +121,7 @@ def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
                 break
         else:
             raise AssertionError(f"plain Picard did not converge on step {n}")
-        state = DiscreteState(p=p, s=s_new, u=u, t=t_n)
+        state = DiscreteState(p=p, s=s_new, u=u[solver._rank], t=t_n)
     return state
 
 
@@ -223,6 +234,17 @@ def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw, monkeypatch)
         assert np.all(each.u == 0.0)
 
 
+def test_a_mesh_without_interior_edges_marches(law: ForchheimerLaw) -> None:
+    """One triangle has no interior edge, so no velocity unknown: a zero
+    run still marches, one iterate a step, with an empty velocity."""
+    mesh = build_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.2))
+    result = solver.run(None, _zero_scalar, _zero_vector, _zero_vector)
+    assert result.picard_iters == [1, 1]
+    assert result.state.u.shape == (0,)
+    assert np.all(result.state.p == 0.0) and np.all(result.state.s == 0.0)
+
+
 def test_constant_conductivity_converges_in_one_iteration() -> None:
     """With a negligible nonlinear term K is constant and the step is linear."""
     law = ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(1.0, 1e-30))
@@ -295,10 +317,10 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
     mesh = unit_square_mesh(4)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
     kbar, zero_p = np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)
-    n = solver.dofmap.n_rt0
-    solver._solve_frozen(kbar, zero_p, zero_p, np.zeros(n), np.zeros(n))
-    guess = np.random.default_rng(0).standard_normal(n)
-    _, _, u = solver._solve_frozen(kbar, zero_p, zero_p, guess, np.zeros(n))
+    zero_u = np.zeros(solver.dofmap.n_rt0)
+    solver._solve_frozen(kbar, zero_p, zero_u, zero_u, zero_u)
+    guess = np.random.default_rng(0).standard_normal(len(zero_u))
+    _, _, u = solver._solve_frozen(kbar, zero_p, zero_u, guess, zero_u)
     assert factorizations[0] == 1
     assert np.max(np.abs(u)) <= 1e-10 * np.max(np.abs(guess))
 
@@ -319,9 +341,10 @@ def test_cg_stop_follows_the_picard_tolerance(law: ForchheimerLaw, mms) -> None:
 
         def spy(rhs, u, anchor):
             out = pcg(rhs, u, anchor)
-            anchor_norm = np.linalg.norm(rhs - solver._apply(anchor))
+            a = solver._system[0]
+            anchor_norm = np.linalg.norm(rhs - a @ anchor)
             if out is not None and anchor_norm > 0.0:
-                ratios.append(np.linalg.norm(rhs - solver._apply(out)) / anchor_norm)
+                ratios.append(np.linalg.norm(rhs - a @ out) / anchor_norm)
             return out
 
         solver._pcg = spy
@@ -360,10 +383,10 @@ def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_m
     """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, in the
     edge order, assembled from the global forms."""
     mesh = solver.mesh
-    forms = assemble_forms(mesh, solver.dofmap, kbar)
-    mass = sp.diags(1.0 / forms.M_sz.diagonal())
+    b_div, m_uz = cell_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
+    mass = sp.diags(1.0 / np.repeat(kbar * mesh.areas, 2))
     div = sp.diags(solver.config.dt / mesh.areas)
-    return (forms.M_uz.T @ mass @ forms.M_uz + forms.B_div.T @ div @ forms.B_div).tocsc()
+    return (m_uz.T @ mass @ m_uz + b_div.T @ div @ b_div).tocsc()
 
 
 def _recursive_nested_dissection(mesh: TriMesh, dofmap: DofMap) -> np.ndarray:
@@ -416,9 +439,46 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
     kbar[:2] = 1e-4, 1.0
     p_prev = rng.standard_normal(mesh.num_triangles)
     zero_u = np.zeros(solver.dofmap.n_rt0)
-    _, _, u = solver._solve_frozen(kbar, p_prev, 0.0 * p_prev, zero_u, zero_u)
-    want = spsolve(_condensed_matrix(solver, kbar), solver._b_div.T @ p_prev)
-    assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+    p_hat, rhs = _frozen_inputs(solver, p_prev, 0.0 * p_prev)
+    _, _, u = solver._solve_frozen(kbar, p_hat, rhs, zero_u, zero_u)
+    b_div, _ = cell_forms(mesh, solver.dofmap).blocks(len(zero_u))
+    want = spsolve(_condensed_matrix(solver, kbar), b_div.T @ p_prev)
+    assert np.max(np.abs(u[solver._rank] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", _ORDERING_MESHES)
+def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
+    spec: int | str, law: ForchheimerLaw, monkeypatch
+) -> None:
+    """After each refill at a random conductivity, the solver's A equals,
+    entry by entry, the condensed matrix assembled from the cell forms, with
+    rows and columns in the nested-dissection order: a canonical CSC matrix
+    whose pattern holds every pair of edges that share a cell.  One solver
+    orders the dofs and lays A out once, across refills and runs."""
+    orderings = _count_calls(monkeypatch, "_nested_dissection")
+    layouts = _count_calls(monkeypatch, "_lay_out")
+    mesh = _ordering_mesh(spec)
+    rng = np.random.default_rng(1)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.2))
+    system = solver._system
+    a, order = system[0], solver._order
+    zero_p, zero_u = np.zeros(mesh.num_triangles), np.zeros(solver.dofmap.n_rt0)
+    for _ in range(2):
+        kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
+        solver._solve_frozen(kbar, zero_p, zero_u, zero_u, zero_u)
+        want = _condensed_matrix(solver, kbar)[order][:, order].toarray()
+        assert np.max(np.abs(a.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
+    b_div, _ = cell_forms(mesh, solver.dofmap).blocks(len(zero_u))
+    coupled = (abs(b_div[:, order]).T @ abs(b_div[:, order])).tocsc()
+    coupled.sort_indices()
+    assert a.has_canonical_format
+    assert np.array_equal(a.indptr, coupled.indptr)
+    assert np.array_equal(a.indices, coupled.indices)
+    exact = ManufacturedSolution(law)
+    for _ in range(2):
+        solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+    assert solver._system is system
+    assert orderings[0] == layouts[0] == 1
 
 
 def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
@@ -433,6 +493,46 @@ def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch)
     assert orderings[0] == 1
     a = _condensed_matrix(solver, np.ones(mesh.num_triangles))
     assert solver._lu.nnz < splu(a, permc_spec="MMD_AT_PLUS_A").nnz
+
+
+def test_march_factors_solves_and_evaluates_through_the_module(law, mms, monkeypatch) -> None:
+    """A march calls splu and K_eval through the attributes of
+    forchmix.solver and does every triangular solve through the .solve of
+    what splu returned, the points where the benchmark's tracer wraps the
+    factorization, triangular solve and conductivity layers: with counting
+    wrappers there, the march is bit for bit the unwrapped one, factors at
+    least once, solves at least once per step and evaluates K once per
+    Picard iterate and once for each step's start."""
+    mesh = unit_square_mesh(8)
+    config = SolverConfig(dt=1e-2, t_final=5e-2)
+    plain = ExpandedMixedSolver(mesh, law, config).run(mms.f, mms.p0, mms.s0, mms.u0)
+    factorizations, solves, evaluations = [0], [0], [0]
+    splu_original, k_eval_original = solver_module.splu, solver_module.K_eval
+
+    def counting_splu(*args, **kwargs):
+        factorizations[0] += 1
+        solve = splu_original(*args, **kwargs).solve
+
+        def counting_solve(rhs):
+            solves[0] += 1
+            return solve(rhs)
+
+        # nothing but the counted solve reaches the factorization
+        return types.SimpleNamespace(solve=counting_solve)
+
+    def counting_k_eval(*args, **kwargs):
+        evaluations[0] += 1
+        return k_eval_original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", counting_splu)
+    monkeypatch.setattr(solver_module, "K_eval", counting_k_eval)
+    result = ExpandedMixedSolver(mesh, law, config).run(mms.f, mms.p0, mms.s0, mms.u0)
+    assert factorizations[0] >= 1
+    assert solves[0] >= config.num_steps
+    assert evaluations[0] == sum(result.picard_iters) + config.num_steps
+    assert result.picard_iters == plain.picard_iters
+    for field in ("p", "s", "u"):
+        assert np.array_equal(getattr(result.state, field), getattr(plain.state, field)), field
 
 
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
@@ -450,9 +550,10 @@ def _assert_picard_fixed_points(solver: ExpandedMixedSolver, exact, states) -> N
     back s^n within 10 * picard_tol * (1 + max|s^n|)."""
     loads = solver._loads(exact.f)
     for prev, state in zip(states, states[1:]):
-        load = loads(state.t)
+        p_hat, rhs = _frozen_inputs(solver, prev.p, loads(state.t))
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
-        _, s_flat, _ = solver._solve_frozen(kbar, prev.p, load, state.u, state.u)
+        u = state.u[solver._order]
+        _, s_flat, _ = solver._solve_frozen(kbar, p_hat, rhs, u, u)
         bound = 10.0 * solver.config.picard_tol * (1.0 + np.max(np.abs(state.s)))
         assert np.max(np.abs(s_flat - state.s.reshape(-1))) <= bound
 
@@ -623,8 +724,8 @@ def test_sign_convention_consistency(law: ForchheimerLaw, mms) -> None:
     )
     state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
     state, *_ = next(solver.steps(state0, mms.f))
-    forms = solver._m_uz @ state.u
-    avg_u = (forms / np.repeat(mesh.areas, 2)).reshape(-1, 2)
+    _, m_uz = cell_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
+    avg_u = (m_uz @ state.u / np.repeat(mesh.areas, 2)).reshape(-1, 2)
     assert np.max(np.abs(avg_u + K_flux(law, state.s))) < 1e-8
 
 
