@@ -134,7 +134,7 @@ def g_eval(law: ForchheimerLaw, s):
 
 def _g(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
     """g(s) on an array already known to be finite and nonnegative."""
-    total = np.zeros_like(s_arr)
+    total = 0.0  # the last term, a positive power, makes the sum an array
     for coef, exp in zip(law.coefficients, law.exponents):
         if coef == 0.0:
             continue
@@ -194,13 +194,13 @@ def _newton_s(law: ForchheimerLaw, xi_arr: np.ndarray) -> np.ndarray:
 
 
 def _g_and_slope(terms, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return g(s) and (s*g(s))' = g(s) + s*g'(s), one power per (a, e) term."""
-    g = np.zeros_like(s)
-    slope = np.zeros_like(s)
+    """Return g(s) and (s*g(s))' = g(s) + s*g'(s), one power per (a, e) term;
+    the terms end with a positive power, which makes both sums arrays."""
+    g = slope = 0.0
     for a, e in terms:
         term = a if e == 0.0 else a * s**e
-        g += term
-        slope += (e + 1.0) * term
+        g = g + term
+        slope = slope + (e + 1.0) * term
     return g, slope
 
 

@@ -166,12 +166,13 @@ def error_norms(
     e_p = float(np.sqrt(areas @ (p_diff**2 @ weights)))
 
     s_diff = state.s[:, None, :] - exact.s(x, y, t)
-    s_mag = np.linalg.norm(s_diff, axis=-1)
+    # |x| bit for bit np.linalg.norm(x, axis=-1) at a fraction of its cost
+    s_mag = np.sqrt(s_diff[..., 0] ** 2 + s_diff[..., 1] ** 2)
     e_s = float((areas @ (s_mag**beta @ weights)) ** (1.0 / beta))
 
     u_h = rt0_at_cell_points(mesh, dofmap, state.u, pts)
     u_diff = u_h - exact.u(x, y, t)
-    u_mag = np.linalg.norm(u_diff, axis=-1)
+    u_mag = np.sqrt(u_diff[..., 0] ** 2 + u_diff[..., 1] ** 2)
     e_u = float((areas @ (u_mag**beta @ weights)) ** (1.0 / beta))
     return e_p, e_s, e_u
 

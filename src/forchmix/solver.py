@@ -29,14 +29,10 @@ the symmetric positive definite velocity system
 
 after which s = -M_sz^{-1} M_uz u and p = p_prev + dt M_p^{-1} (F - B u).
 K enters A only through one weight 1/(K_T |T|) per cell, so A keeps one
-sparsity pattern.  A solver numbers the velocity in nested-dissection order
-(George, SIAM J. Numer. Anal. 10, 1973), triangles bisected recursively and
-each separator edge after both halves; its constructor assembles M_uz and
-B_div in that order, and its first march lays A out once, as one symmetric
-CSC matrix in that order whose values an iterate refills with one sparse
-product from the cell weights.  The solves keep the velocity in that order,
-so SuperLU factors A as it is and no solve permutes a vector; a level's u
-is in the DofMap's edge order.
+sparsity pattern.  The velocity is numbered as the DofMap numbers it, in
+nested-dissection order, and a solver's first march lays A out once, as one
+symmetric CSC matrix whose values an iterate refills with one sparse product
+from the cell weights; SuperLU factors A as it is numbered.
 
 The first solve of a march factors A.  Every later solve runs conjugate
 gradients on the current A, preconditioned by that factorization and
@@ -60,7 +56,7 @@ import math
 import numbers
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -150,31 +146,6 @@ def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
         older, last = levels
         return 2.0 * last - older
     return levels[-1]
-
-
-def _nested_dissection(mesh: TriMesh, dofmap: DofMap) -> np.ndarray:
-    """The interior edges (dof indices) in nested-dissection order.
-
-    Bisecting the centroids' bounding box at midpoints, alternating axes from
-    the wider, gives a triangle the path of its quantized centroid's bits,
-    interleaved.  An edge separates the part its triangles' paths share and
-    follows that part's halves: sorted by the part's last path, deepest first.
-    """
-    c = mesh.centroids.T.copy()  # by coordinate, which numpy reduces faster
-    lo, span = c.min(axis=1, keepdims=True), np.ptp(c, axis=1, keepdims=True)
-    q = ((c - lo) * ((2**31 - 1) / np.where(span > 0.0, span, 1.0))).astype(np.uint64)
-    # spread the bits of q to the even bits of a uint64
-    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
-                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555)):
-        q = (q | (q << np.uint64(shift))) & np.uint64(mask)
-    wide = int(span[1, 0] > span[0, 0])
-    path = (q[wide] << np.uint64(1)) | q[1 - wide]
-    first, second = path[mesh.edge_tris[dofmap.dof_edge]].T
-    # the bits below the common prefix, all set
-    below = first ^ second
-    for shift in (1, 2, 4, 8, 16, 32):
-        below |= below >> np.uint64(shift)
-    return np.lexsort((below, first | below))
 
 
 def _lay_out(
@@ -311,16 +282,8 @@ class ExpandedMixedSolver:
         self.config = config
         self.quadrature = triangle_quadrature()
         self.dofmap: DofMap = build_dofmap(mesh)
-        n = self.dofmap.n_rt0
-        # the solves keep the velocity in nested-dissection order: velocity j
-        # is dof order[j], and the forms' columns follow
-        self._order = _nested_dissection(mesh, self.dofmap)
-        self._rank = np.empty_like(self._order)
-        self._rank[self._order] = np.arange(n)
-        local = cell_forms(mesh, self.dofmap)
-        # a boundary edge's dof -1 picks the appended -1
-        self._local = replace(local, dofs=np.append(self._rank, -1)[local.dofs])
-        self._b_div, m_uz = self._local.blocks(n)
+        self._local = cell_forms(mesh, self.dofmap)
+        self._b_div, m_uz = self._local.blocks(self.dofmap.n_rt0)
         # M_uz u and B_div u, for s and div u, from one product
         self._forms = sp.vstack((m_uz, self._b_div), format="csr")
         self._area2 = np.repeat(mesh.areas, 2)
@@ -368,10 +331,9 @@ class ExpandedMixedSolver:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve one frozen-conductivity block system; returns (p, s_flat, u).
 
-        p_hat is p_prev + dt M_p^{-1} F and rhs = B^T p_hat; rhs and every
-        velocity are in the nested-dissection order.  Refills A(kbar); CG
-        from u_guess stops at the config's CG tolerance times u_anchor's
-        residual, and a missing LU or a CG miss factors A here.
+        p_hat is p_prev + dt M_p^{-1} F and rhs = B^T p_hat.  Refills
+        A(kbar); CG from u_guess stops at the config's CG tolerance times
+        u_anchor's residual, and a missing LU or a CG miss factors A here.
         """
         areas = self.mesh.areas
         a, fill, fill_dt = self._system
@@ -440,15 +402,14 @@ class ExpandedMixedSolver:
         s_iter = state_prev.s.reshape(-1)
         p_hat = state_prev.p + cfg.dt * load / areas
         rhs = self._b_div.T @ p_hat
-        anchor = state_prev.u[self._order]
-        u = _extrapolate([level.u for level in levels])[self._order]
+        u = _extrapolate([level.u for level in levels])
         s_start = _extrapolate([level.s for level in levels[-3:]]).reshape(-1)
         # |s| per cell, bit for bit np.linalg.norm(axis=1) at a fraction of its cost
         kbar = K_eval(self.law, np.sqrt(s_start[0::2] ** 2 + s_start[1::2] ** 2))
         k_prev = f_prev = None
         residual = np.inf
         for iteration in range(1, cfg.picard_max + 1):
-            p, s_flat, u = self._solve_frozen(kbar, p_hat, rhs, u, anchor)
+            p, s_flat, u = self._solve_frozen(kbar, p_hat, rhs, u, state_prev.u)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(self.law, np.sqrt(s_flat[0::2] ** 2 + s_flat[1::2] ** 2))
             update = k_new - kbar
@@ -473,7 +434,7 @@ class ExpandedMixedSolver:
                 residual=residual,
             )
         mass_residual = float(abs(areas @ p - areas @ state_prev.p - cfg.dt * load.sum()))
-        state = DiscreteState(p=p, s=s_new, u=u[self._rank], t=t_n)
+        state = DiscreteState(p=p, s=s_new, u=u, t=t_n)
         return state, iteration, mass_residual, float(load.sum())
 
     def steps(

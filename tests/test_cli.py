@@ -212,6 +212,36 @@ def test_main_writes_csv_file_deterministically(tmp_path: Path, capsys) -> None:
     assert len(text_a.decode().splitlines()) == 3
 
 
+# The CSV of `--mesh 4,8,16 --T 0.125` as the solver printed it before its
+# velocity numbering moved into the DofMap: n, (err_p, rate_p, err_s, rate_s,
+# err_u, rate_u) and picard_avg, with None for the first row's missing rates.
+_STUDY_ROWS = [
+    (4, (9.886185919518e-03, None, 3.476922400782e-02, None, 2.562772369284e-02, None), 3.25),
+    (8, (5.260127645558e-03, 0.9103, 1.749041742936e-02, 0.9912, 1.275267447355e-02, 1.0069),
+     2.9167),
+    (16, (2.881091370128e-03, 0.8685, 8.811815227338e-03, 0.9891, 6.420614433701e-03, 0.9900),
+     2.375),
+]
+
+
+def test_study_reproduces_recorded_numbers(capsys) -> None:
+    """A refactor that claims the same numbers keeps the study's report: n and
+    picard_avg exactly, every printed error and rate to 1e-10 (relative)."""
+    assert main(["--mesh", "4,8,16", "--T", "0.125", "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    columns = header.split(",")
+    rows = [dict(zip(columns, line.split(","))) for line in lines]
+    assert [int(row["n"]) for row in rows] == [n for n, _, _ in _STUDY_ROWS]
+    names = ("err_p", "rate_p", "err_s", "rate_s", "err_u", "rate_u")
+    for row, (_, values, picard_avg) in zip(rows, _STUDY_ROWS):
+        assert float(row["picard_avg"]) == picard_avg
+        for name, want in zip(names, values):
+            if want is None:
+                assert row[name] == "", name
+            else:
+                assert float(row[name]) == pytest.approx(want, rel=1e-10), name
+
+
 def test_main_reports_nonconvergence_with_code_three(capsys) -> None:
     code = main([*_FAST, "--max-picard", "1"])
     captured = capsys.readouterr()

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from quadrature_oracle import triangle_rule
-from test_mesh import _scrambled_mesh
+from test_spaces import _ORDERING_MESHES, _ordering_mesh
 
 import forchmix.mms as mms_module
 import forchmix.solver as solver_module
@@ -22,14 +22,12 @@ from forchmix import (
     ManufacturedSolution,
     PicardError,
     SolverConfig,
-    TriMesh,
     law_from_string,
     unit_square_mesh,
 )
 from forchmix.law import K_eval, K_flux
 from forchmix.mesh import build_mesh
 from forchmix.spaces import (
-    DofMap,
     assemble_forms,
     cell_forms,
     cell_points,
@@ -49,7 +47,7 @@ def _zero_vector(x, y):
 def _monolithic_solve(solver: ExpandedMixedSolver):
     """Oracle for the solver's elimination of s and p: each frozen-conductivity
     system is solved as the full (p, s, u) saddle system, factored afresh,
-    from p_hat = p_prev + dt M_p^{-1} F; u returns in the solver's order."""
+    from p_hat = p_prev + dt M_p^{-1} F."""
     mesh, dofmap, dt = solver.mesh, solver.dofmap, solver.config.dt
     forms = assemble_forms(mesh, dofmap, np.ones(mesh.num_triangles))
 
@@ -65,8 +63,7 @@ def _monolithic_solve(solver: ExpandedMixedSolver):
         n_p, n_s = mesh.num_triangles, 2 * mesh.num_triangles
         rhs = np.concatenate([mesh.areas * p_hat / dt, np.zeros(n_s + dofmap.n_rt0)])
         solution = splu(system).solve(rhs)
-        u = solution[n_p + n_s :][solver._order]
-        return solution[:n_p], solution[n_p : n_p + n_s], u
+        return solution[:n_p], solution[n_p : n_p + n_s], solution[n_p + n_s :]
 
     return solve_frozen
 
@@ -87,8 +84,8 @@ def _assert_runs_match(result, oracle) -> None:
 
 
 def _frozen_inputs(solver: ExpandedMixedSolver, p_prev: np.ndarray, load: np.ndarray):
-    """p_hat = p_prev + dt M_p^{-1} F and rhs = B^T p_hat, in the solver's
-    order, the inputs of its frozen solves."""
+    """p_hat = p_prev + dt M_p^{-1} F and rhs = B^T p_hat, the inputs of the
+    solver's frozen solves."""
     p_hat = p_prev + solver.config.dt * load / solver.mesh.areas
     return p_hat, solver._b_div.T @ p_hat
 
@@ -106,7 +103,7 @@ def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
         t_n = n * cfg.dt
         p_hat, rhs = _frozen_inputs(solver, state.p, loads(t_n))
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
-        u, s_iter = state.u[solver._order], state.s.reshape(-1)
+        u, s_iter = state.u, state.s.reshape(-1)
         for _ in range(max_iter):
             p, s_flat, u = solver._solve_frozen(kbar, p_hat, rhs, u, u)
             s_new = s_flat.reshape(-1, 2)
@@ -121,7 +118,7 @@ def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
                 break
         else:
             raise AssertionError(f"plain Picard did not converge on step {n}")
-        state = DiscreteState(p=p, s=s_new, u=u[solver._rank], t=t_n)
+        state = DiscreteState(p=p, s=s_new, u=u, t=t_n)
     return state
 
 
@@ -149,8 +146,8 @@ def _assert_states_close(got: DiscreteState, want: DiscreteState, rel: float) ->
 
 def _count_calls(monkeypatch, name: str) -> list[int]:
     """Count the solver module's calls of its function name (splu for the
-    factorizations, _nested_dissection for the orderings); the count is the
-    list's one entry."""
+    factorizations, build_dofmap for the velocity numberings); the count is
+    the list's one entry."""
     calls = [0]
     original = getattr(solver_module, name)
 
@@ -359,29 +356,20 @@ def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeyp
     current K and solved directly; the iterates still match the oracle."""
     monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
     factorizations = _count_calls(monkeypatch, "splu")
-    orderings = _count_calls(monkeypatch, "_nested_dissection")
+    numberings = _count_calls(monkeypatch, "build_dofmap")
     mesh = unit_square_mesh(8)
     config = SolverConfig(dt=1e-2, t_final=5e-2)
     exact = ManufacturedSolution(law)
     result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
     assert factorizations[0] > 1
-    # every refactorization reuses the order built for the first
-    assert orderings[0] == 1
+    # every refactorization reuses the numbering built for the first
+    assert numberings[0] == 1
     _assert_runs_match(result, _oracle_run(mesh, law, config))
 
 
-# square meshes of several sizes, and the renumbered, reordered and jittered
-# n=8 mesh of the mesh tests
-_ORDERING_MESHES = [1, 2, 3, 16, "scrambled"]
-
-
-def _ordering_mesh(spec: int | str) -> TriMesh:
-    return build_mesh(*_scrambled_mesh(8, 0)) if spec == "scrambled" else unit_square_mesh(spec)
-
-
 def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_matrix:
-    """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, in the
-    edge order, assembled from the global forms."""
+    """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, assembled
+    from the global forms."""
     mesh = solver.mesh
     b_div, m_uz = cell_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
     mass = sp.diags(1.0 / np.repeat(kbar * mesh.areas, 2))
@@ -389,49 +377,11 @@ def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_m
     return (m_uz.T @ mass @ m_uz + b_div.T @ div @ b_div).tocsc()
 
 
-def _recursive_nested_dissection(mesh: TriMesh, dofmap: DofMap) -> np.ndarray:
-    """Oracle for the bit arithmetic of the nested-dissection order: bisect
-    the box of the quantized centroids recursively, 31 levels per axis from
-    the wider one, and number the edges inside each half, then the edges
-    between the halves, each group in dof order."""
-    c = mesh.centroids
-    lo, span = c.min(axis=0), np.ptp(c, axis=0)
-    q = ((c - lo) * ((2**31 - 1) / np.where(span > 0.0, span, 1.0))).astype(np.int64)
-    axes = (1, 0) if span[1] > span[0] else (0, 1)
-    tris = mesh.edge_tris[dofmap.dof_edge]
-    order: list[int] = []
-
-    def number(edges: np.ndarray, depth: int) -> None:
-        if depth == 62:
-            order.extend(edges)
-            return
-        side = (q[tris[edges], axes[depth % 2]] >> (30 - depth // 2)) & 1
-        for half in (0, 1):
-            inside = edges[(side[:, 0] == half) & (side[:, 1] == half)]
-            if len(inside):
-                number(inside, depth + 1)
-        order.extend(edges[side[:, 0] != side[:, 1]])
-
-    number(np.arange(dofmap.n_rt0), 0)
-    return np.array(order, dtype=np.int64)
-
-
-@pytest.mark.parametrize("spec", _ORDERING_MESHES)
-def test_nested_dissection_order(spec: int | str, law: ForchheimerLaw) -> None:
-    """The order is a permutation of the dofs, and it is the recursive
-    bisection's, separator edges after both halves."""
-    mesh = _ordering_mesh(spec)
-    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
-    order = solver_module._nested_dissection(mesh, solver.dofmap)
-    assert np.array_equal(np.sort(order), np.arange(solver.dofmap.n_rt0))
-    assert np.array_equal(order, _recursive_nested_dissection(mesh, solver.dofmap))
-
-
 @pytest.mark.parametrize("spec", _ORDERING_MESHES)
 def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerLaw) -> None:
-    """The factorization of the reordered A, taken without pivoting, solves
-    the system of the edge-ordered A: its solution agrees with spsolve's to
-    1e-12 (relative) for a conductivity spanning 1e-4..1."""
+    """The factorization of A in the DofMap's nested-dissection numbering,
+    taken without pivoting, solves the condensed system: its solution agrees
+    with spsolve's to 1e-12 (relative) for a conductivity spanning 1e-4..1."""
     mesh = _ordering_mesh(spec)
     rng = np.random.default_rng(0)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
@@ -443,7 +393,7 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
     _, _, u = solver._solve_frozen(kbar, p_hat, rhs, zero_u, zero_u)
     b_div, _ = cell_forms(mesh, solver.dofmap).blocks(len(zero_u))
     want = spsolve(_condensed_matrix(solver, kbar), b_div.T @ p_prev)
-    assert np.max(np.abs(u[solver._rank] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("spec", _ORDERING_MESHES)
@@ -451,25 +401,25 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     spec: int | str, law: ForchheimerLaw, monkeypatch
 ) -> None:
     """After each refill at a random conductivity, the solver's A equals,
-    entry by entry, the condensed matrix assembled from the cell forms, with
-    rows and columns in the nested-dissection order: a canonical CSC matrix
-    whose pattern holds every pair of edges that share a cell.  One solver
-    orders the dofs and lays A out once, across refills and runs."""
-    orderings = _count_calls(monkeypatch, "_nested_dissection")
+    entry by entry, the condensed matrix assembled from the cell forms in the
+    DofMap's nested-dissection numbering, with no permutation: a canonical
+    CSC matrix whose pattern holds every pair of edges that share a cell.
+    One solver numbers the dofs and lays A out once, across refills and runs."""
+    numberings = _count_calls(monkeypatch, "build_dofmap")
     layouts = _count_calls(monkeypatch, "_lay_out")
     mesh = _ordering_mesh(spec)
     rng = np.random.default_rng(1)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.2))
     system = solver._system
-    a, order = system[0], solver._order
+    a = system[0]
     zero_p, zero_u = np.zeros(mesh.num_triangles), np.zeros(solver.dofmap.n_rt0)
     for _ in range(2):
         kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
         solver._solve_frozen(kbar, zero_p, zero_u, zero_u, zero_u)
-        want = _condensed_matrix(solver, kbar)[order][:, order].toarray()
+        want = _condensed_matrix(solver, kbar).toarray()
         assert np.max(np.abs(a.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
     b_div, _ = cell_forms(mesh, solver.dofmap).blocks(len(zero_u))
-    coupled = (abs(b_div[:, order]).T @ abs(b_div[:, order])).tocsc()
+    coupled = (abs(b_div).T @ abs(b_div)).tocsc()
     coupled.sort_indices()
     assert a.has_canonical_format
     assert np.array_equal(a.indptr, coupled.indptr)
@@ -478,19 +428,19 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     for _ in range(2):
         solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     assert solver._system is system
-    assert orderings[0] == layouts[0] == 1
+    assert numberings[0] == layouts[0] == 1
 
 
 def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
     """At n=32 the factors in nested-dissection order hold fewer nonzeros
     than SuperLU's minimum degree order of A + A^T gives, and two runs on one
-    solver build the order once."""
-    orderings = _count_calls(monkeypatch, "_nested_dissection")
+    solver number the dofs once."""
+    numberings = _count_calls(monkeypatch, "build_dofmap")
     mesh = unit_square_mesh(32)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=1e-3, t_final=2e-3))
     for _ in range(2):
         solver.run(mms.f, mms.p0, mms.s0, mms.u0)
-    assert orderings[0] == 1
+    assert numberings[0] == 1
     a = _condensed_matrix(solver, np.ones(mesh.num_triangles))
     assert solver._lu.nnz < splu(a, permc_spec="MMD_AT_PLUS_A").nnz
 
@@ -552,8 +502,7 @@ def _assert_picard_fixed_points(solver: ExpandedMixedSolver, exact, states) -> N
     for prev, state in zip(states, states[1:]):
         p_hat, rhs = _frozen_inputs(solver, prev.p, loads(state.t))
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
-        u = state.u[solver._order]
-        _, s_flat, _ = solver._solve_frozen(kbar, p_hat, rhs, u, u)
+        _, s_flat, _ = solver._solve_frozen(kbar, p_hat, rhs, state.u, state.u)
         bound = 10.0 * solver.config.picard_tol * (1.0 + np.max(np.abs(state.s)))
         assert np.max(np.abs(s_flat - state.s.reshape(-1))) <= bound
 

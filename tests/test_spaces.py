@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quadrature_oracle import triangle_rule
+from test_mesh import _scrambled_mesh
 
 from forchmix import TriMesh, unit_square_mesh
 from forchmix.mesh import build_mesh
@@ -109,6 +110,54 @@ def test_dofmap_counts(n: int) -> None:
     interior = ~mesh.boundary_edge
     assert np.array_equal(np.sort(dofmap.dof_edge), np.flatnonzero(interior))
     assert np.array_equal(dofmap.edge_dof[dofmap.dof_edge], np.arange(dofmap.n_rt0))
+
+
+# square meshes of several sizes, and the renumbered, reordered and jittered
+# n=8 mesh of the mesh tests
+_ORDERING_MESHES = [1, 2, 3, 16, "scrambled"]
+
+
+def _ordering_mesh(spec: int | str) -> TriMesh:
+    return build_mesh(*_scrambled_mesh(8, 0)) if spec == "scrambled" else unit_square_mesh(spec)
+
+
+def _recursive_nested_dissection(mesh: TriMesh, interior: np.ndarray) -> np.ndarray:
+    """Oracle for the bit arithmetic of the nested-dissection order: bisect
+    the box of the quantized centroids recursively, 31 levels per axis from
+    the wider one, and number the edges inside each half, then the edges
+    between the halves, each group in the order of interior.  Returns
+    positions in interior."""
+    c = mesh.centroids
+    lo, span = c.min(axis=0), np.ptp(c, axis=0)
+    q = ((c - lo) * ((2**31 - 1) / np.where(span > 0.0, span, 1.0))).astype(np.int64)
+    axes = (1, 0) if span[1] > span[0] else (0, 1)
+    tris = mesh.edge_tris[interior]
+    order: list[int] = []
+
+    def number(edges: np.ndarray, depth: int) -> None:
+        if depth == 62:
+            order.extend(edges)
+            return
+        side = (q[tris[edges], axes[depth % 2]] >> (30 - depth // 2)) & 1
+        for half in (0, 1):
+            inside = edges[(side[:, 0] == half) & (side[:, 1] == half)]
+            if len(inside):
+                number(inside, depth + 1)
+        order.extend(edges[side[:, 0] != side[:, 1]])
+
+    number(np.arange(len(interior)), 0)
+    return np.array(order, dtype=np.int64)
+
+
+@pytest.mark.parametrize("spec", _ORDERING_MESHES)
+def test_nested_dissection_order(spec: int | str) -> None:
+    """The DofMap numbers every interior edge once, in the recursive
+    bisection's order, separator edges after both halves."""
+    mesh = _ordering_mesh(spec)
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    dofmap = build_dofmap(mesh)
+    assert np.array_equal(np.sort(dofmap.dof_edge), interior)
+    assert np.array_equal(dofmap.dof_edge, interior[_recursive_nested_dissection(mesh, interior)])
 
 
 def test_rt0_basis_normal_traces() -> None:
