@@ -123,13 +123,9 @@ def _as_nonneg_array(value, name: str) -> np.ndarray:
     return arr
 
 
-def _match_input(result: np.ndarray, reference) -> np.ndarray | float:
-    return float(result) if np.ndim(reference) == 0 else result
-
-
 def g_eval(law: ForchheimerLaw, s):
     """Evaluate g(s) for s >= 0.  Result is at least a_0 > 0."""
-    return _match_input(_g(law, _as_nonneg_array(s, "s")), s)
+    return _g(law, _as_nonneg_array(s, "s"))
 
 
 def _g(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
@@ -217,7 +213,7 @@ def solve_s_of_xi(law: ForchheimerLaw, xi):
         s = 2.0 * xi_arr / (a0 + np.sqrt(a0 * a0 + 4.0 * a1 * xi_arr))
     else:
         s = _newton_s(law, xi_arr)
-    return _match_input(s, xi)
+    return s
 
 
 def K_eval(law: ForchheimerLaw, xi):
@@ -225,7 +221,7 @@ def K_eval(law: ForchheimerLaw, xi):
 
     xi is checked once, by the root solve; its root needs no check.
     """
-    return _match_input(1.0 / _g(law, np.asarray(solve_s_of_xi(law, xi))), xi)
+    return 1.0 / _g(law, solve_s_of_xi(law, xi))
 
 
 def K_prime(law: ForchheimerLaw, xi):
@@ -234,12 +230,12 @@ def K_prime(law: ForchheimerLaw, xi):
     With s = s(xi): K' = -g'(s) / (g(s)^2 * (g(s) + s*g'(s))).  For laws whose
     smallest positive exponent is below 1 the derivative diverges at xi = 0.
     """
-    return _match_input(_K_and_K_prime(law, xi)[1], xi)
+    return _K_and_K_prime(law, xi)[1]
 
 
 def _K_and_K_prime(law: ForchheimerLaw, xi):
     """Arrays K(xi) and K'(xi) from a single root solve for s(xi)."""
-    s = np.asarray(solve_s_of_xi(law, xi))
+    s = solve_s_of_xi(law, xi)
     g, slope = _g_and_slope(zip(law.coefficients, law.exponents), s)
     return 1.0 / g, -_g_prime(law, s) / (g * g * slope)
 

@@ -65,14 +65,11 @@ from scipy.sparse.linalg import splu
 
 from .law import ForchheimerLaw, K_eval
 from .mesh import TriMesh
-# assemble_forms is not called here but stays importable from this module:
-# perfbench/spans.py traces the assembly layer through it.
-from .spaces import (  # noqa: F401
+from .spaces import (
     CellForms,
     DofMap,
     assemble_forms,
     build_dofmap,
-    cell_forms,
     cell_points,
     hdiv_interpolate,
     l2_project_scalar,
@@ -225,10 +222,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         # bool subclasses int, but True is no time, tolerance or count
         for name, kind in (("dt", numbers.Real), ("t_final", numbers.Real),
-                           ("picard_tol", numbers.Real), ("picard_max", int)):
+                           ("picard_tol", numbers.Real), ("picard_max", numbers.Integral)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}")
+                raise ValueError(f"{name} must be {'a real number' if kind is numbers.Real else 'an integer'}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
@@ -282,7 +279,7 @@ class ExpandedMixedSolver:
         self.config = config
         self.quadrature = triangle_quadrature()
         self.dofmap: DofMap = build_dofmap(mesh)
-        self._local = cell_forms(mesh, self.dofmap)
+        self._local = assemble_forms(mesh, self.dofmap)
         self._b_div, m_uz = self._local.blocks(self.dofmap.n_rt0)
         # M_uz u and B_div u, for s and div u, from one product
         self._forms = sp.vstack((m_uz, self._b_div), format="csr")
@@ -408,7 +405,7 @@ class ExpandedMixedSolver:
         kbar = K_eval(self.law, np.sqrt(s_start[0::2] ** 2 + s_start[1::2] ** 2))
         k_prev = f_prev = None
         residual = np.inf
-        for iteration in range(1, cfg.picard_max + 1):
+        for iteration in range(1, int(cfg.picard_max) + 1):
             p, s_flat, u = self._solve_frozen(kbar, p_hat, rhs, u, state_prev.u)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(self.law, np.sqrt(s_flat[0::2] ** 2 + s_flat[1::2] ** 2))

@@ -2,8 +2,9 @@
 
 Provides the scheme's triangle quadrature, the lowest-order Raviart-Thomas
 (RT0) basis with the mesh's global edge orientation, piecewise-constant L2
-projections, the H(div) edge-flux interpolant, and the (bi)linear-form blocks
-of the expanded mixed scheme.  The RT0 degree of freedom on an edge is the
+projections, the H(div) edge-flux interpolant, and the cell-local RT0
+pairings from which the solver builds the velocity blocks of the expanded
+mixed scheme (assemble_forms).  The RT0 degree of freedom on an edge is the
 average normal flux, so the basis function of an edge has unit normal trace
 on that edge and zero normal trace on the other two.
 
@@ -185,29 +186,10 @@ def hdiv_interpolate(mesh: TriMesh, dofmap: DofMap, v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FormBlocks:
-    """Sparse blocks of the expanded mixed scheme.
-
-    M_p: pressure mass matrix, diag of cell areas (F x F).
-    B_div: divergence pairing (div u, w), entries sign * |e| (F x n_rt0).
-    M_uz: velocity-against-constants pairing (u, z) (2F x n_rt0).
-    M_sz: frozen-conductivity mass diag(kbar_T |T|) per component (2F x 2F).
-    C_sv: gradient pairing (s, v) = M_uz transposed (n_rt0 x 2F).
-    C_pv: pressure-divergence pairing (p, div v) = B_div transposed.
-    """
-
-    M_p: sp.csr_matrix
-    B_div: sp.csr_matrix
-    M_uz: sp.csr_matrix
-    M_sz: sp.csr_matrix
-    C_sv: sp.csr_matrix
-    C_pv: sp.csr_matrix
-
-
-@dataclass(frozen=True)
 class CellForms:
     """Per-cell pieces of the velocity forms, indexed by local edge k (the
-    edge opposite local vertex k) and triangle t, in that order.
+    edge opposite local vertex k) and triangle t, in that order: all the
+    solver needs besides the diagonal mass blocks |T| and K_T |T|.
 
     dofs: (3, F) RT0 dof of each local edge, -1 on the domain boundary.
     div: (3, F) (div phi_k, 1)_T = sign * |e|; 0 on boundary edges.
@@ -240,37 +222,13 @@ class CellForms:
         return b_div, m_uz
 
 
-def cell_forms(mesh: TriMesh, dofmap: DofMap) -> CellForms:
-    """The cellwise divergence and (u, z) pairings of every local RT0 basis."""
+def assemble_forms(mesh: TriMesh, dofmap: DofMap) -> CellForms:
+    """The cellwise divergence and (u, z) pairings of every local RT0 basis,
+    the scheme's one form assembly.  Both integrands are of degree at most
+    one, so the entries are exact: (u, z) reduces to |T| * phi(centroid)."""
     edges = mesh.tri_edges.T
     dofs = dofmap.edge_dof[edges]
     sign_len = np.where(dofs >= 0, mesh.tri_edge_signs.T * mesh.edge_lengths[edges], 0.0)
     # |T| * phi(centroid) = sign * |e| * (centroid - p_opp) / 2
     moment = 0.5 * (mesh.centroids.T[:, None, :] - mesh.vertices.T[:, mesh.triangles.T])
     return CellForms(dofs=dofs, div=sign_len, moments=sign_len * moment)
-
-
-def assemble_forms(mesh: TriMesh, dofmap: DofMap, kbar: np.ndarray) -> FormBlocks:
-    """Assemble all scheme blocks for a cellwise-constant conductivity kbar.
-
-    Every integrand is a polynomial of degree at most one once kbar is frozen
-    per cell, so all entries are exact: the (u, z) pairing reduces to
-    |T| * phi(centroid).  The solver works on the condensed velocity matrix
-    instead; these blocks serve the tests' monolithic reference solves.
-    """
-    kbar = np.asarray(kbar, dtype=float)
-    if kbar.shape != (mesh.num_triangles,):
-        raise ValueError("kbar must hold one value per triangle")
-    if np.any(kbar <= 0.0):
-        raise ValueError("kbar must be positive")
-
-    b_div, m_uz = cell_forms(mesh, dofmap).blocks(dofmap.n_rt0)
-    m_sz = sp.diags(np.repeat(kbar * mesh.areas, 2)).tocsr()
-    return FormBlocks(
-        M_p=sp.diags(mesh.areas).tocsr(),
-        B_div=b_div,
-        M_uz=m_uz,
-        M_sz=m_sz,
-        C_sv=m_uz.T.tocsr(),
-        C_pv=b_div.T.tocsr(),
-    )

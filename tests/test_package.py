@@ -10,6 +10,9 @@ import re
 from pathlib import Path
 
 import forchmix
+import forchmix.cli as cli
+import forchmix.mesh as mesh_module
+import forchmix.mms as mms
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,13 +35,55 @@ def test_readme_python_examples_run() -> None:
             exec(compile(block, f"README.md python block {number}", "exec"), {})
 
 
-def test_benchmark_tracer_finds_every_layer() -> None:
-    """perfbench/spans.py replaces module and class attributes by name; each
-    one must still exist, or a traced benchmark run fails with KeyError."""
+def _load_spans():
+    """perfbench/spans.py, loaded from its file: perfbench is no package."""
     spec = importlib.util.spec_from_file_location("spans", _ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_finds_every_layer() -> None:
+    """perfbench/spans.py replaces module and class attributes by name; each
+    one must still exist, or a traced benchmark run fails with KeyError."""
+    spans = _load_spans()
     patches = spans.layer_patches(spans.Tracer())
     assert patches
     missing = [(owner.__name__, attr) for owner, attr, _ in patches if attr not in vars(owner)]
     assert missing == []
+
+
+def test_every_traced_hook_is_called(tmp_path: Path) -> None:
+    """A tiny API march and a tiny CLI study call every attribute the tracer
+    wraps except mms.K_eval and mms.K_prime, which the forcing takes from one
+    root solve instead; a hook that nothing calls times no work."""
+    spans = _load_spans()
+    calls: dict[tuple[str, str], int] = {}
+
+    def counter(key: tuple[str, str]):
+        def factory(original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        return factory
+
+    patches = []
+    for owner, attr, _ in spans.layer_patches(spans.Tracer()):
+        key = (owner.__name__, attr)
+        calls[key] = 0
+        patches.append((owner, attr, counter(key)))
+    with spans.patched(patches):
+        law = forchmix.law_from_string("1:0,1:1")
+        exact = forchmix.ManufacturedSolution(law)
+        mesh = mesh_module.unit_square_mesh(4)
+        config = forchmix.SolverConfig(dt=0.01, t_final=0.02)
+        solver = forchmix.ExpandedMixedSolver(mesh, law, config)
+        result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+        mms.error_norms(mesh, solver.dofmap, result.state, exact)
+        argv = ["--mesh", "2,4", "--T", "0.02", "--format", "csv", "--out", str(tmp_path / "study.csv")]
+        assert cli.main(argv) == 0
+    never = {key for key, count in calls.items() if count == 0}
+    assert never == {("forchmix.mms", "K_eval"), ("forchmix.mms", "K_prime")}

@@ -29,7 +29,6 @@ from forchmix.law import K_eval, K_flux
 from forchmix.mesh import build_mesh
 from forchmix.spaces import (
     assemble_forms,
-    cell_forms,
     cell_points,
     hdiv_interpolate,
     triangle_quadrature,
@@ -49,14 +48,14 @@ def _monolithic_solve(solver: ExpandedMixedSolver):
     system is solved as the full (p, s, u) saddle system, factored afresh,
     from p_hat = p_prev + dt M_p^{-1} F."""
     mesh, dofmap, dt = solver.mesh, solver.dofmap, solver.config.dt
-    forms = assemble_forms(mesh, dofmap, np.ones(mesh.num_triangles))
+    b_div, m_uz = assemble_forms(mesh, dofmap).blocks(dofmap.n_rt0)
 
     def solve_frozen(kbar, p_hat, rhs, u_guess, u_anchor):
         system = sp.bmat(
             [
-                [sp.diags(mesh.areas / dt), None, forms.B_div],
-                [None, sp.diags(np.repeat(kbar * mesh.areas, 2)), forms.M_uz],
-                [forms.C_pv, forms.C_sv, None],
+                [sp.diags(mesh.areas / dt), None, b_div],
+                [None, sp.diags(np.repeat(kbar * mesh.areas, 2)), m_uz],
+                [b_div.T, m_uz.T, None],
             ],
             format="csc",
         )
@@ -193,6 +192,8 @@ def test_config_validation() -> None:
     for bad in (0, -3, 2.5, float("inf"), float("nan"), True, "25", None):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_final=1.0, picard_max=bad)
+    # numpy integers are integers
+    assert SolverConfig(dt=0.1, t_final=1.0, picard_max=np.int64(5)).picard_max == 5
     for bad in (float("nan"), float("inf"), True, False, "0.1", None, 1j):
         with pytest.raises(ValueError):
             SolverConfig(dt=bad, t_final=1.0)
@@ -371,7 +372,7 @@ def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_m
     """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, assembled
     from the global forms."""
     mesh = solver.mesh
-    b_div, m_uz = cell_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
+    b_div, m_uz = assemble_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
     mass = sp.diags(1.0 / np.repeat(kbar * mesh.areas, 2))
     div = sp.diags(solver.config.dt / mesh.areas)
     return (m_uz.T @ mass @ m_uz + b_div.T @ div @ b_div).tocsc()
@@ -391,7 +392,7 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
     zero_u = np.zeros(solver.dofmap.n_rt0)
     p_hat, rhs = _frozen_inputs(solver, p_prev, 0.0 * p_prev)
     _, _, u = solver._solve_frozen(kbar, p_hat, rhs, zero_u, zero_u)
-    b_div, _ = cell_forms(mesh, solver.dofmap).blocks(len(zero_u))
+    b_div, _ = assemble_forms(mesh, solver.dofmap).blocks(len(zero_u))
     want = spsolve(_condensed_matrix(solver, kbar), b_div.T @ p_prev)
     assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -418,7 +419,7 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
         solver._solve_frozen(kbar, zero_p, zero_u, zero_u, zero_u)
         want = _condensed_matrix(solver, kbar).toarray()
         assert np.max(np.abs(a.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
-    b_div, _ = cell_forms(mesh, solver.dofmap).blocks(len(zero_u))
+    b_div, _ = assemble_forms(mesh, solver.dofmap).blocks(len(zero_u))
     coupled = (abs(b_div).T @ abs(b_div)).tocsc()
     coupled.sort_indices()
     assert a.has_canonical_format
@@ -446,18 +447,25 @@ def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch)
 
 
 def test_march_factors_solves_and_evaluates_through_the_module(law, mms, monkeypatch) -> None:
-    """A march calls splu and K_eval through the attributes of
+    """A solver assembles its forms through forchmix.solver.assemble_forms,
+    and a march calls splu and K_eval through the attributes of
     forchmix.solver and does every triangular solve through the .solve of
     what splu returned, the points where the benchmark's tracer wraps the
-    factorization, triangular solve and conductivity layers: with counting
-    wrappers there, the march is bit for bit the unwrapped one, factors at
-    least once, solves at least once per step and evaluates K once per
-    Picard iterate and once for each step's start."""
+    assembly, factorization, triangular solve and conductivity layers: with
+    counting wrappers there, the march is bit for bit the unwrapped one,
+    assembles once per solver over two runs, factors at least once, solves
+    at least once per step and evaluates K once per Picard iterate and once
+    for each step's start."""
     mesh = unit_square_mesh(8)
     config = SolverConfig(dt=1e-2, t_final=5e-2)
     plain = ExpandedMixedSolver(mesh, law, config).run(mms.f, mms.p0, mms.s0, mms.u0)
-    factorizations, solves, evaluations = [0], [0], [0]
+    assemblies, factorizations, solves, evaluations = [0], [0], [0], [0]
+    assemble_original = solver_module.assemble_forms
     splu_original, k_eval_original = solver_module.splu, solver_module.K_eval
+
+    def counting_assemble(*args, **kwargs):
+        assemblies[0] += 1
+        return assemble_original(*args, **kwargs)
 
     def counting_splu(*args, **kwargs):
         factorizations[0] += 1
@@ -474,15 +482,23 @@ def test_march_factors_solves_and_evaluates_through_the_module(law, mms, monkeyp
         evaluations[0] += 1
         return k_eval_original(*args, **kwargs)
 
+    monkeypatch.setattr(solver_module, "assemble_forms", counting_assemble)
     monkeypatch.setattr(solver_module, "splu", counting_splu)
     monkeypatch.setattr(solver_module, "K_eval", counting_k_eval)
-    result = ExpandedMixedSolver(mesh, law, config).run(mms.f, mms.p0, mms.s0, mms.u0)
-    assert factorizations[0] >= 1
-    assert solves[0] >= config.num_steps
-    assert evaluations[0] == sum(result.picard_iters) + config.num_steps
-    assert result.picard_iters == plain.picard_iters
-    for field in ("p", "s", "u"):
-        assert np.array_equal(getattr(result.state, field), getattr(plain.state, field)), field
+    solver = ExpandedMixedSolver(mesh, law, config)
+    assert assemblies[0] == 1
+    for _ in range(2):
+        factorizations[0] = solves[0] = evaluations[0] = 0
+        result = solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+        assert assemblies[0] == 1
+        assert factorizations[0] >= 1
+        assert solves[0] >= config.num_steps
+        assert evaluations[0] == sum(result.picard_iters) + config.num_steps
+        assert result.picard_iters == plain.picard_iters
+        for field in ("p", "s", "u"):
+            assert np.array_equal(getattr(result.state, field), getattr(plain.state, field)), field
+    ExpandedMixedSolver(mesh, law, config)
+    assert assemblies[0] == 2
 
 
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
@@ -673,7 +689,7 @@ def test_sign_convention_consistency(law: ForchheimerLaw, mms) -> None:
     )
     state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
     state, *_ = next(solver.steps(state0, mms.f))
-    _, m_uz = cell_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
+    _, m_uz = assemble_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
     avg_u = (m_uz @ state.u / np.repeat(mesh.areas, 2)).reshape(-1, 2)
     assert np.max(np.abs(avg_u + K_flux(law, state.s))) < 1e-8
 
@@ -772,3 +788,12 @@ def test_picard_cap_raises_with_residual(law: ForchheimerLaw, mms) -> None:
         next(solver.steps(state0, mms.f))
     assert excinfo.value.residual > 0.0
     assert "residual" in str(excinfo.value)
+
+
+def test_numpy_integer_picard_cap_does_not_wrap(law: ForchheimerLaw, mms) -> None:
+    """A numpy integer cap counts as a Python int: np.int8(127) + 1 would
+    wrap to -128 and leave no iterate to run."""
+    config = SolverConfig(dt=1e-2, t_final=2e-2, picard_max=np.int8(127))
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, config)
+    result = solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+    assert len(result.picard_iters) == 2

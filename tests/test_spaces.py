@@ -347,21 +347,16 @@ def test_commuting_projection_identity() -> None:
 
 
 def test_assembled_blocks() -> None:
+    """Every entry of B_div and M_uz is the RT0 oracle's cell integral of the
+    edge's basis function, with the mesh's edge orientation."""
     mesh = unit_square_mesh(2)
     dofmap = build_dofmap(mesh)
-    rng = np.random.default_rng(1)
-    kbar = rng.uniform(0.5, 1.5, size=mesh.num_triangles)
-    forms = assemble_forms(mesh, dofmap, kbar)
+    b_div, m_uz = assemble_forms(mesh, dofmap).blocks(dofmap.n_rt0)
+    assert b_div.shape == (mesh.num_triangles, dofmap.n_rt0)
+    assert m_uz.shape == (2 * mesh.num_triangles, dofmap.n_rt0)
 
-    assert np.allclose(forms.M_p.diagonal(), mesh.areas, rtol=1e-15)
-    assert np.allclose(
-        forms.M_sz.diagonal(), np.repeat(kbar * mesh.areas, 2), rtol=1e-15
-    )
-    assert (forms.C_pv - forms.B_div.T).nnz == 0
-    assert (forms.C_sv - forms.M_uz.T).nnz == 0
-
-    b = forms.B_div.toarray()
-    m = forms.M_uz.toarray()
+    b = b_div.toarray()
+    m = m_uz.toarray()
     rule = triangle_rule(2)
     pts = cell_points(mesh, rule)
     for t in range(mesh.num_triangles):
@@ -378,22 +373,10 @@ def test_assembled_blocks() -> None:
             assert np.allclose(m[2 * t : 2 * t + 2, dof], moment, atol=1e-14)
 
 
-def test_assemble_forms_validates_kbar() -> None:
-    mesh = unit_square_mesh(2)
-    dofmap = build_dofmap(mesh)
-    with pytest.raises(ValueError):
-        assemble_forms(mesh, dofmap, np.ones(3))
-    bad = np.ones(mesh.num_triangles)
-    bad[0] = 0.0
-    with pytest.raises(ValueError):
-        assemble_forms(mesh, dofmap, bad)
-
-
-def test_single_cell_mass_matrix() -> None:
+def test_single_square_divergence_block() -> None:
     mesh = unit_square_mesh(1)
     dofmap = build_dofmap(mesh)
-    forms = assemble_forms(mesh, dofmap, np.ones(2))
-    assert np.allclose(forms.M_p.toarray(), np.diag([0.5, 0.5]), atol=1e-15)
-    assert forms.B_div.shape == (2, 1)
+    b_div, _ = assemble_forms(mesh, dofmap).blocks(dofmap.n_rt0)
+    assert b_div.shape == (2, 1)
     # the single interior dof is the diagonal edge of length sqrt(2)
-    assert np.allclose(np.abs(forms.B_div.toarray()).ravel(), np.sqrt(2.0))
+    assert np.allclose(np.abs(b_div.toarray()).ravel(), np.sqrt(2.0))
