@@ -39,7 +39,6 @@ from .mesh import TriMesh, _is_mesh_size, unit_square_mesh
 from .solver import _MAX_STEPS, DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig
 from .spaces import (
     DofMap,
-    QuadratureRule,
     cell_points,
     rt0_at_cell_points,
     triangle_quadrature,
@@ -146,7 +145,6 @@ def error_norms(
     dofmap: DofMap,
     state: DiscreteState,
     exact: ManufacturedSolution,
-    rule: QuadratureRule | None = None,
 ) -> tuple[float, float, float]:
     """(e_p, e_s, e_u): L2 pressure error and L^beta gradient/velocity errors
     of state against the exact fields at time state.t.
@@ -155,7 +153,7 @@ def error_norms(
     not its cell average.
     """
     t = state.t
-    rule = rule or triangle_quadrature()
+    rule = triangle_quadrature()
     beta = degeneracy_exponents(exact.law).beta
     pts = cell_points(mesh, rule)
     x, y = pts[..., 0], pts[..., 1]
@@ -263,7 +261,8 @@ def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError("t_final must be nonnegative and finite")
-    if not dt_cap > 0.0:
+    # bool subclasses int, but True is no time, as in SolverConfig
+    if isinstance(dt_cap, bool) or not dt_cap > 0.0:
         raise ValueError("dt_cap must be positive, or inf for no cap")
     if isinstance(dt, str):
         if dt != "h2":
@@ -271,7 +270,7 @@ def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
         raw = min(dt_cap, h * h)
     else:
         raw = float(dt)
-        if not (math.isfinite(raw) and raw > 0.0):
+        if isinstance(dt, bool) or not (math.isfinite(raw) and raw > 0.0):
             raise ValueError("dt must be positive and finite")
     if t_final == 0.0:
         return raw
@@ -279,6 +278,23 @@ def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
     if not steps <= _MAX_STEPS:
         raise ValueError(f"final time / dt = {steps:.3g} steps, more than 2**53")
     return t_final / max(1, round(steps))
+
+
+def _check_study(mesh_sizes, dt, dt_cap, t_final, picard_tol, picard_max) -> list[int]:
+    """The mesh sizes as ints once all of convergence_study's arguments check
+    out, else a ValueError naming the one at fault; the CLI checks here too."""
+    if len(mesh_sizes) == 0:
+        raise ValueError("mesh_sizes must be nonempty")
+    if not all(_is_mesh_size(n) for n in mesh_sizes):
+        raise ValueError("mesh_sizes must be positive integers")
+    # numpy integers included; the rows report plain ints
+    sizes = [int(n) for n in mesh_sizes]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("mesh_sizes must be strictly increasing")
+    # the finest mesh, h = sqrt(2)/n, takes the most steps under either policy
+    dt_finest = _pick_dt(dt, dt_cap, math.sqrt(2.0) / sizes[-1], t_final)
+    SolverConfig(dt_finest, t_final, picard_tol, picard_max)
+    return sizes
 
 
 def convergence_study(
@@ -298,16 +314,7 @@ def convergence_study(
     snapped to divide t_final exactly.  Rates compare consecutive rows.
     Every argument is checked before the first mesh runs.
     """
-    if len(mesh_sizes) == 0:
-        raise ValueError("mesh_sizes must be nonempty")
-    if not all(_is_mesh_size(n) for n in mesh_sizes):
-        raise ValueError("mesh_sizes must be positive integers")
-    # numpy integers included; the rows report plain ints
-    mesh_sizes = [int(n) for n in mesh_sizes]
-    if any(b <= a for a, b in zip(mesh_sizes, mesh_sizes[1:])):
-        raise ValueError("mesh_sizes must be strictly increasing")
-    # the finest mesh, h = sqrt(2)/n, takes the most steps under either policy
-    _pick_dt(dt, dt_cap, math.sqrt(2.0) / mesh_sizes[-1], t_final)
+    mesh_sizes = _check_study(mesh_sizes, dt, dt_cap, t_final, picard_tol, picard_max)
     exact = ManufacturedSolution(law)
     rows: list[ReportRow] = []
     runs: list[MeshRun] = []
@@ -315,13 +322,7 @@ def convergence_study(
     for n in mesh_sizes:
         mesh = unit_square_mesh(n)
         dt_n = _pick_dt(dt, dt_cap, mesh.h, t_final)
-        config = SolverConfig(
-            dt=dt_n,
-            t_final=t_final,
-            picard_tol=picard_tol,
-            picard_max=picard_max,
-        )
-        solver = ExpandedMixedSolver(mesh, law, config)
+        solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt_n, t_final, picard_tol, picard_max))
         result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
         e_p, e_s, e_u = error_norms(mesh, solver.dofmap, result.state, exact)
         picard_avg = (

@@ -68,6 +68,7 @@ from .mesh import TriMesh
 from .spaces import (
     CellForms,
     DofMap,
+    _filled,
     assemble_forms,
     build_dofmap,
     cell_points,
@@ -305,7 +306,7 @@ class ExpandedMixedSolver:
         bind = getattr(f, "bind", None)
         values = bind(x, y) if bind is not None else lambda t: f(x, y, t)
         areas, weights = self.mesh.areas, self.quadrature.weights
-        return lambda t: areas * (np.asarray(values(t), dtype=float) @ weights)
+        return lambda t: areas * (_filled(values(t), x.shape) @ weights)
 
     def initial_state(self, p0: ScalarField, s0: VectorField, u0: VectorField) -> DiscreteState:
         """Project the initial data onto the discrete spaces: p and s are cell

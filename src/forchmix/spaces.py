@@ -140,19 +140,23 @@ def rt0_at_cell_points(
     return d[:, None, :] + gamma[:, None, None] * points
 
 
+def _filled(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A field's values as a C-ordered float array of shape; a constant fills it."""
+    return np.ascontiguousarray(np.broadcast_to(values, shape), dtype=float)
+
+
 def l2_project_scalar(mesh: TriMesh, f, rule: QuadratureRule | None = None) -> np.ndarray:
     """Cellwise L2 projection (cell averages) of a scalar field f(x, y)."""
     rule = rule or triangle_quadrature()
     pts = cell_points(mesh, rule)
-    values = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    return values @ rule.weights
+    return _filled(f(pts[..., 0], pts[..., 1]), pts.shape[:-1]) @ rule.weights
 
 
 def l2_project_vector(mesh: TriMesh, z, rule: QuadratureRule | None = None) -> np.ndarray:
     """Componentwise cell averages of a vector field z(x, y) -> (..., 2)."""
     rule = rule or triangle_quadrature()
     pts = cell_points(mesh, rule)
-    values = np.asarray(z(pts[..., 0], pts[..., 1]), dtype=float)
+    values = _filled(z(pts[..., 0], pts[..., 1]), pts.shape)
     return np.einsum("fqd,q->fd", values, rule.weights)
 
 
@@ -169,7 +173,7 @@ def hdiv_interpolate(mesh: TriMesh, dofmap: DofMap, v) -> np.ndarray:
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     pts = a[:, None, :] + frac[None, :, None] * (b - a)[:, None, :]
-    values = np.asarray(v(pts[..., 0], pts[..., 1]), dtype=float)
+    values = _filled(v(pts[..., 0], pts[..., 1]), pts.shape)
     normal_flux = np.einsum("eqd,ed->eq", values, mesh.edge_normals)
     fluxes = 0.5 * (normal_flux @ gw)
 

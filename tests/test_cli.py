@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from forchmix import law_from_string
+from forchmix import ExpandedMixedSolver, convergence_study, law_from_string
 from forchmix.cli import main, parse_args
 
 _FAST = ["--mesh", "2,4", "--T", "0.1", "--dt", "0.05"]
@@ -189,6 +189,56 @@ def test_malformed_flags_exit_with_usage_and_code_two(flag: str, data) -> None:
     assert "Traceback" not in text
     assert text.startswith("usage: forchmix ")
     assert text.splitlines()[-1].startswith("forchmix: error: ")
+
+
+class _MarchStarted(Exception):
+    """Raised in place of a march: every check of the study passed."""
+
+
+def _march_started(self, *args):
+    raise _MarchStarted
+
+
+# each mixes arbitrary values, nan and inf included, with ones in range
+_STUDY_VALUES = {
+    "mesh_sizes": st.lists(st.integers(-2, 24), min_size=1, max_size=4),
+    "dt": st.one_of(st.just("h2"), st.floats(), st.floats(1e-4, 1.0)),
+    "dt_cap": st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(1e-4, 1.0)),
+    "t_final": st.one_of(st.floats(), st.floats(0.0, 2.0)),
+    "picard_tol": st.one_of(st.floats(), st.floats(1e-12, 1e-2)),
+    "picard_max": st.integers(-3, 50),
+}
+_STUDY_FLAGS = {
+    "mesh_sizes": "--mesh", "dt": "--dt", "dt_cap": "--dt-cap",
+    "t_final": "--T", "picard_tol": "--tol", "picard_max": "--max-picard",
+}
+
+
+@given(study=st.fixed_dictionaries(_STUDY_VALUES))
+def test_flags_fail_exactly_when_the_study_rejects_them(study: dict) -> None:
+    """parse_args exits with code 2 exactly when convergence_study, given the
+    same values, raises ValueError before its first march."""
+    # str of a float is its repr, which float() reads back exactly
+    argv = [
+        f"{_STUDY_FLAGS[name]}={_joined(value) if name == 'mesh_sizes' else value}"
+        for name, value in study.items()
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExpandedMixedSolver, "run", _march_started)
+        try:
+            convergence_study(law_from_string("1:0,1:1"), **study)
+        except ValueError:
+            library_rejects = True
+        except _MarchStarted:
+            library_rejects = False
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parse_args(argv)
+                cli_rejects = False
+            except SystemExit as exc:
+                assert exc.code == 2
+                cli_rejects = True
+    assert cli_rejects == library_rejects
 
 
 def test_main_writes_markdown_to_stdout(capsys) -> None:

@@ -282,6 +282,8 @@ def test_convergence_study_checks_every_argument_before_a_run(
     cases += [("dt", bad) for bad in (inf, nan, 0.0, -0.1)]
     cases += [("dt_cap", bad) for bad in (nan, 0.0, -0.1, -inf)]
     cases += [("t_final", bad) for bad in (inf, nan, -1.0)]
+    # bool subclasses int, but True is no time step
+    cases += [("dt", True), ("dt_cap", True), ("picard_tol", nan), ("picard_max", 0)]
     for name, bad in cases:
         kwargs = {"mesh_sizes": [4, 8], name: bad}
         with pytest.raises(ValueError, match=f"^{name} must"):
@@ -342,14 +344,13 @@ def test_markdown_layout(law: ForchheimerLaw) -> None:
     assert lines[3].split("|")[3].strip() != "-"
 
 
-def test_oversampled_error_quadrature_is_consistent(capped_report, mms) -> None:
+def test_oversampled_error_quadrature_is_consistent(capped_report, mms, monkeypatch) -> None:
     """Degree-7 error quadrature changes the n=16 norms by under 1 percent."""
     assert capped_report.rows[2].n == 16
     run = capped_report.runs[2]
     base = error_norms(run.mesh, run.dofmap, run.result.state, mms)
-    fine = error_norms(
-        run.mesh, run.dofmap, run.result.state, mms, rule=triangle_rule(7)
-    )
+    monkeypatch.setattr("forchmix.mms.triangle_quadrature", lambda: triangle_rule(7))
+    fine = error_norms(run.mesh, run.dofmap, run.result.state, mms)
     for coarse_value, fine_value in zip(base, fine):
         assert abs(coarse_value - fine_value) / fine_value < 0.01
 

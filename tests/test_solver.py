@@ -243,6 +243,30 @@ def test_a_mesh_without_interior_edges_marches(law: ForchheimerLaw) -> None:
     assert np.all(result.state.p == 0.0) and np.all(result.state.s == 0.0)
 
 
+def test_constant_valued_fields_march_as_their_arrays(law: ForchheimerLaw) -> None:
+    """Forcing and initial data may return a constant, not an array over the
+    points: the march matches the one with array-valued equivalents bit for
+    bit."""
+    mesh = unit_square_mesh(4)
+    config = SolverConfig(dt=0.05, t_final=0.2)
+
+    def vector(x, y):
+        return np.full((*np.shape(x), 2), 0.0)
+
+    constant = ExpandedMixedSolver(mesh, law, config).run(
+        lambda x, y, t: 1.0, lambda x, y: 0.0, lambda x, y: np.zeros(2), lambda x, y: np.zeros(2)
+    )
+    arrays = ExpandedMixedSolver(mesh, law, config).run(
+        lambda x, y, t: np.full_like(x, 1.0), lambda x, y: np.full_like(x, 0.0), vector, vector
+    )
+    assert constant.picard_iters == arrays.picard_iters
+    assert constant.mass_residuals == arrays.mass_residuals
+    assert constant.f_integrals == arrays.f_integrals
+    for field in ("p", "s", "u"):
+        assert getattr(constant.state, field).tobytes() == getattr(arrays.state, field).tobytes()
+    assert np.all(constant.state.p > 0.0)
+
+
 def test_constant_conductivity_converges_in_one_iteration() -> None:
     """With a negligible nonlinear term K is constant and the step is linear."""
     law = ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(1.0, 1e-30))
