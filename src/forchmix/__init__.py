@@ -6,8 +6,8 @@ The package discretizes the degenerate parabolic system
 
 on the unit square with lowest-order Raviart-Thomas velocities and
 piecewise-constant pressure and gradient fields, advances it with backward
-Euler plus a Picard linearization of the conductivity K, and verifies the
-discretization against a manufactured solution.
+Euler plus Newton's method on the law written in the velocity, and verifies
+the discretization against a manufactured solution.
 """
 
 from .law import ForchheimerLaw, RootSolveError, law_from_string

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -254,23 +255,30 @@ def _md_rate(rate: float | None) -> str:
     return "-" if rate is None else f"{rate:.2f}"
 
 
+def _real(name: str, value) -> float:
+    """value as a float, else a ValueError naming it; True is no time, as in SolverConfig."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number")
+    return float(value)
+
+
 def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
     """Resolve the dt policy and snap so that t_final is a whole number of steps.
 
     A ValueError names the argument at fault.
     """
+    t_final = _real("t_final", t_final)
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError("t_final must be nonnegative and finite")
-    # bool subclasses int, but True is no time, as in SolverConfig
-    if isinstance(dt_cap, bool) or not dt_cap > 0.0:
+    if not _real("dt_cap", dt_cap) > 0.0:
         raise ValueError("dt_cap must be positive, or inf for no cap")
     if isinstance(dt, str):
         if dt != "h2":
             raise ValueError("dt must be a positive number or 'h2'")
         raw = min(dt_cap, h * h)
     else:
-        raw = float(dt)
-        if isinstance(dt, bool) or not (math.isfinite(raw) and raw > 0.0):
+        raw = _real("dt", dt)
+        if not (math.isfinite(raw) and raw > 0.0):
             raise ValueError("dt must be positive and finite")
     if t_final == 0.0:
         return raw

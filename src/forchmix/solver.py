@@ -6,47 +6,42 @@ Each time step solves the nonlinear system
               M_sz(K) s + M_uz u      = 0
     C_pv p + C_sv s                   = 0
 
-by a Picard iteration on the cellwise conductivity: with K frozen at a
-cellwise constant kbar the block system is linear and symmetric, and its
-solution s gives the update K(|s|).  A step starts from its history: the
-first kbar is K at the extrapolation in time of s through up to three
-levels, s^0 excluded (it projects exact data and is no discrete solution),
-and the first warm start of the velocity solve the extrapolation of u
-through up to four, which from the fifth step on is the cubic
-4 u^{n-1} - 6 u^{n-2} + 4 u^{n-3} - u^{n-4}; a cubic start of kbar would
-cost Picard iterates.  Later kbar are the depth-1 Anderson mix of the last
-two updates (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), or the plain
-update K(|s|) when the mix is not a positive, finite conductivity.  The
-stopping tests measure the residual of the kbar each solve used, so the
-limit is plain Picard's to within the tolerance.  The sign convention is
-u = -K(|s|) s throughout.
+with u = -K(|s|) s.  Both mass blocks are diagonal, so p = p_hat - dt M_p^{-1}
+B u with p_hat = p_prev + dt M_p^{-1} F, and as K(xi) xi is the root r of
+r g(r) = xi, the cell equation |T| K(|s_T|) s_T = -(M_uz u)_T says
+s_T = g(|v_T|) v_T with v_T = -(M_uz u)_T / |T|.  A step is thus a system in
+u alone, polynomial through g and free of root solves,
 
-Both mass blocks are diagonal, so s and p are eliminated exactly, leaving
-the symmetric positive definite velocity system
+    R(u) = -M_uz^T s(u) + dt B^T M_p^{-1} B u - B^T p_hat = -[M_uz; B]^T [s; p],
 
-    A(K) u = (M_uz^T M_sz(K)^{-1} M_uz + dt B^T M_p^{-1} B) u
-           = B^T (p_prev + dt M_p^{-1} F)
+which Newton's method solves.  Its Jacobian
 
-after which s = -M_sz^{-1} M_uz u and p = p_prev + dt M_p^{-1} (F - B u).
-K enters A only through one weight 1/(K_T |T|) per cell, so A keeps one
-sparsity pattern.  The velocity is numbered as the DofMap numbers it, in
-nested-dissection order, and a solver's first march lays A out once, as one
-symmetric CSC matrix whose values an iterate refills with one sparse product
-from the cell weights; SuperLU factors A as it is numbered.
+    J = M_uz^T diag(D_T / |T|) M_uz + dt B^T M_p^{-1} B,
+    D_T = g I + (slope - g) v^ v^^T,   slope = (r g)' at r = |v_T|,
 
-The first solve of a march factors A.  Every later solve runs conjugate
-gradients on the current A, preconditioned by that factorization and
-warm-started from the extrapolated or the previous iterate's velocity.  CG
-stops at a step-level accuracy, a residual _cg_rtol(picard_tol) times that
-of u^{n-1} in the current system, so a better warm start saves iterations
-rather than buying digits below rounding.  When CG misses that within
-_CG_MAXITER iterations, A is factored afresh at the current K and solved
-directly, and the new factorization serves the solves that follow.
+with v^ = v_T / |v_T|, satisfies A(1/g) <= J <= (1 + alpha_N) A(1/g), where
+A(K) = M_uz^T M_sz(K)^{-1} M_uz + dt B^T M_p^{-1} B is the matrix of the
+system with K frozen; the limit solves A(K(|s|)) u = B^T p_hat, the Picard
+fixed point.  A takes K as one weight 1/(K_T |T|) per cell, so a solver's
+first march lays it out once, as one symmetric CSC matrix in the DofMap's
+nested-dissection numbering that a factorization refills with one sparse
+product, and SuperLU factors it as it is numbered.
 
-run projects the exact initial data p0, s0 and u0 and drains steps, the
-one marching loop, which a caller iterates for every level.  A march binds
-its forcing to the fixed quadrature points once (see ForcingField), so a
-step evaluates only t -> f(x, y, t).
+CG solves each Newton step J delta = -R(u) from zero, applying J through
+[M_uz; B] and preconditioned by the factorization of A(1/g) at an earlier g,
+to an inexact-Newton stop (see _NEWTON_ETA; Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, ch. 6).  A march's first iterate
+factors A; when CG misses its stop within _CG_MAXITER iterations, A is
+factored afresh at the current g and CG runs again.  A step starts from the
+extrapolation of u through up to four levels, from the fifth step on the
+cubic 4 u^{n-1} - 6 u^{n-2} + 4 u^{n-3} - u^{n-4}, and stops once successive
+iterates of s differ by at most picard_tol (1 + max|s|), or once R(u) is
+below the CG stop's floor, where the next step would be zero.
+
+run projects the exact initial data p0, s0 and u0 and drains steps, the one
+marching loop, which a caller iterates for every level.  A march binds its
+forcing to the fixed quadrature points once (see ForcingField), so a step
+evaluates only t -> f(x, y, t).
 """
 
 from __future__ import annotations
@@ -63,7 +58,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .law import ForchheimerLaw, K_eval
+# K_eval is not called here but stays importable: perfbench/spans.py traces it
+from .law import ForchheimerLaw, K_eval, _g_and_slope  # noqa: F401
 from .mesh import TriMesh
 from .spaces import (
     CellForms,
@@ -78,19 +74,20 @@ from .spaces import (
     triangle_quadrature,
 )
 
-# CG stops once the residual is _cg_rtol(picard_tol) times the anchor's, the
-# previous level's velocity in the current system: a stop relative to the
-# right-hand side leaves rounding noise that breaks the decay to a steady
-# state, one relative to the warm start asks a good start for digits below
-# rounding.  The fraction follows the Picard tolerance, as Eisenstat-Walker
-# forcing terms do (SIAM J. Sci. Comput. 17, 1996): two digits below it,
-# within [_CG_RTOL_MIN, _CG_RTOL_MAX], so the default 1e-6 stops at 1e-8.
-_CG_RTOL_MIN = 1e-12
-_CG_RTOL_MAX = 1e-8
-# CG iterations before the factorization is renewed at the current K.  As K
-# drifts over a long run the stale LU needs more iterations; past about eight
-# a fresh factorization costs less than the iterations it saves.
+# A Newton step's CG stops at _NEWTON_ETA |R(u)|, or at the floor
+# _cg_rtol(picard_tol) |b_n - b_{n-1}|, b = B^T p_hat, when larger: up to
+# the previous step's residual, that is the residual of u^{n-1} in the
+# current system (on step 1, that of the start), so a good warm start saves
+# iterations rather than buying digits below rounding.  The floor follows the
+# Picard tolerance, as Eisenstat-Walker forcing terms do (SIAM J. Sci.
+# Comput. 17, 1996): two digits below it, within [1e-12, 1e-8].
+_NEWTON_ETA = 1e-2
+# CG iterations before the factorization is renewed at the current g; past
+# about eight a fresh factorization costs less than the iterations it saves.
 _CG_MAXITER = 8
+# On a fresh factorization the preconditioned spectrum is in [1, 1 + alpha_N]
+# and CG takes a few iterations; the bound only stops a broken solve.
+_CG_FRESH_MAXITER = 100
 # a double holds every whole step count only up to 2**53
 _MAX_STEPS = 2.0**53
 
@@ -105,25 +102,8 @@ ForcingField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def _cg_rtol(picard_tol: float) -> float:
-    """The CG stop, relative to the anchor's residual, for a Picard tolerance."""
-    return min(max(1e-2 * picard_tol, _CG_RTOL_MIN), _CG_RTOL_MAX)
-
-
-def _anderson_mix(
-    g: np.ndarray, f: np.ndarray, g_prev: np.ndarray, f_prev: np.ndarray
-) -> np.ndarray:
-    """Depth-1 Anderson mix of a fixed-point iteration x -> G(x).
-
-    g = G(x) and f = g - x are the current update and its residual, g_prev
-    and f_prev the previous pair.  Returns g - gamma (g - g_prev), with gamma
-    the least-squares fit of f by the residual difference f - f_prev, or g
-    itself when the two residuals coincide.
-    """
-    df = f - f_prev
-    dff = float(df @ df)
-    if dff == 0.0:
-        return g
-    return g - (float(df @ f) / dff) * (g - g_prev)
+    """The floor of the CG stop, relative to |b_n - b_{n-1}|, for a Picard tolerance."""
+    return min(max(1e-2 * picard_tol, 1e-12), 1e-8)
 
 
 def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
@@ -198,7 +178,8 @@ def _lay_out(
 
 
 class PicardError(RuntimeError):
-    """Nonlinear iteration failed to converge; carries the last residual."""
+    """A step's nonlinear iteration failed to converge; carries its last
+    residual, the increment of s, or |R(u)| when CG failed."""
 
     def __init__(self, message: str, residual: float) -> None:
         super().__init__(message)
@@ -209,10 +190,12 @@ class PicardError(RuntimeError):
 class SolverConfig:
     """Time stepping and nonlinear-solve parameters.
 
-    t_final must be an integer multiple of dt.  picard_tol is the relative
-    max-norm tolerance on successive s iterates; on exit the residual of the
-    frozen equation with the true nonlinearity is at most 10 * picard_tol
-    (relative), enforced by the iteration.
+    t_final must be an integer multiple of dt.  A step's Newton iteration
+    stops once successive iterates of s differ by at most
+    picard_tol (1 + max|s|), and picard_max caps its iterates; the names
+    stay those of the Picard iteration it replaced.  The levels of the
+    tested marches solve their frozen-K equations to within
+    10 * picard_tol (relative).
     """
 
     dt: float
@@ -281,10 +264,15 @@ class ExpandedMixedSolver:
         self.quadrature = triangle_quadrature()
         self.dofmap: DofMap = build_dofmap(mesh)
         self._local = assemble_forms(mesh, self.dofmap)
-        self._b_div, m_uz = self._local.blocks(self.dofmap.n_rt0)
-        # M_uz u and B_div u, for s and div u, from one product
-        self._forms = sp.vstack((m_uz, self._b_div), format="csr")
-        self._area2 = np.repeat(mesh.areas, 2)
+        # M_uz u, as x then y moments, and B_div u, for s and div u, from one product
+        self._forms = self._local.stacked(self.dofmap.n_rt0)
+        self._forms_t = self._forms.T
+        self._b_div_t = self._forms[2 * mesh.num_triangles :].T
+        self._terms = [(a, e) for a, e in zip(law.coefficients, law.exponents) if a > 0.0]
+        # the Jacobian's cell weights on those rows: the diagonal of D_T / |T|,
+        # then dt / |T|, and the off-diagonal entry of D_T / |T|
+        self._diagonal = np.concatenate((np.zeros(2 * mesh.num_triangles), config.dt / mesh.areas))
+        self._off_diagonal = np.zeros(mesh.num_triangles)
         self._cg_rtol = _cg_rtol(config.picard_tol)
         self._lu = None
 
@@ -319,121 +307,122 @@ class ExpandedMixedSolver:
         u = hdiv_interpolate(self.mesh, self.dofmap, u0)
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
 
-    def _solve_frozen(
-        self,
-        kbar: np.ndarray,
-        p_hat: np.ndarray,
-        rhs: np.ndarray,
-        u_guess: np.ndarray,
-        u_anchor: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve one frozen-conductivity block system; returns (p, s_flat, u).
-
-        p_hat is p_prev + dt M_p^{-1} F and rhs = B^T p_hat.  Refills
-        A(kbar); CG from u_guess stops at the config's CG tolerance times
-        u_anchor's residual, and a missing LU or a CG miss factors A here.
-        """
-        areas = self.mesh.areas
+    def _factor(self, weights: np.ndarray) -> None:
+        """Refill A at the cell weights 1/(K_T |T|) and factor it."""
         a, fill, fill_dt = self._system
-        np.add(fill @ (1.0 / (kbar * areas)), fill_dt, out=a.data)
-        u = None if self._lu is None else self._pcg(rhs, u_guess, u_anchor)
-        if u is None:
-            # A is symmetric positive definite, so diagonal pivots are stable, as
-            # in Cholesky, and keep the planned fill without a threshold search
-            self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-            u = self._lu.solve(rhs)
-        forms, split = self._forms @ u, len(self._area2)
-        s_flat = -forms[:split] / (np.repeat(kbar, 2) * self._area2)
-        p = p_hat - self.config.dt * forms[split:] / areas
-        # a non-finite u shows in s
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s_flat))):
-            raise RuntimeError("frozen-coefficient linear system produced non-finite values")
-        return p, s_flat, u
+        np.add(fill @ weights, fill_dt, out=a.data)
+        # A is symmetric positive definite, so diagonal pivots are stable, as
+        # in Cholesky, and keep the planned fill without a threshold search
+        self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
-    def _pcg(self, rhs: np.ndarray, u: np.ndarray, anchor: np.ndarray) -> np.ndarray | None:
-        """CG on the current A from u, preconditioned by the stored LU.
+    def _state(self, u: np.ndarray, p_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """s as its two component rows and p at the velocity u, and the law's
+        cell data (v, |v|, g, slope) from which the Jacobian is formed."""
+        areas = self.mesh.areas
+        forms, split = self._forms @ u, 2 * len(areas)
+        v = forms[:split].reshape(2, -1) / -areas
+        r = np.sqrt(v[0] ** 2 + v[1] ** 2)
+        g, slope = _g_and_slope(self._terms, r)
+        p = p_hat - self._diagonal[split:] * forms[split:]
+        return g * v, p, (v, r, g, slope)
 
-        Stops at _cg_rtol(picard_tol) times the residual of anchor, or of u
-        when anchor solves the system exactly, returning u itself when it
-        meets that target, and None when _CG_MAXITER iterations miss it.
+    def _refill_jacobian(self, v: np.ndarray, r: np.ndarray, g: np.ndarray, slope: np.ndarray) -> None:
+        """Set the cell blocks D_T / |T| = (g I + (slope - g) v^ v^^T) / |T|
+        with v^ = v / |v| (0 where v = 0): through |v|^2 the product would
+        underflow, and g' alone diverges at 0 for exponents below 1."""
+        areas = self.mesh.areas
+        unit = np.divide(v, r, out=np.zeros_like(v), where=r > 0.0)
+        bend = (slope - g) / areas
+        self._diagonal[: v.size].reshape(v.shape)[...] = g / areas + bend * unit**2
+        np.multiply(bend * unit[0], unit[1], out=self._off_diagonal)
+
+    def _jacobian_times(self, d: np.ndarray) -> np.ndarray:
+        """J d, through the forms, the cell weights and the forms again."""
+        x = self._forms @ d
+        y = self._diagonal * x
+        moments = x[: 2 * len(self._off_diagonal)].reshape(2, -1)
+        y[: moments.size].reshape(moments.shape)[...] += self._off_diagonal * moments[::-1]
+        return self._forms_t @ y
+
+    def _pcg(self, b: np.ndarray, target: float, maxiter: int) -> np.ndarray | None:
+        """CG for J delta = b from zero, preconditioned by the stored LU.
+
+        Returns delta once its residual is at most target, zero when b
+        already is, and None when maxiter iterations miss it.
         """
-        a = self._system[0]
-        r = rhs - a @ u
-        r_norm = np.linalg.norm(r)
-        tol = self._cg_rtol * (np.linalg.norm(rhs - a @ anchor) or r_norm)
-        if r_norm <= tol:
-            return u
-        u = u.copy()
+        delta = np.zeros_like(b)
+        if np.linalg.norm(b) <= target:
+            return delta
+        r = b.copy()
         z = self._lu.solve(r)
         d = z
         rz = r @ z
-        for _ in range(_CG_MAXITER):
-            ad = a @ d
-            alpha = rz / (d @ ad)
-            u += alpha * d
-            r -= alpha * ad
-            if np.linalg.norm(r) <= tol:
-                return u
+        for _ in range(maxiter):
+            jd = self._jacobian_times(d)
+            alpha = rz / (d @ jd)
+            delta += alpha * d
+            r -= alpha * jd
+            if np.linalg.norm(r) <= target:
+                return delta
             z = self._lu.solve(r)
             rz, rz_prev = r @ z, rz
             d = z + (rz / rz_prev) * d
         return None
 
     def _advance(
-        self,
-        levels: Sequence[DiscreteState],
-        t_n: float,
-        load: np.ndarray,
-    ) -> tuple[DiscreteState, int, float, float]:
-        """One backward Euler step with accelerated Picard resolution of K(|s|).
+        self, levels: Sequence[DiscreteState], t_n: float, load: np.ndarray, rhs_prev: np.ndarray | None
+    ) -> tuple[tuple[DiscreteState, int, float, float], np.ndarray]:
+        """One backward Euler step, resolved by Newton's method in u.
 
-        levels are the last one to four time levels, oldest first, and load
-        holds the cell integrals of f^n.  The first kbar is K at the
-        extrapolation of s through the last three levels, the first warm
-        start that of u through all.  Returns the new level, its Picard
-        count, its mass residual |int(p^n) - int(p^{n-1}) - dt int(f^n)|,
-        identically small, and int(f^n).
+        levels are the last one to four time levels, oldest first, load
+        holds the cell integrals of f^n and rhs_prev is the previous step's
+        b = B^T p_hat, None on the first.  The first iterate starts from the
+        extrapolation of u through all levels.  Returns the new level, its
+        Newton count, its mass residual |int(p^n) - int(p^{n-1}) - dt
+        int(f^n)|, identically small, and int(f^n); then the step's b.
         """
         cfg = self.config
         areas = self.mesh.areas
         state_prev = levels[-1]
-        s_iter = state_prev.s.reshape(-1)
         p_hat = state_prev.p + cfg.dt * load / areas
-        rhs = self._b_div.T @ p_hat
+        rhs = self._b_div_t @ p_hat
         u = _extrapolate([level.u for level in levels])
-        s_start = _extrapolate([level.s for level in levels[-3:]]).reshape(-1)
-        # |s| per cell, bit for bit np.linalg.norm(axis=1) at a fraction of its cost
-        kbar = K_eval(self.law, np.sqrt(s_start[0::2] ** 2 + s_start[1::2] ** 2))
-        k_prev = f_prev = None
-        residual = np.inf
+        s, p, cell = self._state(u, p_hat)
+        # -R(u), whose norm on step 1 stands in for |b_1 - b_0|
+        step = self._forms_t @ np.concatenate((s.ravel(), p))
+        residual = np.linalg.norm(step)
+        floor = self._cg_rtol * (residual if rhs_prev is None else np.linalg.norm(rhs - rhs_prev))
         for iteration in range(1, int(cfg.picard_max) + 1):
-            p, s_flat, u = self._solve_frozen(kbar, p_hat, rhs, u, state_prev.u)
-            s_new = s_flat.reshape(-1, 2)
-            k_new = K_eval(self.law, np.sqrt(s_flat[0::2] ** 2 + s_flat[1::2] ** 2))
-            update = k_new - kbar
-            residual = float(np.max(np.abs(update[:, None] * s_new), initial=0.0))
-            increment = float(np.max(np.abs(s_flat - s_iter), initial=0.0))
-            scale = 1.0 + float(np.max(np.abs(s_flat), initial=0.0))
-            s_iter = s_flat
-            if residual <= 0.1 * cfg.picard_tol * scale:
+            self._refill_jacobian(*cell)
+            target = max(_NEWTON_ETA * residual, floor)
+            delta = None if self._lu is None else self._pcg(step, target, _CG_MAXITER)
+            if delta is None:
+                self._factor(cell[2] / areas)
+                delta = self._pcg(step, target, _CG_FRESH_MAXITER)
+            if delta is None:
+                raise PicardError("CG missed the Newton stop on a fresh factorization", float(residual))
+            u = u + delta
+            s_new, p, cell = self._state(u, p_hat)
+            increment = float(np.max(np.abs(s_new - s), initial=0.0))
+            s = s_new
+            if not (math.isfinite(increment) and np.all(np.isfinite(p))):
+                raise RuntimeError("Newton iterate produced non-finite values")
+            if increment <= cfg.picard_tol * (1.0 + float(np.max(np.abs(s), initial=0.0))):
                 break
-            if increment <= cfg.picard_tol * scale and residual <= 10.0 * cfg.picard_tol * scale:
+            step = self._forms_t @ np.concatenate((s.ravel(), p))
+            residual = np.linalg.norm(step)
+            # the next iterate's CG would stop at once, with a zero step
+            if residual <= floor:
                 break
-            kbar = k_new
-            if f_prev is not None:
-                mixed = _anderson_mix(k_new, update, k_prev, f_prev)
-                if np.all(np.isfinite(mixed) & (mixed > 0.0)):
-                    kbar = mixed
-            k_prev, f_prev = k_new, update
         else:
             raise PicardError(
-                f"Picard iteration did not converge in {cfg.picard_max} iterations "
-                f"(last residual {residual:.3e})",
-                residual=residual,
+                f"Newton iteration did not converge in {cfg.picard_max} iterations "
+                f"(last residual {increment:.3e}, the increment of s)",
+                residual=increment,
             )
         mass_residual = float(abs(areas @ p - areas @ state_prev.p - cfg.dt * load.sum()))
-        state = DiscreteState(p=p, s=s_new, u=u, t=t_n)
-        return state, iteration, mass_residual, float(load.sum())
+        state = DiscreteState(p=p, s=s.T.copy(), u=u, t=t_n)
+        return (state, iteration, mass_residual, float(load.sum())), rhs
 
     def steps(
         self, state0: DiscreteState, f: ForcingField | None
@@ -453,8 +442,9 @@ class ExpandedMixedSolver:
         # the levels a step extrapolates from; s^0 projects exact data and
         # is no discrete solution, so it is used only by the first step
         history: deque[DiscreteState] = deque(maxlen=4)
+        rhs = None
         for t_n in times[1:].tolist():
-            step = self._advance(list(history) or [state0], t_n, loads(t_n))
+            step, rhs = self._advance(list(history) or [state0], t_n, loads(t_n), rhs)
             history.append(step[0])
             yield step
 

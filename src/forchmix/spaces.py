@@ -205,25 +205,16 @@ class CellForms:
     div: np.ndarray
     moments: np.ndarray
 
-    def blocks(self, n_rt0: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """B_div (F x n_rt0) and M_uz (2F x n_rt0), row by row from the cells."""
+    def stacked(self, n_rt0: int) -> sp.csr_matrix:
+        """[M_x; M_y; B_div] (3F x n_rt0): row T of each block holds cell T's
+        interior edges, with their x moments, y moments and divergences."""
         num_tris = self.dofs.shape[1]
-        # row T of B_div and rows 2T, 2T + 1 of M_uz hold cell T's interior edges
         count, inside = np.sum(self.dofs >= 0, axis=0), self.dofs.T >= 0
-        b_div = sp.csr_matrix(
-            (self.div.T[inside], self.dofs.T[inside], np.append(0, np.cumsum(count))),
-            shape=(num_tris, n_rt0),
+        values = np.concatenate((self.moments[0].T[inside], self.moments[1].T[inside], self.div.T[inside]))
+        return sp.csr_matrix(
+            (values, np.tile(self.dofs.T[inside], 3), np.append(0, np.cumsum(np.tile(count, 3)))),
+            shape=(3 * num_tris, n_rt0),
         )
-        both = np.repeat(inside[:, None], 2, axis=1)
-        m_uz = sp.csr_matrix(
-            (
-                self.moments.transpose(2, 0, 1)[both],
-                np.broadcast_to(self.dofs.T[:, None], both.shape)[both],
-                np.append(0, np.cumsum(np.repeat(count, 2))),
-            ),
-            shape=(2 * num_tris, n_rt0),
-        )
-        return b_div, m_uz
 
 
 def assemble_forms(mesh: TriMesh, dofmap: DofMap) -> CellForms:

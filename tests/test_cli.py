@@ -262,15 +262,15 @@ def test_main_writes_csv_file_deterministically(tmp_path: Path, capsys) -> None:
     assert len(text_a.decode().splitlines()) == 3
 
 
-# The CSV of `--mesh 4,8,16 --T 0.125` as the solver printed it before its
-# velocity numbering moved into the DofMap: n, (err_p, rate_p, err_s, rate_s,
+# The CSV of `--mesh 4,8,16 --T 0.125` as the solver printed it once Newton
+# in the velocity resolved each step: n, (err_p, rate_p, err_s, rate_s,
 # err_u, rate_u) and picard_avg, with None for the first row's missing rates.
 _STUDY_ROWS = [
-    (4, (9.886185919518e-03, None, 3.476922400782e-02, None, 2.562772369284e-02, None), 3.25),
-    (8, (5.260127645558e-03, 0.9103, 1.749041742936e-02, 0.9912, 1.275267447355e-02, 1.0069),
-     2.9167),
-    (16, (2.881091370128e-03, 0.8685, 8.811815227338e-03, 0.9891, 6.420614433701e-03, 0.9900),
-     2.375),
+    (4, (9.886185926105e-03, None, 3.476920381244e-02, None, 2.562772443188e-02, None), 2.4167),
+    (8, (5.260127316833e-03, 0.9103, 1.749040569282e-02, 0.9912, 1.275267541534e-02, 1.0069),
+     2.0),
+    (16, (2.881091115388e-03, 0.8685, 8.811812175185e-03, 0.9891, 6.420614620771e-03, 0.9900),
+     1.5625),
 ]
 
 

@@ -56,7 +56,9 @@ def test_benchmark_tracer_finds_every_layer() -> None:
 def test_every_traced_hook_is_called(tmp_path: Path) -> None:
     """A tiny API march and a tiny CLI study call every attribute the tracer
     wraps except mms.K_eval and mms.K_prime, which the forcing takes from one
-    root solve instead; a hook that nothing calls times no work."""
+    root solve instead, and solver.K_eval, since a Newton iterate evaluates
+    the law's polynomial g with no root solve; a hook that nothing calls
+    times no work."""
     spans = _load_spans()
     calls: dict[tuple[str, str], int] = {}
 
@@ -86,4 +88,8 @@ def test_every_traced_hook_is_called(tmp_path: Path) -> None:
         argv = ["--mesh", "2,4", "--T", "0.02", "--format", "csv", "--out", str(tmp_path / "study.csv")]
         assert cli.main(argv) == 0
     never = {key for key, count in calls.items() if count == 0}
-    assert never == {("forchmix.mms", "K_eval"), ("forchmix.mms", "K_prime")}
+    assert never == {
+        ("forchmix.mms", "K_eval"),
+        ("forchmix.mms", "K_prime"),
+        ("forchmix.solver", "K_eval"),
+    }

@@ -22,10 +22,11 @@ from forchmix import (
     ManufacturedSolution,
     PicardError,
     SolverConfig,
+    error_norms,
     law_from_string,
     unit_square_mesh,
 )
-from forchmix.law import K_eval, K_flux
+from forchmix.law import K_eval, K_flux, g_eval
 from forchmix.mesh import build_mesh
 from forchmix.spaces import (
     assemble_forms,
@@ -43,68 +44,71 @@ def _zero_vector(x, y):
     return np.stack(np.broadcast_arrays(0.0 * x, 0.0 * y), axis=-1)
 
 
-def _monolithic_solve(solver: ExpandedMixedSolver):
-    """Oracle for the solver's elimination of s and p: each frozen-conductivity
-    system is solved as the full (p, s, u) saddle system, factored afresh,
-    from p_hat = p_prev + dt M_p^{-1} F."""
+def _blocks(solver: ExpandedMixedSolver) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """B_div and M_uz of the solver's mesh, from the stacked cell forms; row T
+    of M_uz holds cell T's x moments and row F + T its y moments."""
+    forms = assemble_forms(solver.mesh, solver.dofmap).stacked(solver.dofmap.n_rt0)
+    split = 2 * solver.mesh.num_triangles
+    return forms[split:], forms[:split]
+
+
+def _frozen_solve(solver: ExpandedMixedSolver, monolithic: bool = False):
+    """Oracle for a step's frozen-conductivity system, the linear system of
+    the scheme with K frozen at a cellwise constant kbar.  Returns
+    solve(kbar, p_hat) -> (p, s_flat, u), with p_hat = p_prev + dt M_p^{-1} F
+    and s_flat ordered (cell, component).  It factors afresh and solves
+    directly, either the condensed velocity system
+    A(kbar) u = B^T p_hat, assembled from the global forms, or, monolithic,
+    the full (p, s, u) saddle system, which checks the elimination of s and p."""
     mesh, dofmap, dt = solver.mesh, solver.dofmap, solver.config.dt
-    b_div, m_uz = assemble_forms(mesh, dofmap).blocks(dofmap.n_rt0)
+    b_div, m_uz = _blocks(solver)
 
-    def solve_frozen(kbar, p_hat, rhs, u_guess, u_anchor):
-        system = sp.bmat(
-            [
-                [sp.diags(mesh.areas / dt), None, b_div],
-                [None, sp.diags(np.repeat(kbar * mesh.areas, 2)), m_uz],
-                [b_div.T, m_uz.T, None],
-            ],
-            format="csc",
-        )
-        n_p, n_s = mesh.num_triangles, 2 * mesh.num_triangles
-        rhs = np.concatenate([mesh.areas * p_hat / dt, np.zeros(n_s + dofmap.n_rt0)])
-        solution = splu(system).solve(rhs)
-        return solution[:n_p], solution[n_p : n_p + n_s], solution[n_p + n_s :]
+    def solve(kbar, p_hat):
+        mass = np.tile(kbar * mesh.areas, 2)
+        if monolithic:
+            system = sp.bmat(
+                [
+                    [sp.diags(mesh.areas / dt), None, b_div],
+                    [None, sp.diags(mass), m_uz],
+                    [b_div.T, m_uz.T, None],
+                ],
+                format="csc",
+            )
+            n_p, n_s = mesh.num_triangles, 2 * mesh.num_triangles
+            rhs = np.concatenate([mesh.areas * p_hat / dt, np.zeros(n_s + dofmap.n_rt0)])
+            solution = splu(system).solve(rhs)
+            s = solution[n_p : n_p + n_s]
+            return solution[:n_p], s.reshape(2, -1).T.ravel(), solution[n_p + n_s :]
+        u = splu(_condensed_matrix(solver, kbar)).solve(b_div.T @ p_hat)
+        s = -(m_uz @ u) / mass
+        return p_hat - dt * (b_div @ u) / mesh.areas, s.reshape(2, -1).T.ravel(), u
 
-    return solve_frozen
-
-
-def _oracle_run(mesh, law: ForchheimerLaw, config: SolverConfig):
-    """The solver's own Picard loop over monolithic frozen solves."""
-    exact = ManufacturedSolution(law)
-    solver = ExpandedMixedSolver(mesh, law, config)
-    solver._solve_frozen = _monolithic_solve(solver)
-    return solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+    return solve
 
 
-def _assert_runs_match(result, oracle) -> None:
-    assert result.picard_iters == oracle.picard_iters
-    for field in ("p", "s", "u"):
-        got, want = getattr(result.state, field), getattr(oracle.state, field)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+def _p_hat(solver: ExpandedMixedSolver, p_prev: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """p_hat = p_prev + dt M_p^{-1} F, the data of a step's system."""
+    return p_prev + solver.config.dt * load / solver.mesh.areas
 
 
-def _frozen_inputs(solver: ExpandedMixedSolver, p_prev: np.ndarray, load: np.ndarray):
-    """p_hat = p_prev + dt M_p^{-1} F and rhs = B^T p_hat, the inputs of the
-    solver's frozen solves."""
-    p_hat = p_prev + solver.config.dt * load / solver.mesh.areas
-    return p_hat, solver._b_div.T @ p_hat
-
-
-def _plain_picard_run(solver: ExpandedMixedSolver, exact, max_iter: int = 200):
-    """Oracle for the accelerated loop: plain Picard over the solver's own
-    frozen solves, each step started at K(|s^{n-1}|), with run's stopping
-    tests.  Returns the final state."""
+def _plain_picard_run(solver: ExpandedMixedSolver, exact, monolithic: bool = False, max_iter: int = 200):
+    """Oracle for the Newton march: plain Picard over frozen solves, each step
+    started at K(|s^{n-1}|), stopped when the residual |(K(|s|) - kbar) s| is
+    at most 0.1 * tol * (1 + max|s|), or the increment of s at most
+    tol * (1 + max|s|) with that residual within 10 times as much.  Returns
+    the final state."""
     cfg = solver.config
     tol = cfg.picard_tol
+    solve = _frozen_solve(solver, monolithic)
     state = solver.initial_state(exact.p0, exact.s0, exact.u0)
-    solver._lu = None
     loads = solver._loads(exact.f)
     for n in range(1, cfg.num_steps + 1):
         t_n = n * cfg.dt
-        p_hat, rhs = _frozen_inputs(solver, state.p, loads(t_n))
+        p_hat = _p_hat(solver, state.p, loads(t_n))
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
-        u, s_iter = state.u, state.s.reshape(-1)
+        s_iter = state.s.reshape(-1)
         for _ in range(max_iter):
-            p, s_flat, u = solver._solve_frozen(kbar, p_hat, rhs, u, u)
+            p, s_flat, u = solve(kbar, p_hat)
             s_new = s_flat.reshape(-1, 2)
             k_new = K_eval(solver.law, np.linalg.norm(s_new, axis=1))
             residual = np.max(np.abs((k_new - kbar)[:, None] * s_new))
@@ -132,9 +136,10 @@ def _n16_setup(law_text: str, picard_tol: float = 1e-6):
 
 
 @functools.cache
-def _tight_oracle(law_text: str) -> DiscreteState:
+def _tight_oracle(law_text: str, monolithic: bool = False) -> DiscreteState:
+    """Plain Picard's final state on the n=16 setup at picard_tol = 1e-12."""
     mesh, law, config, exact = _n16_setup(law_text, picard_tol=1e-12)
-    return _plain_picard_run(ExpandedMixedSolver(mesh, law, config), exact)
+    return _plain_picard_run(ExpandedMixedSolver(mesh, law, config), exact, monolithic)
 
 
 def _assert_states_close(got: DiscreteState, want: DiscreteState, rel: float) -> None:
@@ -213,9 +218,9 @@ def test_config_validation() -> None:
 
 
 def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw, monkeypatch) -> None:
-    """Every step of a zero run solves its system exactly from u^{n-1}: CG
-    returns the warm start at once, and the one factorization is the run's
-    first solve."""
+    """Every step of a zero run solves its system exactly from u^{n-1}: its
+    residual is zero, CG returns a zero Newton step at once, and the one
+    factorization is the run's first iterate's."""
     factorizations = _count_calls(monkeypatch, "splu")
     mesh = unit_square_mesh(3)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
@@ -268,7 +273,9 @@ def test_constant_valued_fields_march_as_their_arrays(law: ForchheimerLaw) -> No
 
 
 def test_constant_conductivity_converges_in_one_iteration() -> None:
-    """With a negligible nonlinear term K is constant and the step is linear."""
+    """With a negligible nonlinear term K is constant and the step is linear:
+    the first Newton step, preconditioned by a factorization of its own
+    Jacobian, leaves a residual below the CG floor, which ends the step."""
     law = ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(1.0, 1e-30))
     mms = ManufacturedSolution(law)
     mesh = unit_square_mesh(4)
@@ -315,89 +322,140 @@ def test_mass_balance_every_step(law: ForchheimerLaw, mms) -> None:
         assert residual <= 1e-10 * (1.0 + abs(f_int))
 
 
-def test_monolithic_matches_condensed(law: ForchheimerLaw, monkeypatch) -> None:
-    """Whole runs on n=16: the condensed solve, which factors once and then
-    runs CG preconditioned by that LU, reproduces the monolithic oracle."""
-    mesh = unit_square_mesh(16)
-    config = SolverConfig(dt=mesh.h**2, t_final=12 * mesh.h**2)
+def test_monolithic_matches_condensed(monkeypatch) -> None:
+    """Whole runs on n=16 at picard_tol = 1e-12: the Newton march, which
+    factors once and then runs CG preconditioned by that LU, reproduces plain
+    Picard over the monolithic frozen systems to 1e-9 (relative), which
+    checks the elimination of s and p as well as the limit."""
     factorizations = _count_calls(monkeypatch, "splu")
-    for each_law in (law, law_from_string("1:0,1e4:2")):
-        exact = ManufacturedSolution(each_law)
+    for law_text in ("1:0,1:1", "1:0,1e4:2"):
+        mesh, each_law, config, exact = _n16_setup(law_text, picard_tol=1e-12)
         factorizations[0] = 0
-        solver = ExpandedMixedSolver(mesh, each_law, config)
-        result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
-        # nine solves in ten or more went through the reused factorization
+        result = ExpandedMixedSolver(mesh, each_law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
+        # nine Newton iterates in ten or more went through the reused factorization
         assert 10 * factorizations[0] < sum(result.picard_iters)
-        _assert_runs_match(result, _oracle_run(mesh, each_law, config))
+        _assert_states_close(result.state, _tight_oracle(law_text, monolithic=True), 1e-9)
+
+
+def _spy_cg(monkeypatch, solver: ExpandedMixedSolver) -> list[tuple[float, float, float, float]]:
+    """Record each CG solve of the solver as (floor, |b|, target, residual):
+    the floor of its step's stop, _cg_rtol(picard_tol) |b_n - b_{n-1}| with
+    b = B^T p_hat, or |R(u^0)| in place of |b_1 - b_0| on a march's first
+    step; the norm of the right-hand side b = -R(u); the target CG was
+    given; and the true residual |b - J delta| of what it returned, nan on a
+    miss."""
+    calls, floor = [], [None]
+    advance, pcg = solver._advance, solver._pcg
+
+    def spy_advance(levels, t_n, load, rhs_prev):
+        floor[0] = None
+        if rhs_prev is not None:
+            rhs = solver._b_div_t @ _p_hat(solver, levels[-1].p, load)
+            floor[0] = solver._cg_rtol * np.linalg.norm(rhs - rhs_prev)
+        return advance(levels, t_n, load, rhs_prev)
+
+    def spy_pcg(b, target, maxiter):
+        if floor[0] is None:
+            floor[0] = solver._cg_rtol * np.linalg.norm(b)
+        delta = pcg(b, target, maxiter)
+        residual = np.nan if delta is None else np.linalg.norm(b - solver._jacobian_times(delta))
+        calls.append((floor[0], np.linalg.norm(b), target, residual))
+        return delta
+
+    monkeypatch.setattr(solver, "_advance", spy_advance)
+    monkeypatch.setattr(solver, "_pcg", spy_pcg)
+    return calls
 
 
 def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, monkeypatch) -> None:
-    """When the anchor solves the system exactly, CG stops at its tolerance
-    times the warm start's residual instead of asking for a zero residual,
-    and the stored factorization serves the solve."""
+    """A step whose b = B^T p_hat equals the previous step's, as at a steady
+    state, has a zero floor: its CG stops at _NEWTON_ETA times the residual
+    R(u) instead of asking for a zero one, and the stored factorization
+    serves every solve.  The step still converges to its Picard fixed point."""
     factorizations = _count_calls(monkeypatch, "splu")
     mesh = unit_square_mesh(4)
-    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
-    kbar, zero_p = np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)
-    zero_u = np.zeros(solver.dofmap.n_rt0)
-    solver._solve_frozen(kbar, zero_p, zero_u, zero_u, zero_u)
-    guess = np.random.default_rng(0).standard_normal(len(zero_u))
-    _, _, u = solver._solve_frozen(kbar, zero_p, zero_u, guess, zero_u)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
+    rng = np.random.default_rng(0)
+    p_prev, load = rng.standard_normal(mesh.num_triangles), np.zeros(mesh.num_triangles)
+    u = rng.standard_normal(solver.dofmap.n_rt0)
+    level = DiscreteState(p=p_prev, s=np.zeros((mesh.num_triangles, 2)), u=u, t=0.0)
+    solver._factor(1.0 / mesh.areas)
+    calls = _spy_cg(monkeypatch, solver)
+    (state, iterations, _, _), rhs = solver._advance([level], 0.1, load, solver._b_div_t @ p_prev)
+    assert np.array_equal(rhs, solver._b_div_t @ p_prev)
     assert factorizations[0] == 1
-    assert np.max(np.abs(u)) <= 1e-10 * np.max(np.abs(guess))
+    assert iterations == len(calls) >= 2
+    for floor, b_norm, target, residual in calls:
+        assert floor == 0.0
+        assert target == solver_module._NEWTON_ETA * b_norm > 0.0
+        assert residual <= 1.001 * target
+    _assert_picard_fixed_points(solver, None, [level, state])
 
 
-def test_cg_stop_follows_the_picard_tolerance(law: ForchheimerLaw, mms) -> None:
-    """CG stops at 1e-2 * picard_tol times the anchor's residual, kept within
-    [1e-12, 1e-8]: a run at picard_tol = 1e-10 still stops every CG solve at
-    1e-12, and one at the default 1e-6 at 1e-8, looser than 1e-12."""
+def test_cg_stop_follows_the_picard_tolerance(law: ForchheimerLaw, mms, monkeypatch) -> None:
+    """CG stops at max(_NEWTON_ETA |R(u)|, floor), with the floor
+    _cg_rtol(picard_tol) |b_n - b_{n-1}| and _cg_rtol(tol) = 1e-2 * tol kept
+    within [1e-12, 1e-8]: every solve of a run at picard_tol = 1e-10 and at
+    the default 1e-6 returns a step whose true residual meets that target,
+    and in both runs the floor sets some targets."""
     rule = [solver_module._cg_rtol(tol) for tol in (1e-3, 1e-6, 1e-9, 1e-10, 1e-14)]
     assert rule == pytest.approx([1e-8, 1e-8, 1e-11, 1e-12, 1e-12], rel=1e-12)
-    largest = []
     for tol in (1e-10, 1e-6):
         config = SolverConfig(dt=1e-2, t_final=0.1, picard_tol=tol)
         solver = ExpandedMixedSolver(unit_square_mesh(8), law, config)
-        # the residual of every velocity CG returns over its anchor's
-        ratios = []
-        pcg = solver._pcg
-
-        def spy(rhs, u, anchor):
-            out = pcg(rhs, u, anchor)
-            a = solver._system[0]
-            anchor_norm = np.linalg.norm(rhs - a @ anchor)
-            if out is not None and anchor_norm > 0.0:
-                ratios.append(np.linalg.norm(rhs - a @ out) / anchor_norm)
-            return out
-
-        solver._pcg = spy
+        calls = _spy_cg(monkeypatch, solver)
         solver.run(mms.f, mms.p0, mms.s0, mms.u0)
-        assert len(ratios) >= 20
-        largest.append(max(ratios))
-    assert largest[0] <= 1e-12 < largest[1] <= 1e-8
-
-
-def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeypatch) -> None:
-    """When CG misses its tolerance within the cap, A is factored again at the
-    current K and solved directly; the iterates still match the oracle."""
-    monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
-    factorizations = _count_calls(monkeypatch, "splu")
-    numberings = _count_calls(monkeypatch, "build_dofmap")
-    mesh = unit_square_mesh(8)
-    config = SolverConfig(dt=1e-2, t_final=5e-2)
-    exact = ManufacturedSolution(law)
-    result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
-    assert factorizations[0] > 1
-    # every refactorization reuses the numbering built for the first
-    assert numberings[0] == 1
-    _assert_runs_match(result, _oracle_run(mesh, law, config))
+        assert len(calls) >= 10
+        for floor, b_norm, target, residual in calls:
+            assert target == max(solver_module._NEWTON_ETA * b_norm, floor)
+            assert np.isnan(residual) or residual <= 1.001 * target
+        assert any(target == floor for floor, _, target, _ in calls)
 
 
 def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_matrix:
     """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, assembled
     from the global forms."""
     mesh = solver.mesh
-    b_div, m_uz = assemble_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
-    mass = sp.diags(1.0 / np.repeat(kbar * mesh.areas, 2))
+    b_div, m_uz = _blocks(solver)
+    mass = sp.diags(1.0 / np.tile(kbar * mesh.areas, 2))
+    div = sp.diags(solver.config.dt / mesh.areas)
+    return (m_uz.T @ mass @ m_uz + b_div.T @ div @ b_div).tocsc()
+
+
+def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeypatch) -> None:
+    """When CG misses its target within the cap, A is factored again at the
+    current g and CG runs again; the final fields still match plain Picard
+    at picard_tol = 1e-12 to 1e-9 (relative)."""
+    monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
+    factorizations = _count_calls(monkeypatch, "splu")
+    numberings = _count_calls(monkeypatch, "build_dofmap")
+    mesh = unit_square_mesh(8)
+    config = SolverConfig(dt=1e-2, t_final=5e-2, picard_tol=1e-12)
+    exact = ManufacturedSolution(law)
+    solver = ExpandedMixedSolver(mesh, law, config)
+    result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+    assert factorizations[0] > 1
+    # every refactorization reuses the numbering built for the first
+    assert numberings[0] == 1
+    _assert_states_close(result.state, _plain_picard_run(solver, exact), 1e-9)
+
+
+def test_a_cg_miss_on_a_fresh_factorization_raises(law: ForchheimerLaw, mms, monkeypatch) -> None:
+    """A CG that misses its target even on a fresh factorization ends the
+    step with PicardError, carrying the residual, instead of iterating on."""
+    monkeypatch.setattr(solver_module, "_CG_FRESH_MAXITER", 0)
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=1e-2, t_final=1e-2))
+    with pytest.raises(PicardError, match="fresh factorization") as excinfo:
+        solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+    assert excinfo.value.residual > 0.0
+
+
+def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_matrix:
+    """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, assembled
+    from the global forms."""
+    mesh = solver.mesh
+    b_div, m_uz = _blocks(solver)
+    mass = sp.diags(1.0 / np.tile(kbar * mesh.areas, 2))
     div = sp.diags(solver.config.dt / mesh.areas)
     return (m_uz.T @ mass @ m_uz + b_div.T @ div @ b_div).tocsc()
 
@@ -412,13 +470,10 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
     kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
     kbar[:2] = 1e-4, 1.0
-    p_prev = rng.standard_normal(mesh.num_triangles)
-    zero_u = np.zeros(solver.dofmap.n_rt0)
-    p_hat, rhs = _frozen_inputs(solver, p_prev, 0.0 * p_prev)
-    _, _, u = solver._solve_frozen(kbar, p_hat, rhs, zero_u, zero_u)
-    b_div, _ = assemble_forms(mesh, solver.dofmap).blocks(len(zero_u))
-    want = spsolve(_condensed_matrix(solver, kbar), b_div.T @ p_prev)
-    assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+    rhs = solver._b_div_t @ rng.standard_normal(mesh.num_triangles)
+    solver._factor(1.0 / (kbar * mesh.areas))
+    want = spsolve(_condensed_matrix(solver, kbar), rhs)
+    assert np.max(np.abs(solver._lu.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("spec", _ORDERING_MESHES)
@@ -437,13 +492,12 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.2))
     system = solver._system
     a = system[0]
-    zero_p, zero_u = np.zeros(mesh.num_triangles), np.zeros(solver.dofmap.n_rt0)
     for _ in range(2):
         kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
-        solver._solve_frozen(kbar, zero_p, zero_u, zero_u, zero_u)
+        solver._factor(1.0 / (kbar * mesh.areas))
         want = _condensed_matrix(solver, kbar).toarray()
         assert np.max(np.abs(a.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
-    b_div, _ = assemble_forms(mesh, solver.dofmap).blocks(len(zero_u))
+    b_div, _ = _blocks(solver)
     coupled = (abs(b_div).T @ abs(b_div)).tocsc()
     coupled.sort_indices()
     assert a.has_canonical_format
@@ -454,6 +508,52 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
         solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     assert solver._system is system
     assert numberings[0] == layouts[0] == 1
+
+
+def _residual(solver: ExpandedMixedSolver, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+    """R(u) = -M_uz^T s(u) + dt B^T M_p^{-1} B u - B^T p_hat, from the global
+    forms, with s(u)_T = g(|v_T|) v_T and v_T = -(M_uz u)_T / |T|."""
+    mesh = solver.mesh
+    b_div, m_uz = _blocks(solver)
+    v = -(m_uz @ u).reshape(2, -1) / mesh.areas
+    s = g_eval(solver.law, np.linalg.norm(v, axis=0)) * v
+    div = solver.config.dt * (b_div @ u) / mesh.areas
+    return -m_uz.T @ s.ravel() + b_div.T @ div - b_div.T @ p_hat
+
+
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2", "1:0,1e12:0.5,1:3"])
+def test_jacobian_is_the_derivative_of_the_residual(law_text: str) -> None:
+    """The Jacobian the Newton step applies is symmetric and is the
+    derivative of R: J d matches central differences of R along d to 1e-6
+    (relative), here with cells where v = 0, at which g' diverges for the
+    exponent 0.5 while D_T = g I stays finite."""
+    law = law_from_string(law_text)
+    mesh = unit_square_mesh(4)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
+    rng = np.random.default_rng(2)
+    n = solver.dofmap.n_rt0
+    u = 1e-2 * rng.standard_normal(n)
+    # zero velocity on the first triangle's edges
+    _, m_uz = _blocks(solver)
+    edges = m_uz[0].indices
+    u[edges] = 0.0
+    p_hat = rng.standard_normal(mesh.num_triangles)
+    assert np.count_nonzero(np.abs(m_uz @ u) == 0.0) >= 2
+    s, p, cell = solver._state(u, p_hat)
+    solver._refill_jacobian(*cell)
+    assert np.all(np.isfinite(solver._diagonal)) and np.all(np.isfinite(solver._off_diagonal))
+    # the state is the residual's: -R(u) = [M_uz; B]^T [s; p]
+    want = -_residual(solver, u, p_hat)
+    assert np.allclose(solver._forms_t @ np.concatenate((s.ravel(), p)), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+    jacobian = np.column_stack([solver._jacobian_times(e) for e in np.eye(n)])
+    assert np.allclose(jacobian, jacobian.T, rtol=0.0, atol=1e-12 * np.max(np.abs(jacobian)))
+    assert np.all(np.linalg.eigvalsh(jacobian) > 0.0)
+    for d in rng.standard_normal((3, n)):
+        d[edges] = 0.0
+        h = 1e-6 * np.max(np.abs(u)) / np.max(np.abs(d))
+        difference = (_residual(solver, u + h * d, p_hat) - _residual(solver, u - h * d, p_hat)) / (2.0 * h)
+        jd = jacobian @ d
+        assert np.max(np.abs(jd - difference)) <= 1e-6 * np.max(np.abs(jd))
 
 
 def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
@@ -472,14 +572,14 @@ def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch)
 
 def test_march_factors_solves_and_evaluates_through_the_module(law, mms, monkeypatch) -> None:
     """A solver assembles its forms through forchmix.solver.assemble_forms,
-    and a march calls splu and K_eval through the attributes of
-    forchmix.solver and does every triangular solve through the .solve of
-    what splu returned, the points where the benchmark's tracer wraps the
-    assembly, factorization, triangular solve and conductivity layers: with
-    counting wrappers there, the march is bit for bit the unwrapped one,
-    assembles once per solver over two runs, factors at least once, solves
-    at least once per step and evaluates K once per Picard iterate and once
-    for each step's start."""
+    and a march calls splu through the attribute of forchmix.solver and does
+    every triangular solve through the .solve of what splu returned, the
+    points where the benchmark's tracer wraps the assembly, factorization and
+    triangular solve layers: with counting wrappers there, the march is bit
+    for bit the unwrapped one, assembles once per solver over two runs,
+    factors at least once and solves at least once per step.  It never calls
+    forchmix.solver.K_eval, which stays importable for the tracer: a Newton
+    iterate evaluates the law's polynomial g, with no root solve."""
     mesh = unit_square_mesh(8)
     config = SolverConfig(dt=1e-2, t_final=5e-2)
     plain = ExpandedMixedSolver(mesh, law, config).run(mms.f, mms.p0, mms.s0, mms.u0)
@@ -517,7 +617,7 @@ def test_march_factors_solves_and_evaluates_through_the_module(law, mms, monkeyp
         assert assemblies[0] == 1
         assert factorizations[0] >= 1
         assert solves[0] >= config.num_steps
-        assert evaluations[0] == sum(result.picard_iters) + config.num_steps
+        assert evaluations[0] == 0
         assert result.picard_iters == plain.picard_iters
         for field in ("p", "s", "u"):
             assert np.array_equal(getattr(result.state, field), getattr(plain.state, field)), field
@@ -527,22 +627,21 @@ def test_march_factors_solves_and_evaluates_through_the_module(law, mms, monkeyp
 
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
 def test_accelerated_picard_matches_plain_picard(law_text: str) -> None:
-    """The extrapolated start and the Anderson mix change the path of the
-    iteration, not its limit: at picard_tol = 1e-12 the final fields agree
-    with plain Picard to 1e-9 (relative)."""
+    """Newton in the velocity, from the extrapolated start, takes another
+    path than Picard on K(|s|), not to another limit: at picard_tol = 1e-12
+    the final fields agree with plain Picard to 1e-9 (relative)."""
     mesh, law, config, exact = _n16_setup(law_text, picard_tol=1e-12)
     result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
     _assert_states_close(result.state, _tight_oracle(law_text), 1e-9)
 
 
-def _assert_picard_fixed_points(solver: ExpandedMixedSolver, exact, states) -> None:
-    """Re-solving each step's frozen system at K(|s^n|) from p^{n-1} gives
-    back s^n within 10 * picard_tol * (1 + max|s^n|)."""
-    loads = solver._loads(exact.f)
+def _assert_picard_fixed_points(solver: ExpandedMixedSolver, f, states) -> None:
+    """Solving each step's frozen system at K(|s^n|) from p^{n-1}, under the
+    forcing f, gives back s^n within 10 * picard_tol * (1 + max|s^n|)."""
+    loads, solve = solver._loads(f), _frozen_solve(solver)
     for prev, state in zip(states, states[1:]):
-        p_hat, rhs = _frozen_inputs(solver, prev.p, loads(state.t))
         kbar = K_eval(solver.law, np.linalg.norm(state.s, axis=1))
-        _, s_flat, _ = solver._solve_frozen(kbar, p_hat, rhs, state.u, state.u)
+        _, s_flat, _ = solve(kbar, _p_hat(solver, prev.p, loads(state.t)))
         bound = 10.0 * solver.config.picard_tol * (1.0 + np.max(np.abs(state.s)))
         assert np.max(np.abs(s_flat - state.s.reshape(-1))) <= bound
 
@@ -556,11 +655,50 @@ def _levels(solver: ExpandedMixedSolver, exact, f) -> list[DiscreteState]:
 
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
 def test_every_step_is_a_picard_fixed_point(law_text: str) -> None:
-    """Every level of a march, with its extrapolated starts, is a Picard
-    fixed point within the tolerance."""
+    """Every level of an n=16 march, the newton-stiff benchmark's under law
+    1:0,1e4:2, is a Picard fixed point within the tolerance."""
     mesh, law, config, exact = _n16_setup(law_text)
     solver = ExpandedMixedSolver(mesh, law, config)
-    _assert_picard_fixed_points(solver, exact, _levels(solver, exact, exact.f))
+    _assert_picard_fixed_points(solver, exact.f, _levels(solver, exact, exact.f))
+
+
+def test_every_study_row_level_is_a_picard_fixed_point() -> None:
+    """Every level of the cli-study benchmark's finest row is a Picard fixed
+    point within the tolerance."""
+    mesh, law, config, exact = _study_row_setup()
+    solver = ExpandedMixedSolver(mesh, law, config)
+    _assert_picard_fixed_points(solver, exact.f, _levels(solver, exact, exact.f))
+
+
+def test_stiff_large_steps_converge() -> None:
+    """Law 1:0,1e4:2 on n=8 with dt = 0.1 and picard_tol = 1e-10 runs to
+    T = 1 within the default cap of 25 iterates, at most 8 a step (6
+    measured), every level a Picard fixed point.  Picard on K(|s|) took 27
+    iterates on the first step and raised PicardError."""
+    mesh, law = unit_square_mesh(8), law_from_string("1:0,1e4:2")
+    exact = ManufacturedSolution(law)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0, picard_tol=1e-10))
+    state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
+    steps = list(solver.steps(state0, exact.f))
+    assert len(steps) == 10
+    assert max(iterations for _, iterations, _, _ in steps) <= 8
+    _assert_picard_fixed_points(solver, exact.f, [state0] + [state for state, *_ in steps])
+
+
+def test_tiny_conductivity_error_matches_the_tight_tolerance() -> None:
+    """Under law 1:0,1e12:0.5,1:3, where K is about 1e-12, err_s at the
+    default picard_tol is within 1e-4 (relative) of the run at 1e-12: the
+    stop measures increments of s itself.  Picard's residual test, which
+    scales increments of K by |s|, stopped 1.3% off (0.021961 against
+    0.022260)."""
+    mesh, law = unit_square_mesh(8), law_from_string("1:0,1e12:0.5,1:3")
+    exact = ManufacturedSolution(law)
+    errors = []
+    for tol in (1e-6, 1e-12):
+        solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.01, t_final=0.1, picard_tol=tol))
+        result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
+        errors.append(error_norms(mesh, solver.dofmap, result.state, exact)[1])
+    assert errors[0] == pytest.approx(errors[1], rel=1e-4)
 
 
 def _study_row_setup(law_text: str = "1:0,1:1"):
@@ -624,23 +762,20 @@ def test_bound_forcing_matches_a_plain_callable_bitwise(setup: str, monkeypatch)
 
 
 def test_picard_iteration_budget_on_the_stiff_law() -> None:
-    """The newton-stiff benchmark run (law 1:0,1e4:2) takes 61 iterates,
-    marched by hand through steps as by run.  Plain Picard takes 133; with
-    the linear instead of the quadratic start it takes 74, without an
-    extrapolated start 94 and without the mix 84."""
+    """The newton-stiff benchmark run (law 1:0,1e4:2) takes 30 Newton
+    iterates, marched by hand through steps as by run.  Picard on K(|s|)
+    took 61 with its extrapolated start and Anderson mix, and 133 plain."""
     mesh, law, config, exact = _n16_setup("1:0,1e4:2")
     solver = ExpandedMixedSolver(mesh, law, config)
     state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
-    assert sum(iterations for _, iterations, _, _ in solver.steps(state0, exact.f)) <= 65
+    assert sum(iterations for _, iterations, _, _ in solver.steps(state0, exact.f)) <= 30
 
 
 def test_picard_and_solve_budgets_on_the_study_row(monkeypatch) -> None:
-    """The finest row of the cli-study benchmark takes 73 iterates and 102
-    triangular solves, where the quadratic warm start of the velocity took
-    161.  With the linear start it takes 132 iterates; with CG stopped at a
-    fixed 1e-12 instead of 1e-2 * picard_tol the quadratic warm start took
-    313 solves, and 457 when that stop was relative to each warm start's
-    own residual instead of the previous level's."""
+    """The finest row of the cli-study benchmark takes 72 Newton iterates and
+    103 triangular solves; Picard on K(|s|) took 73 and 102.  Without the
+    floor _cg_rtol(picard_tol) |b_n - b_{n-1}| of the CG stop the row takes
+    136 solves, and with CG stopped at 1e-8 of the residual 417."""
     solves = _count_solves(monkeypatch)
     mesh, law, config, exact = _study_row_setup()
     solver = ExpandedMixedSolver(mesh, law, config)
@@ -650,9 +785,10 @@ def test_picard_and_solve_budgets_on_the_study_row(monkeypatch) -> None:
 
 
 def test_picard_budget_keeps_the_gradient_start_quadratic() -> None:
-    """The study row under law 1:0,100:1 takes 89 iterates.  The cubic start
-    that serves the velocity would take 130 as the gradient's start, so the
-    first kbar stays at most quadratic."""
+    """The study row under law 1:0,100:1 takes 78 Newton iterates.  Picard on
+    K(|s|) took 89 with a quadratic start of K, and 130 with the cubic one
+    that serves the velocity; Newton starts from the velocity alone and keeps
+    that budget."""
     mesh, law, config, exact = _study_row_setup("1:0,100:1")
     result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
     assert sum(result.picard_iters) <= 95
@@ -685,26 +821,6 @@ def test_extrapolate_is_exact_on_polynomial_histories(depth: int) -> None:
         assert np.array_equal(solver_module._extrapolate(levels), previous[depth](*levels))
 
 
-@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
-def test_unusable_mix_falls_back_to_the_plain_update(bad: float, monkeypatch) -> None:
-    """A mix with a non-positive or non-finite entry is discarded for the
-    plain Picard update; the run still converges to plain Picard's limit."""
-    calls = [0]
-    original = solver_module._anderson_mix
-
-    def spoiled(*args):
-        calls[0] += 1
-        mixed = original(*args).copy()
-        mixed[0] = bad
-        return mixed
-
-    monkeypatch.setattr(solver_module, "_anderson_mix", spoiled)
-    mesh, law, config, exact = _n16_setup("1:0,1e4:2", picard_tol=1e-12)
-    result = ExpandedMixedSolver(mesh, law, config).run(exact.f, exact.p0, exact.s0, exact.u0)
-    assert calls[0] > 0
-    _assert_states_close(result.state, _tight_oracle("1:0,1e4:2"), 1e-9)
-
-
 def test_sign_convention_consistency(law: ForchheimerLaw, mms) -> None:
     """At a tight tolerance the cell averages of u equal -K(|s|) s."""
     mesh = unit_square_mesh(4)
@@ -713,8 +829,8 @@ def test_sign_convention_consistency(law: ForchheimerLaw, mms) -> None:
     )
     state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
     state, *_ = next(solver.steps(state0, mms.f))
-    _, m_uz = assemble_forms(mesh, solver.dofmap).blocks(solver.dofmap.n_rt0)
-    avg_u = (m_uz @ state.u / np.repeat(mesh.areas, 2)).reshape(-1, 2)
+    _, m_uz = _blocks(solver)
+    avg_u = (m_uz @ state.u).reshape(2, -1).T / mesh.areas[:, None]
     assert np.max(np.abs(avg_u + K_flux(law, state.s))) < 1e-8
 
 
@@ -782,21 +898,21 @@ def test_final_norm_bounded_by_data(law: ForchheimerLaw, mms) -> None:
 
 def test_picard_increments_eventually_decrease(law: ForchheimerLaw, mms) -> None:
     """On every step of the n=4 study run (100 steps of dt = 1e-2) the
-    increments max|s_k - s_{k-1}| between a step's Picard iterates, after
+    increments max|s_k - s_{k-1}| between a step's Newton iterates, after
     the first, never grow."""
     solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=1e-2, t_final=1.0))
     iterates = []
-    solve_frozen = solver._solve_frozen
+    state = solver._state
 
     def spy(*args):
-        p, s_flat, u = solve_frozen(*args)
-        iterates.append(s_flat)
-        return p, s_flat, u
+        out = state(*args)
+        iterates.append(out[0])
+        return out
 
-    solver._solve_frozen = spy
+    solver._state = spy
     state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
     for _ in solver.steps(state0, mms.f):
-        assert iterates
+        assert len(iterates) >= 2
         tail = [np.max(np.abs(b - a)) for a, b in zip(iterates, iterates[1:])]
         assert all(b <= a * 1.0001 for a, b in zip(tail, tail[1:]))
         iterates.clear()

@@ -347,16 +347,17 @@ def test_commuting_projection_identity() -> None:
 
 
 def test_assembled_blocks() -> None:
-    """Every entry of B_div and M_uz is the RT0 oracle's cell integral of the
-    edge's basis function, with the mesh's edge orientation."""
+    """Every entry of the stacked forms [M_x; M_y; B_div] is the RT0 oracle's
+    cell integral of the edge's basis function, with the mesh's edge
+    orientation."""
     mesh = unit_square_mesh(2)
     dofmap = build_dofmap(mesh)
-    b_div, m_uz = assemble_forms(mesh, dofmap).blocks(dofmap.n_rt0)
-    assert b_div.shape == (mesh.num_triangles, dofmap.n_rt0)
-    assert m_uz.shape == (2 * mesh.num_triangles, dofmap.n_rt0)
+    forms = assemble_forms(mesh, dofmap).stacked(dofmap.n_rt0)
+    num_tris = mesh.num_triangles
+    assert forms.shape == (3 * num_tris, dofmap.n_rt0)
 
-    b = b_div.toarray()
-    m = m_uz.toarray()
+    b = forms[2 * num_tris :].toarray()
+    m = forms[: 2 * num_tris].toarray()
     rule = triangle_rule(2)
     pts = cell_points(mesh, rule)
     for t in range(mesh.num_triangles):
@@ -370,13 +371,13 @@ def test_assembled_blocks() -> None:
             moment = mesh.areas[t] * (
                 rt0_eval(mesh, t, k, pts[t]).T @ rule.weights
             )
-            assert np.allclose(m[2 * t : 2 * t + 2, dof], moment, atol=1e-14)
+            assert np.allclose(m[[t, num_tris + t], dof], moment, atol=1e-14)
 
 
 def test_single_square_divergence_block() -> None:
     mesh = unit_square_mesh(1)
     dofmap = build_dofmap(mesh)
-    b_div, _ = assemble_forms(mesh, dofmap).blocks(dofmap.n_rt0)
+    b_div = assemble_forms(mesh, dofmap).stacked(dofmap.n_rt0)[2 * mesh.num_triangles :]
     assert b_div.shape == (2, 1)
     # the single interior dof is the diagonal edge of length sqrt(2)
     assert np.allclose(np.abs(b_div.toarray()).ravel(), np.sqrt(2.0))
