@@ -89,14 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="picard_tol",
         type=float,
         default=1e-6,
-        help="relative Picard tolerance (default 1e-6)",
+        help="relative tolerance of the Newton iteration in each step (default 1e-6)",
     )
     parser.add_argument(
         "--max-picard",
         dest="picard_max",
         type=int,
         default=25,
-        help="Picard iteration cap per step (default 25)",
+        help="cap on Newton iterates per step (default 25)",
     )
     parser.add_argument(
         "--format",

@@ -125,17 +125,12 @@ def _as_nonneg_array(value, name: str) -> np.ndarray:
 
 def g_eval(law: ForchheimerLaw, s):
     """Evaluate g(s) for s >= 0.  Result is at least a_0 > 0."""
-    return _g(law, _as_nonneg_array(s, "s"))
+    return _g_and_slope(_terms(law), _as_nonneg_array(s, "s"))[0]
 
 
-def _g(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
-    """g(s) on an array already known to be finite and nonnegative."""
-    total = 0.0  # the last term, a positive power, makes the sum an array
-    for coef, exp in zip(law.coefficients, law.exponents):
-        if coef == 0.0:
-            continue
-        total = total + (coef if exp == 0.0 else coef * s_arr**exp)
-    return total
+def _terms(law: ForchheimerLaw) -> list[tuple[float, float]]:
+    """The (a_i, alpha_i) pairs of the law with a_i > 0, the terms g sums."""
+    return [(a, e) for a, e in zip(law.coefficients, law.exponents) if a > 0.0]
 
 
 def _g_prime(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
@@ -165,7 +160,7 @@ def _newton_s(law: ForchheimerLaw, xi_arr: np.ndarray) -> np.ndarray:
     times s; a step of the wrong sign comes only from rounding at the root
     and stops it too.  xi_arr must already be finite and nonnegative.
     """
-    terms = [(a, e) for a, e in zip(law.coefficients, law.exponents) if a > 0.0]
+    terms = _terms(law)
     xi = xi_arr.ravel()
     # xi**(1/p) / a**(1/p) rather than (xi/a)**(1/p): the quotient can
     # underflow to 0 for a subnormal xi, which would start below the root
@@ -221,7 +216,7 @@ def K_eval(law: ForchheimerLaw, xi):
 
     xi is checked once, by the root solve; its root needs no check.
     """
-    return 1.0 / _g(law, solve_s_of_xi(law, xi))
+    return 1.0 / _g_and_slope(_terms(law), solve_s_of_xi(law, xi))[0]
 
 
 def K_prime(law: ForchheimerLaw, xi):
@@ -236,7 +231,7 @@ def K_prime(law: ForchheimerLaw, xi):
 def _K_and_K_prime(law: ForchheimerLaw, xi):
     """Arrays K(xi) and K'(xi) from a single root solve for s(xi)."""
     s = solve_s_of_xi(law, xi)
-    g, slope = _g_and_slope(zip(law.coefficients, law.exponents), s)
+    g, slope = _g_and_slope(_terms(law), s)
     return 1.0 / g, -_g_prime(law, s) / (g * g * slope)
 
 

@@ -73,12 +73,25 @@ def _outward_normals(p: np.ndarray) -> np.ndarray:
 
 
 def build_mesh(vertices, triangles) -> TriMesh:
-    """Assemble connectivity for a conforming set of ccw triangles."""
+    """Assemble connectivity for a conforming set of ccw triangles: finite
+    (V, 2) vertices and (F, 3) whole vertex indices, F >= 1."""
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise ValueError(f"vertices must be of shape (V, 2), not {vertices.shape}")
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertices must be finite")
+    triangles = np.asarray(triangles)
+    if triangles.ndim != 2 or triangles.shape[1] != 3 or len(triangles) == 0:
+        raise ValueError(f"triangles must be of shape (F, 3) with F >= 1, not {triangles.shape}")
+    whole = triangles.dtype.kind in "iu" or (
+        triangles.dtype.kind == "f" and np.all(np.isfinite(triangles) & (triangles == np.round(triangles)))
+    )
+    if not whole:
+        raise ValueError("triangle vertex indices must be whole numbers")
     num_vertices = len(vertices)
     if np.any(triangles < 0) or np.any(triangles >= num_vertices):
         raise ValueError("triangle vertex indices must lie in [0, number of vertices)")
+    triangles = triangles.astype(np.int64, copy=False)
     p = vertices[triangles]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]

@@ -22,10 +22,10 @@ which Newton's method solves.  Its Jacobian
 with v^ = v_T / |v_T|, satisfies A(1/g) <= J <= (1 + alpha_N) A(1/g), where
 A(K) = M_uz^T M_sz(K)^{-1} M_uz + dt B^T M_p^{-1} B is the matrix of the
 system with K frozen; the limit solves A(K(|s|)) u = B^T p_hat, the Picard
-fixed point.  A takes K as one weight 1/(K_T |T|) per cell, so a solver's
-first march lays it out once, as one symmetric CSC matrix in the DofMap's
-nested-dissection numbering that a factorization refills with one sparse
-product, and SuperLU factors it as it is numbered.
+fixed point.  A takes K as one weight w_T = 1/(K_T |T|) per cell, so a
+factorization forms it as one sparse product of the stacked forms
+F = [M_uz; B], A = F^T diag(w, w, dt/|T|) F, a CSC matrix in the DofMap's
+nested-dissection numbering, and SuperLU factors it as it is numbered.
 
 CG solves each Newton step J delta = -R(u) from zero, applying J through
 [M_uz; B] and preconditioned by the factorization of A(1/g) at an earlier g,
@@ -46,7 +46,6 @@ evaluates only t -> f(x, y, t).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections import deque
@@ -55,14 +54,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 # K_eval is not called here but stays importable: perfbench/spans.py traces it
-from .law import ForchheimerLaw, K_eval, _g_and_slope  # noqa: F401
+from .law import ForchheimerLaw, K_eval, _g_and_slope, _terms  # noqa: F401
 from .mesh import TriMesh
 from .spaces import (
-    CellForms,
     DofMap,
     _filled,
     assemble_forms,
@@ -124,57 +121,6 @@ def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
         older, last = levels
         return 2.0 * last - older
     return levels[-1]
-
-
-def _lay_out(
-    mesh: TriMesh, local: CellForms, n: int, dt: float
-) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
-    """The condensed matrix A of the n velocity dofs of the cell forms local,
-    in their order, as one symmetric CSC matrix, and the map that refills it:
-    A(kbar).data = fill @ (1 / (kbar |T|)) + fill_dt.
-
-    Cell T adds w_T G_T + (dt/|T|) b_T b_T^T to the rows and columns of its
-    interior edges, with w_T = 1/(K_T |T|), G_T the Gram matrix of the (u, z)
-    moments and b_T the divergence row.  Two distinct edges share at most one
-    cell, so an entry off the diagonal comes from one pair (k, l) of a cell's
-    local edges and a diagonal entry from the two cells of its edge.  The map
-    is laid out for those sources, the pairs k < l and then the diagonal, and
-    its rows are taken once into the order of A's entries.
-    """
-    num_tris = mesh.num_triangles
-    (m0, m1), div, dt_area = local.moments, local.div, dt / mesh.areas
-    # the pairs k < l of local edges that are both interior
-    k, l = np.array([0, 0, 1]), np.array([1, 2, 2])
-    pairs = np.flatnonzero(((local.dofs[k] >= 0) & (local.dofs[l] >= 0)).ravel())
-    rows, cols = local.dofs[k].ravel()[pairs], local.dofs[l].ravel()[pairs]
-    # own[j] holds edge j's slots 3T + k in its cells edge_tris[:, 0] and [:, 1]
-    inside = local.dofs.T >= 0
-    own = np.empty((n, 2), dtype=np.int64)
-    own[local.dofs.T[inside], (mesh.tri_edge_signs[inside] < 0).astype(np.intp)] = np.flatnonzero(inside)
-    m0_own, m1_own, div_own = (x.T.ravel()[own] for x in (m0, m1, div))
-    div_own = div_own**2 * dt_area[own // 3]
-    # a source's row of the map holds its pair's cell, or its edge's two cells
-    sources = sp.csr_matrix(
-        (
-            np.append((m0[k] * m0[l] + m1[k] * m1[l]).ravel()[pairs], (m0_own**2 + m1_own**2).ravel()),
-            np.append(pairs % num_tris, own.ravel() // 3),
-            np.append(np.arange(len(pairs)), len(pairs) + 2 * np.arange(n + 1)),
-        ),
-        shape=(len(pairs) + n, num_tris),
-    )
-    sources_dt = np.append((div[k] * div[l] * dt_area).ravel()[pairs], div_own[:, 0] + div_own[:, 1])
-    # A's pattern, each entry holding its source until the first refill
-    diagonal = np.arange(n)
-    a = sp.csc_matrix(
-        (
-            np.append(np.tile(np.arange(len(pairs)), 2), len(pairs) + diagonal).astype(float),
-            (np.concatenate((rows, cols, diagonal)), np.concatenate((cols, rows, diagonal))),
-        ),
-        shape=(n, n),
-    )
-    source = a.data.astype(np.int64)
-    a.data[:] = 0.0
-    return a, sources[source], sources_dt[source]
 
 
 class PicardError(RuntimeError):
@@ -263,25 +209,17 @@ class ExpandedMixedSolver:
         self.config = config
         self.quadrature = triangle_quadrature()
         self.dofmap: DofMap = build_dofmap(mesh)
-        self._local = assemble_forms(mesh, self.dofmap)
         # M_uz u, as x then y moments, and B_div u, for s and div u, from one product
-        self._forms = self._local.stacked(self.dofmap.n_rt0)
+        self._forms = assemble_forms(mesh, self.dofmap)
         self._forms_t = self._forms.T
         self._b_div_t = self._forms[2 * mesh.num_triangles :].T
-        self._terms = [(a, e) for a, e in zip(law.coefficients, law.exponents) if a > 0.0]
+        self._terms = _terms(law)
         # the Jacobian's cell weights on those rows: the diagonal of D_T / |T|,
         # then dt / |T|, and the off-diagonal entry of D_T / |T|
         self._diagonal = np.concatenate((np.zeros(2 * mesh.num_triangles), config.dt / mesh.areas))
         self._off_diagonal = np.zeros(mesh.num_triangles)
         self._cg_rtol = _cg_rtol(config.picard_tol)
         self._lu = None
-
-    @functools.cached_property
-    def _system(self) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
-        """A and its refill map (see _lay_out), laid out at a solver's first
-        march and kept; the cell forms serve nothing else and are let go."""
-        local, self._local = self._local, None
-        return _lay_out(self.mesh, local, self.dofmap.n_rt0, self.config.dt)
 
     def _loads(self, f: ForcingField | None) -> Callable[[float], np.ndarray]:
         """t -> the cell integrals of the forcing f at time t, with f bound
@@ -308,9 +246,12 @@ class ExpandedMixedSolver:
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
 
     def _factor(self, weights: np.ndarray) -> None:
-        """Refill A at the cell weights 1/(K_T |T|) and factor it."""
-        a, fill, fill_dt = self._system
-        np.add(fill @ weights, fill_dt, out=a.data)
+        """Form A = F^T diag(w, w, dt/|T|) F from the stacked forms F at the
+        cell weights w = 1/(K_T |T|), and factor it."""
+        scaled = self._forms.copy()
+        rows = np.concatenate((weights, weights, self._diagonal[2 * len(weights) :]))
+        scaled.data *= np.repeat(rows, np.diff(scaled.indptr))
+        a = self._forms_t @ scaled
         # A is symmetric positive definite, so diagonal pivots are stable, as
         # in Cholesky, and keep the planned fill without a threshold search
         self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
@@ -436,7 +377,6 @@ class ExpandedMixedSolver:
         """
         cfg = self.config
         self._lu = None
-        _ = self._system  # before the forcing binds, to reuse the layout's scratch memory
         loads = self._loads(f)
         times = np.linspace(0.0, cfg.t_final, cfg.num_steps + 1)
         # the levels a step extrapolates from; s^0 projects exact data and

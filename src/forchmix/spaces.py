@@ -2,11 +2,11 @@
 
 Provides the scheme's triangle quadrature, the lowest-order Raviart-Thomas
 (RT0) basis with the mesh's global edge orientation, piecewise-constant L2
-projections, the H(div) edge-flux interpolant, and the cell-local RT0
-pairings from which the solver builds the velocity blocks of the expanded
-mixed scheme (assemble_forms).  The RT0 degree of freedom on an edge is the
-average normal flux, so the basis function of an edge has unit normal trace
-on that edge and zero normal trace on the other two.
+projections, the H(div) edge-flux interpolant, and the stacked RT0 forms
+[M_uz; B_div] from which the solver builds the velocity blocks of the
+expanded mixed scheme (assemble_forms).  The RT0 degree of freedom on an
+edge is the average normal flux, so the basis function of an edge has unit
+normal trace on that edge and zero normal trace on the other two.
 
 Velocity fields satisfy u.n = 0 on the domain boundary strongly: boundary
 edges carry no degree of freedom.
@@ -189,41 +189,20 @@ def hdiv_interpolate(mesh: TriMesh, dofmap: DofMap, v) -> np.ndarray:
     return fluxes[dofmap.dof_edge]
 
 
-@dataclass(frozen=True)
-class CellForms:
-    """Per-cell pieces of the velocity forms, indexed by local edge k (the
-    edge opposite local vertex k) and triangle t, in that order: all the
-    solver needs besides the diagonal mass blocks |T| and K_T |T|.
-
-    dofs: (3, F) RT0 dof of each local edge, -1 on the domain boundary.
-    div: (3, F) (div phi_k, 1)_T = sign * |e|; 0 on boundary edges.
-    moments: (2, 3, F) (phi_k, e_c)_T = |T| * phi_k(centroid) for component
-        c; 0 on boundary edges.
-    """
-
-    dofs: np.ndarray
-    div: np.ndarray
-    moments: np.ndarray
-
-    def stacked(self, n_rt0: int) -> sp.csr_matrix:
-        """[M_x; M_y; B_div] (3F x n_rt0): row T of each block holds cell T's
-        interior edges, with their x moments, y moments and divergences."""
-        num_tris = self.dofs.shape[1]
-        count, inside = np.sum(self.dofs >= 0, axis=0), self.dofs.T >= 0
-        values = np.concatenate((self.moments[0].T[inside], self.moments[1].T[inside], self.div.T[inside]))
-        return sp.csr_matrix(
-            (values, np.tile(self.dofs.T[inside], 3), np.append(0, np.cumsum(np.tile(count, 3)))),
-            shape=(3 * num_tris, n_rt0),
-        )
-
-
-def assemble_forms(mesh: TriMesh, dofmap: DofMap) -> CellForms:
-    """The cellwise divergence and (u, z) pairings of every local RT0 basis,
-    the scheme's one form assembly.  Both integrands are of degree at most
-    one, so the entries are exact: (u, z) reduces to |T| * phi(centroid)."""
+def assemble_forms(mesh: TriMesh, dofmap: DofMap) -> sp.csr_matrix:
+    """[M_x; M_y; B_div] (3F x n_rt0), the scheme's one form assembly: row T
+    of each block holds cell T's interior edges, with the (u, z) pairings of
+    their RT0 basis functions with e_x and e_y and their divergences.  Both
+    integrands are of degree at most one, so the entries are exact: (u, z)
+    reduces to |T| * phi(centroid)."""
     edges = mesh.tri_edges.T
     dofs = dofmap.edge_dof[edges]
-    sign_len = np.where(dofs >= 0, mesh.tri_edge_signs.T * mesh.edge_lengths[edges], 0.0)
+    sign_len = mesh.tri_edge_signs.T * mesh.edge_lengths[edges]
     # |T| * phi(centroid) = sign * |e| * (centroid - p_opp) / 2
     moment = 0.5 * (mesh.centroids.T[:, None, :] - mesh.vertices.T[:, mesh.triangles.T])
-    return CellForms(dofs=dofs, div=sign_len, moments=sign_len * moment)
+    moments, inside = sign_len * moment, dofs.T >= 0
+    values = np.concatenate((moments[0].T[inside], moments[1].T[inside], sign_len.T[inside]))
+    return sp.csr_matrix(
+        (values, np.tile(dofs.T[inside], 3), np.append(0, np.cumsum(np.tile(inside.sum(axis=1), 3)))),
+        shape=(3 * mesh.num_triangles, dofmap.n_rt0),
+    )

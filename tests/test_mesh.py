@@ -266,3 +266,34 @@ def test_build_mesh_rejects_out_of_range_vertex() -> None:
         with pytest.raises(ValueError, match="vertex indices"):
             build_mesh(vertices, np.array(triangles))
 
+
+
+_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    ("vertices", "triangles", "message"),
+    [
+        (_TRIANGLE, [[0, 1, 2, 0]], r"triangles must be of shape \(F, 3\) with F >= 1, not \(1, 4\)"),
+        (_TRIANGLE, [0, 1, 2], r"triangles must be of shape \(F, 3\) with F >= 1, not \(3,\)"),
+        (_TRIANGLE, np.zeros((0, 3), dtype=np.int64), r"triangles must be of shape \(F, 3\) with F >= 1, not \(0, 3\)"),
+        ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], "vertices must be finite"),
+        ([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]], [[0, 1, 2]], "vertices must be finite"),
+        (np.column_stack((_TRIANGLE, np.zeros(3))), [[0, 1, 2]], r"vertices must be of shape \(V, 2\), not \(3, 3\)"),
+        (_TRIANGLE.ravel(), [[0, 1, 2]], r"vertices must be of shape \(V, 2\), not \(6,\)"),
+        (_TRIANGLE, [[0.0, 1.0, 2.7]], "triangle vertex indices must be whole numbers"),
+        (_TRIANGLE, [[0.0, 1.0, np.nan]], "triangle vertex indices must be whole numbers"),
+        (_TRIANGLE, [[False, True, True]], "triangle vertex indices must be whole numbers"),
+    ],
+)
+def test_build_mesh_rejects_malformed_input(vertices, triangles, message: str) -> None:
+    """build_mesh takes finite (V, 2) vertices and (F, 3) whole vertex
+    indices with F >= 1 and names the first rule an input breaks."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_mesh(vertices, triangles)
+
+
+def test_build_mesh_takes_whole_float_indices() -> None:
+    """Indices given as whole floats build the same mesh as integers."""
+    vertices, triangles = _scrambled_mesh(4, 0)
+    _assert_same_mesh(build_mesh(vertices, triangles.astype(float)), build_mesh(vertices, triangles))

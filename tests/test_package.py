@@ -1,8 +1,10 @@
-"""The package surface: its exports, the README examples, and the attributes
-the benchmark's tracer replaces."""
+"""The package surface: its exports, the README examples, the attributes
+the benchmark's tracer replaces, and one definition per top-level name."""
 
 from __future__ import annotations
 
+import ast
+import collections
 import contextlib
 import importlib.util
 import io
@@ -15,6 +17,21 @@ import forchmix.mesh as mesh_module
 import forchmix.mms as mms
 
 _ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_no_module_defines_a_name_twice() -> None:
+    """No module of the package or its tests defines a top-level function
+    or class twice: the second definition silently replaces the first, and a
+    second test of one name hides the first from pytest."""
+    modules = sorted((_ROOT / "src" / "forchmix").glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
+    assert modules
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    repeated = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        counts = collections.Counter(node.name for node in tree.body if isinstance(node, kinds))
+        repeated += [f"{path.relative_to(_ROOT)}: {name}" for name, count in counts.items() if count > 1]
+    assert repeated == []
 
 
 def test_readme_names_every_export() -> None:

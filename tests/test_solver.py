@@ -45,9 +45,9 @@ def _zero_vector(x, y):
 
 
 def _blocks(solver: ExpandedMixedSolver) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """B_div and M_uz of the solver's mesh, from the stacked cell forms; row T
-    of M_uz holds cell T's x moments and row F + T its y moments."""
-    forms = assemble_forms(solver.mesh, solver.dofmap).stacked(solver.dofmap.n_rt0)
+    """B_div and M_uz of the solver's mesh, from the stacked forms; row T of
+    M_uz holds cell T's x moments and row F + T its y moments."""
+    forms = assemble_forms(solver.mesh, solver.dofmap)
     split = 2 * solver.mesh.num_triangles
     return forms[split:], forms[:split]
 
@@ -450,16 +450,6 @@ def test_a_cg_miss_on_a_fresh_factorization_raises(law: ForchheimerLaw, mms, mon
     assert excinfo.value.residual > 0.0
 
 
-def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_matrix:
-    """A(kbar) = M_uz^T M_sz(kbar)^{-1} M_uz + dt B^T M_p^{-1} B, assembled
-    from the global forms."""
-    mesh = solver.mesh
-    b_div, m_uz = _blocks(solver)
-    mass = sp.diags(1.0 / np.tile(kbar * mesh.areas, 2))
-    div = sp.diags(solver.config.dt / mesh.areas)
-    return (m_uz.T @ mass @ m_uz + b_div.T @ div @ b_div).tocsc()
-
-
 @pytest.mark.parametrize("spec", _ORDERING_MESHES)
 def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerLaw) -> None:
     """The factorization of A in the DofMap's nested-dissection numbering,
@@ -480,34 +470,41 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
 def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     spec: int | str, law: ForchheimerLaw, monkeypatch
 ) -> None:
-    """After each refill at a random conductivity, the solver's A equals,
-    entry by entry, the condensed matrix assembled from the cell forms in the
-    DofMap's nested-dissection numbering, with no permutation: a canonical
-    CSC matrix whose pattern holds every pair of edges that share a cell.
-    One solver numbers the dofs and lays A out once, across refills and runs."""
+    """At each of two random conductivities, splu receives A as a CSC matrix
+    equal, entry by entry, to the condensed matrix assembled from the global
+    forms in the DofMap's nested-dissection numbering, with no permutation
+    and diagonal pivots: its pattern holds every pair of edges that share a
+    cell.  One solver numbers the dofs once across factorizations and runs."""
     numberings = _count_calls(monkeypatch, "build_dofmap")
-    layouts = _count_calls(monkeypatch, "_lay_out")
+    received = []
+    splu_original = solver_module.splu
+
+    def spy(a, **kwargs):
+        received.append((a, kwargs))
+        return splu_original(a, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", spy)
     mesh = _ordering_mesh(spec)
     rng = np.random.default_rng(1)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.2))
-    system = solver._system
-    a = system[0]
-    for _ in range(2):
-        kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
-        solver._factor(1.0 / (kbar * mesh.areas))
-        want = _condensed_matrix(solver, kbar).toarray()
-        assert np.max(np.abs(a.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
     b_div, _ = _blocks(solver)
     coupled = (abs(b_div).T @ abs(b_div)).tocsc()
     coupled.sort_indices()
-    assert a.has_canonical_format
-    assert np.array_equal(a.indptr, coupled.indptr)
-    assert np.array_equal(a.indices, coupled.indices)
+    for _ in range(2):
+        kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
+        solver._factor(1.0 / (kbar * mesh.areas))
+        a, kwargs = received[-1]
+        assert a.format == "csc"
+        assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+        want = _condensed_matrix(solver, kbar).toarray()
+        assert np.max(np.abs(a.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
+        a.sort_indices()
+        assert np.array_equal(a.indptr, coupled.indptr)
+        assert np.array_equal(a.indices, coupled.indices)
     exact = ManufacturedSolution(law)
     for _ in range(2):
         solver.run(exact.f, exact.p0, exact.s0, exact.u0)
-    assert solver._system is system
-    assert numberings[0] == layouts[0] == 1
+    assert numberings[0] == 1
 
 
 def _residual(solver: ExpandedMixedSolver, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:

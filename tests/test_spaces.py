@@ -352,7 +352,7 @@ def test_assembled_blocks() -> None:
     orientation."""
     mesh = unit_square_mesh(2)
     dofmap = build_dofmap(mesh)
-    forms = assemble_forms(mesh, dofmap).stacked(dofmap.n_rt0)
+    forms = assemble_forms(mesh, dofmap)
     num_tris = mesh.num_triangles
     assert forms.shape == (3 * num_tris, dofmap.n_rt0)
 
@@ -377,7 +377,7 @@ def test_assembled_blocks() -> None:
 def test_single_square_divergence_block() -> None:
     mesh = unit_square_mesh(1)
     dofmap = build_dofmap(mesh)
-    b_div = assemble_forms(mesh, dofmap).stacked(dofmap.n_rt0)[2 * mesh.num_triangles :]
+    b_div = assemble_forms(mesh, dofmap)[2 * mesh.num_triangles :]
     assert b_div.shape == (2, 1)
     # the single interior dof is the diagonal edge of length sqrt(2)
     assert np.allclose(np.abs(b_div.toarray()).ravel(), np.sqrt(2.0))
