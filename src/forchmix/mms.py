@@ -9,8 +9,8 @@ u = -K(|s|) s satisfies u.n = 0 on all four sides exactly.  The forcing
 f = p_t + div u is derived in closed form from this convention; at points
 where s = 0 the removable singularity of the K' term is replaced by its
 limit -K(0) (d1 s1 + d2 s2).  It separates into factors of t and of the
-points (see forcing_f), so a caller with fixed points, such as the solver's
-quadrature points, binds it to them once.
+points (see forcing_f), so ManufacturedSolution.f(x, y) binds it to fixed
+points, such as the solver's quadrature points, and returns t -> f(x, y, t).
 
 Errors are measured at the final time: pressure in L2, gradient and
 velocity in L^beta with beta = 2 - a from the law's degeneracy exponents.
@@ -48,11 +48,10 @@ from .spaces import (
 _DECAY = 5.0
 
 
-def forcing_f(law: ForchheimerLaw, x, y, t=None):
-    """Forcing f = p_t + div u of the manufactured solution at the points
-    (x, y): its values at time t, or with t omitted the function
-    t -> f(x, y, t), which evaluates the factors that depend only on the
-    points once.
+def forcing_f(law: ForchheimerLaw, x, y) -> Callable[[float], np.ndarray]:
+    """Forcing f = p_t + div u of the manufactured solution bound to the
+    points (x, y): the function t -> f(x, y, t), with the factors that
+    depend only on the points evaluated once.
 
     With e = exp(-5t) the fields separate: p = e P, s = e S and
     d1 s1 + d2 s2 = e D, and div u = -[K(|s|) e D + K'(|s|) e^2 R] with
@@ -82,25 +81,7 @@ def forcing_f(law: ForchheimerLaw, x, y, t=None):
             kp_term = np.where(xi > 0.0, kp_term, 0.0)
         return -_DECAY * decay * pressure - decay * (k * divergence) - decay * decay * kp_term
 
-    return at if t is None else at(t)
-
-
-@dataclass(frozen=True)
-class ManufacturedForcing:
-    """The manufactured forcing f(x, y, t) of a law.
-
-    bind(x, y) returns t -> f(x, y, t) with the factors that depend only on
-    the points evaluated once, as the solver does for its fixed quadrature
-    points; a call evaluates them afresh.
-    """
-
-    law: ForchheimerLaw
-
-    def __call__(self, x, y, t) -> np.ndarray:
-        return forcing_f(self.law, x, y, t)
-
-    def bind(self, x, y) -> Callable[[float], np.ndarray]:
-        return forcing_f(self.law, x, y)
+    return at
 
 
 @dataclass(frozen=True)
@@ -126,10 +107,9 @@ class ManufacturedSolution:
     def u(self, x, y, t) -> np.ndarray:
         return -K_flux(self.law, self.s(x, y, t))
 
-    @property
-    def f(self) -> ManufacturedForcing:
-        """The forcing f(x, y, t) = p_t + div u, bindable to fixed points."""
-        return ManufacturedForcing(self.law)
+    def f(self, x, y) -> Callable[[float], np.ndarray]:
+        """The forcing f = p_t + div u bound to the points (x, y): t -> f(x, y, t)."""
+        return forcing_f(self.law, x, y)
 
     def p0(self, x, y) -> np.ndarray:
         return self.p(x, y, 0.0)

@@ -41,7 +41,8 @@ below the CG stop's floor, where the next step would be zero.
 run projects the exact initial data p0, s0 and u0 and drains steps, the one
 marching loop, which a caller iterates for every level.  A march binds its
 forcing to the fixed quadrature points once (see ForcingField), so a step
-evaluates only t -> f(x, y, t).
+evaluates only t -> f(x, y, t).  Initial data whose projection is not
+finite, or a forcing whose integral is not, raise ValueError before a solve.
 """
 
 from __future__ import annotations
@@ -90,12 +91,10 @@ _MAX_STEPS = 2.0**53
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# A forcing f(x, y, t), evaluated at the solver's quadrature points.  One
-# that also has bind(x, y), returning t -> f(x, y, t) with the work that
-# depends only on the points done once, is bound that way at the start of a
-# march (ManufacturedSolution.f is one); any other binds as
-# lambda t: f(x, y, t).  None stands for no forcing.
-ForcingField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+# A forcing bound to points: f(x, y) returns t -> f(x, y, t), doing the work
+# that depends only on the points once.  A march binds it to the quadrature
+# points at its start (ManufacturedSolution.f is one); None is no forcing.
+ForcingField = Callable[[np.ndarray, np.ndarray], Callable[[float], np.ndarray]]
 
 
 def _cg_rtol(picard_tol: float) -> float:
@@ -229,8 +228,7 @@ class ExpandedMixedSolver:
             return lambda t: zero
         points = cell_points(self.mesh, self.quadrature)
         x, y = points[..., 0], points[..., 1]
-        bind = getattr(f, "bind", None)
-        values = bind(x, y) if bind is not None else lambda t: f(x, y, t)
+        values = f(x, y)
         areas, weights = self.mesh.areas, self.quadrature.weights
         return lambda t: areas * (_filled(values(t), x.shape) @ weights)
 
@@ -243,6 +241,9 @@ class ExpandedMixedSolver:
         p = l2_project_scalar(self.mesh, p0, self.quadrature)
         s = l2_project_vector(self.mesh, s0, self.quadrature)
         u = hdiv_interpolate(self.mesh, self.dofmap, u0)
+        for name, projection in (("p0", p), ("s0", s), ("u0", u)):
+            if not np.all(np.isfinite(projection)):
+                raise ValueError(f"the projection of {name} is not finite")
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
 
     def _factor(self, weights: np.ndarray) -> None:
@@ -324,6 +325,9 @@ class ExpandedMixedSolver:
         """
         cfg = self.config
         areas = self.mesh.areas
+        f_integral = float(load.sum())
+        if not math.isfinite(f_integral):
+            raise ValueError(f"the integral of the forcing at t={t_n} is not finite")
         state_prev = levels[-1]
         p_hat = state_prev.p + cfg.dt * load / areas
         rhs = self._b_div_t @ p_hat
@@ -361,9 +365,9 @@ class ExpandedMixedSolver:
                 f"(last residual {increment:.3e}, the increment of s)",
                 residual=increment,
             )
-        mass_residual = float(abs(areas @ p - areas @ state_prev.p - cfg.dt * load.sum()))
+        mass_residual = float(abs(areas @ p - areas @ state_prev.p - cfg.dt * f_integral))
         state = DiscreteState(p=p, s=s.T.copy(), u=u, t=t_n)
-        return (state, iteration, mass_residual, float(load.sum())), rhs
+        return (state, iteration, mass_residual, f_integral), rhs
 
     def steps(
         self, state0: DiscreteState, f: ForcingField | None
@@ -371,9 +375,9 @@ class ExpandedMixedSolver:
         """March from the level state0 at t=0 to t_final, one step per item.
 
         Yields (state, picard_iters, mass_residual, f_integral) for each
-        step.  The march binds the forcing f (see ForcingField) to the
-        quadrature points once, factors afresh on its first solve, and
-        keeps the last four levels, which each step extrapolates from.
+        step.  The march binds the forcing f(x, y) (see ForcingField) to
+        the quadrature points once, at its start, factors afresh on its
+        first solve, and keeps the last four levels to extrapolate from.
         """
         cfg = self.config
         self._lu = None
@@ -392,8 +396,8 @@ class ExpandedMixedSolver:
         self, f: ForcingField | None, p0: ScalarField, s0: VectorField, u0: VectorField
     ) -> RunResult:
         """March from the projections of p0, s0 and u0 to t_final by draining
-        steps, under the forcing f: None, a callable f(x, y, t), or one that
-        also binds to points (see ForcingField)."""
+        steps, under the forcing f: None, or f(x, y) returning
+        t -> f(x, y, t) (see ForcingField)."""
         state = self.initial_state(p0, s0, u0)
         picard_iters: list[int] = []
         mass_residuals: list[float] = []

@@ -200,7 +200,7 @@ def test_criterion_09_manufactured_residual(mms) -> None:
     p_t = (mms.p(x, y, t + h) - mms.p(x, y, t - h)) / (2.0 * h)
     du1 = (mms.u(x + h, y, t)[..., 0] - mms.u(x - h, y, t)[..., 0]) / (2.0 * h)
     du2 = (mms.u(x, y + h, t)[..., 1] - mms.u(x, y - h, t)[..., 1]) / (2.0 * h)
-    residual = float(np.max(np.abs(p_t + du1 + du2 - mms.f(x, y, t))))
+    residual = float(np.max(np.abs(p_t + du1 + du2 - mms.f(x, y)(t))))
     ok = residual <= 1e-6
     _report(ok, 9, f"max finite-difference residual {residual:.2e} at 1000 points")
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forchmix import ExpandedMixedSolver, convergence_study, law_from_string
-from forchmix.cli import main, parse_args
+from forchmix.cli import _build_parser, main, parse_args
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 _FAST = ["--mesh", "2,4", "--T", "0.1", "--dt", "0.05"]
 
@@ -328,3 +334,30 @@ def test_main_reports_unwritable_output_with_code_four(tmp_path: Path, capsys) -
     code = main([*_FAST, "--out", str(target)])
     capsys.readouterr()
     assert code == 4
+
+
+def test_readme_usage_lists_exactly_the_parsers_flags() -> None:
+    """README's usage block names every flag the parser takes, -h aside, and
+    no other, so a new flag cannot ship undocumented."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    usage = re.search(r"^```\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    documented = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", usage))
+    options = {option for action in _build_parser()._actions for option in action.option_strings}
+    assert documented == options - {"-h", "--help"}
+
+
+def test_python_m_forchmix_runs_from_a_source_checkout(tmp_path: Path) -> None:
+    """python -m forchmix runs the study with only src on the path, and keeps
+    the CLI's exit codes."""
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+    def forchmix(*argv: str) -> subprocess.CompletedProcess:
+        command = [sys.executable, "-m", "forchmix", *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    done = forchmix("--mesh", "2", "--T", "0.02", "--format", "csv")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("n,h,dt,err_p,rate_p,err_s,rate_s,err_u,rate_u,picard_avg\n")
+    assert forchmix("--mesh", "0").returncode == 2

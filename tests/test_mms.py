@@ -35,7 +35,7 @@ def _fd_residual(mms: ManufacturedSolution, x, y, t) -> np.ndarray:
     p_t = (mms.p(x, y, t + h) - mms.p(x, y, t - h)) / (2.0 * h)
     du1 = (mms.u(x + h, y, t)[..., 0] - mms.u(x - h, y, t)[..., 0]) / (2.0 * h)
     du2 = (mms.u(x, y + h, t)[..., 1] - mms.u(x, y - h, t)[..., 1]) / (2.0 * h)
-    return p_t + du1 + du2 - mms.f(x, y, t)
+    return p_t + du1 + du2 - mms.f(x, y)(t)
 
 
 def test_gradient_matches_pressure(mms: ManufacturedSolution) -> None:
@@ -71,9 +71,9 @@ def test_forcing_limit_where_gradient_vanishes(law: ForchheimerLaw, mms) -> None
             expected = -5.0 * mms.p(x, y, t) - K_eval(law, 0.0) * decay * (
                 (1.0 - 2.0 * x) + (1.0 - 2.0 * y)
             )
-            assert forcing_f(law, x, y, t) == pytest.approx(float(expected), rel=1e-13)
+            assert forcing_f(law, x, y)(t) == pytest.approx(float(expected), rel=1e-13)
             # cross-check against the interior formula approached radially
-            near = forcing_f(law, x + 1e-9 - 2e-9 * x, y + 1e-9 - 2e-9 * y, t)
+            near = forcing_f(law, x + 1e-9 - 2e-9 * x, y + 1e-9 - 2e-9 * y)(t)
             assert near == pytest.approx(float(expected), abs=1e-7)
 
 
@@ -81,19 +81,20 @@ def test_forcing_limit_where_gradient_vanishes(law: ForchheimerLaw, mms) -> None
 def test_forcing_stays_finite_once_the_decay_underflows(t: float) -> None:
     """For t past exp(-5t)'s underflow every xi = exp(-5t)|S| is 0, where
     K' diverges for a law with an exponent in (0, 1); the K' term takes its
-    limit 0 there, in a call and in a bound forcing, and f is 0."""
+    limit 0 there, and f is 0."""
     law = law_from_string("1:0,1:0.5")
     assert np.exp(-5.0 * t) == 0.0
     assert K_prime(law, 0.0) == -np.inf
     rng = np.random.default_rng(2)
     x, y = rng.uniform(0.0, 1.0, size=(2, 50))
-    for values in (forcing_f(law, x, y, t), forcing_f(law, x, y)(t)):
-        assert np.all(np.isfinite(values))
-        assert np.all(values == 0.0)
+    values = forcing_f(law, x, y)(t)
+    assert np.all(np.isfinite(values))
+    assert np.all(values == 0.0)
 
 
 def test_forcing_solves_for_s_once_per_call(monkeypatch) -> None:
-    """One root solve serves K and K', and the values equal the separated
+    """Binding to the points solves for nothing; each evaluation makes one
+    root solve, which serves K and K', and its values equal the separated
     formula with K_eval and K_prime evaluated separately, bit for bit, and
     the direct formula in s = exp(-5t) S to rounding."""
     stiff = law_from_string("1:0,1e4:2")
@@ -133,10 +134,9 @@ def test_forcing_solves_for_s_once_per_call(monkeypatch) -> None:
         return newton(law, xi_arr)
 
     monkeypatch.setattr(law_module, "_newton_s", counting_newton)
-    forcing = forcing_f(stiff, x, y, t)
-    assert solves == [x.size]
-    # a bound forcing solves once per evaluation, not at binding
     bound = forcing_f(stiff, x, y)
+    assert solves == []
+    forcing = bound(t)
     assert solves == [x.size]
     assert np.array_equal(bound(t), forcing)
     assert solves == [x.size] * 2

@@ -259,10 +259,10 @@ def test_constant_valued_fields_march_as_their_arrays(law: ForchheimerLaw) -> No
         return np.full((*np.shape(x), 2), 0.0)
 
     constant = ExpandedMixedSolver(mesh, law, config).run(
-        lambda x, y, t: 1.0, lambda x, y: 0.0, lambda x, y: np.zeros(2), lambda x, y: np.zeros(2)
+        lambda x, y: lambda t: 1.0, lambda x, y: 0.0, lambda x, y: np.zeros(2), lambda x, y: np.zeros(2)
     )
     arrays = ExpandedMixedSolver(mesh, law, config).run(
-        lambda x, y, t: np.full_like(x, 1.0), lambda x, y: np.full_like(x, 0.0), vector, vector
+        lambda x, y: lambda t: np.full_like(x, 1.0), lambda x, y: np.full_like(x, 0.0), vector, vector
     )
     assert constant.picard_iters == arrays.picard_iters
     assert constant.mass_residuals == arrays.mass_residuals
@@ -727,11 +727,10 @@ def test_steps_reproduce_run_bitwise(setup: str) -> None:
 
 
 @pytest.mark.parametrize("setup", ["newton-stiff", "study-row"])
-def test_bound_forcing_matches_a_plain_callable_bitwise(setup: str, monkeypatch) -> None:
+def test_march_binds_the_forcing_once(setup: str, monkeypatch) -> None:
     """A march binds ManufacturedSolution.f to the quadrature points once;
-    the same forcing as a plain f(x, y, t) is evaluated afresh every step,
-    and both give the same levels, Picard counts, mass residuals and
-    forcing integrals bit for bit."""
+    the same forcing bound afresh at every evaluation gives the same levels,
+    Newton counts, mass residuals and forcing integrals bit for bit."""
     stiff = setup == "newton-stiff"
     mesh, law, config, exact = _n16_setup("1:0,1e4:2") if stiff else _study_row_setup()
     bindings = [0]
@@ -750,10 +749,10 @@ def test_bound_forcing_matches_a_plain_callable_bitwise(setup: str, monkeypatch)
         return list(solver.steps(state0, f)), bindings[0]
 
     bound, bound_bindings = march(exact.f)
-    plain, plain_bindings = march(lambda x, y, t: exact.f(x, y, t))
-    assert (bound_bindings, plain_bindings) == (1, config.num_steps)
-    assert [step[1:] for step in bound] == [step[1:] for step in plain]
-    for (a, *_), (b, *_) in zip(bound, plain):
+    rebound, rebound_bindings = march(lambda x, y: lambda t: exact.f(x, y)(t))
+    assert (bound_bindings, rebound_bindings) == (1, config.num_steps)
+    assert [step[1:] for step in bound] == [step[1:] for step in rebound]
+    for (a, *_), (b, *_) in zip(bound, rebound):
         for field in ("p", "s", "u"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
@@ -853,11 +852,12 @@ def test_steady_compatible_forcing_stagnates(law: ForchheimerLaw, mms) -> None:
     mesh = unit_square_mesh(8)
     rule = triangle_quadrature()
     pts = cell_points(mesh, rule)
-    f_values = mms.f(pts[..., 0], pts[..., 1], 0.0)
+    f_values = mms.f(pts[..., 0], pts[..., 1])(0.0)
     mean_f = float(mesh.areas @ (f_values @ rule.weights))
 
-    def forcing(x, y, t):
-        return mms.f(x, y, 0.0) - mean_f
+    def forcing(x, y):
+        values = mms.f(x, y)(0.0) - mean_f
+        return lambda t: values
 
     solver = ExpandedMixedSolver(
         mesh, law, SolverConfig(dt=0.1, t_final=6.0, picard_tol=1e-10)
@@ -886,7 +886,7 @@ def test_final_norm_bounded_by_data(law: ForchheimerLaw, mms) -> None:
     pts = cell_points(mesh, rule)
     f_norms = []
     for level in levels[1:]:
-        values = mms.f(pts[..., 0], pts[..., 1], level.t)
+        values = mms.f(pts[..., 0], pts[..., 1])(level.t)
         f_norms.append(float(np.sqrt(mesh.areas @ (values**2 @ rule.weights))))
     p_norms = [float(np.sqrt(mesh.areas @ level.p**2)) for level in levels]
     bound = p_norms[0] + solver.config.dt * sum(f_norms)
@@ -934,3 +934,54 @@ def test_numpy_integer_picard_cap_does_not_wrap(law: ForchheimerLaw, mms) -> Non
     solver = ExpandedMixedSolver(unit_square_mesh(4), law, config)
     result = solver.run(mms.f, mms.p0, mms.s0, mms.u0)
     assert len(result.picard_iters) == 2
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("p0", np.nan, "projection of p0"),
+        ("s0", np.nan, "projection of s0"),
+        ("u0", np.nan, "projection of u0"),
+        ("u0", np.inf, "projection of u0"),
+        ("f", np.nan, "forcing at t=0.01"),
+        ("f", np.inf, "forcing at t=0.01"),
+    ],
+)
+def test_nonfinite_data_raise_before_any_solve(law, mms, field, value, message, monkeypatch) -> None:
+    """Initial data whose projection is not finite, or a forcing whose
+    integral is not, raise ValueError naming it, before a factorization or a
+    CG iteration: a NaN p0 or forcing once stopped CG, a NaN or infinite u0
+    made the factorization singular, and a NaN s0 went unnoticed."""
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=0.01, t_final=0.02))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on non-finite data")
+
+    monkeypatch.setattr(solver_module, "splu", no_solve)
+    monkeypatch.setattr(solver, "_pcg", no_solve)
+    data = {"f": mms.f, "p0": mms.p0, "s0": mms.s0, "u0": mms.u0}
+    exact = data[field]
+    if field == "f":
+        data["f"] = lambda x, y: lambda t: exact(x, y)(t) + value
+    else:
+        data[field] = lambda x, y: exact(x, y) + value
+    with pytest.raises(ValueError, match=message):
+        solver.run(data["f"], data["p0"], data["s0"], data["u0"])
+
+
+def test_a_forcing_of_x_y_and_t_fails_at_the_march_start(law, mms, monkeypatch) -> None:
+    """A forcing is f(x, y) returning t -> values; one written as f(x, y, t)
+    raises TypeError when the march binds it, before its first step."""
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=0.01, t_final=0.02))
+    advanced = []
+    monkeypatch.setattr(solver, "_advance", lambda *args: advanced.append(args))
+
+    def old_shape(x, y, t):
+        return mms.f(x, y)(t)
+
+    state0 = solver.initial_state(mms.p0, mms.s0, mms.u0)
+    with pytest.raises(TypeError):
+        next(solver.steps(state0, old_shape))
+    with pytest.raises(TypeError):
+        solver.run(old_shape, mms.p0, mms.s0, mms.u0)
+    assert advanced == []
