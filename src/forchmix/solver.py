@@ -22,17 +22,23 @@ which Newton's method solves.  Its Jacobian
 with v^ = v_T / |v_T|, satisfies A(1/g) <= J <= (1 + alpha_N) A(1/g), where
 A(K) = M_uz^T M_sz(K)^{-1} M_uz + dt B^T M_p^{-1} B is the matrix of the
 system with K frozen; the limit solves A(K(|s|)) u = B^T p_hat, the Picard
-fixed point.  A takes K as one weight w_T = 1/(K_T |T|) per cell, so a
-factorization forms it as one sparse product of the stacked forms
-F = [M_uz; B], A = F^T diag(w, w, dt/|T|) F, a CSC matrix in the DofMap's
-nested-dissection numbering, and SuperLU factors it as it is numbered.
+fixed point.  A takes K as one weight w_T = 1/(K_T |T|) per cell, so it is
+one sparse product of the stacked forms F = [M_uz; B],
+A = F^T diag(w, w, dt/|T|) F, a CSC matrix in the DofMap's nested-dissection
+numbering, which SuperLU factors as it is numbered.
 
 CG solves each Newton step J delta = -R(u) from zero, applying J through
-[M_uz; B] and preconditioned by the factorization of A(1/g) at an earlier g,
-to an inexact-Newton stop (see _NEWTON_ETA; Kelley, Iterative Methods for
-Linear and Nonlinear Equations, SIAM 1995, ch. 6).  A march's first iterate
-factors A; when CG misses its stop within _CG_MAXITER iterations, A is
-factored afresh at the current g and CG runs again.  A step starts from the
+[M_uz; B] and preconditioned by the factorization of J itself at an earlier
+iterate, to an inexact-Newton stop (see _NEWTON_ETA; Kelley, Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6; Knoll & Keyes,
+J. Comput. Phys. 193, 2004).  J = F^T W F, with W the cell blocks D_T / |T|
+and dt / |T|, has the sparsity of A, so a factorization forms it as one
+sparse product as well; where slope = g, as for a constant g, J is A(1/g).  A
+march's first iterate factors J.  Each CG iteration past the first of a
+Newton step is stale, and once _CG_STALE_BUDGET of them have run since the
+last factorization the next iterate factors J afresh before its CG; when CG
+misses its stop within _CG_MAXITER iterations, J is likewise factored afresh
+at the current iterate and CG runs again.  A step starts from the
 extrapolation of u through up to four levels, from the fifth step on the
 cubic 4 u^{n-1} - 6 u^{n-2} + 4 u^{n-3} - u^{n-4}, and stops once successive
 iterates of s differ by at most picard_tol (1 + max|s|), or once R(u) is
@@ -55,6 +61,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 # K_eval is not called here but stays importable: perfbench/spans.py traces it
@@ -80,12 +87,19 @@ from .spaces import (
 # Picard tolerance, as Eisenstat-Walker forcing terms do (SIAM J. Sci.
 # Comput. 17, 1996): two digits below it, within [1e-12, 1e-8].
 _NEWTON_ETA = 1e-2
-# CG iterations before the factorization is renewed at the current g; past
-# about eight a fresh factorization costs less than the iterations it saves.
+# CG iterations before the factorization is renewed at the current iterate;
+# past about eight a fresh factorization costs less than the iterations it
+# saves.
 _CG_MAXITER = 8
-# On a fresh factorization the preconditioned spectrum is in [1, 1 + alpha_N]
-# and CG takes a few iterations; the bound only stops a broken solve.
+# A fresh factorization is of J itself, so CG meets its stop in one iteration
+# up to rounding; the bound only stops a broken solve.
 _CG_FRESH_MAXITER = 100
+# Stale CG iterations, those past the first of a Newton step, after which the
+# next iterate factors J afresh.  A factor of J at t = 0 drifts from J over a
+# long march: without renewal the default study's n=64 row (2048 steps) took
+# 2663 triangular solves, 2108 at this budget and 2172 at 128; at 32 the
+# n=128 row at dt = h factored three times rather than twice.
+_CG_STALE_BUDGET = 64
 # a double holds every whole step count only up to 2**53
 _MAX_STEPS = 2.0**53
 
@@ -219,6 +233,8 @@ class ExpandedMixedSolver:
         self._off_diagonal = np.zeros(mesh.num_triangles)
         self._cg_rtol = _cg_rtol(config.picard_tol)
         self._lu = None
+        # stale CG iterations since the last factorization
+        self._stale_iterations = 0
 
     def _loads(self, f: ForcingField | None) -> Callable[[float], np.ndarray]:
         """t -> the cell integrals of the forcing f at time t, with f bound
@@ -246,16 +262,27 @@ class ExpandedMixedSolver:
                 raise ValueError(f"the projection of {name} is not finite")
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
 
-    def _factor(self, weights: np.ndarray) -> None:
-        """Form A = F^T diag(w, w, dt/|T|) F from the stacked forms F at the
-        cell weights w = 1/(K_T |T|), and factor it."""
-        scaled = self._forms.copy()
-        rows = np.concatenate((weights, weights, self._diagonal[2 * len(weights) :]))
-        scaled.data *= np.repeat(rows, np.diff(scaled.indptr))
-        a = self._forms_t @ scaled
-        # A is symmetric positive definite, so diagonal pivots are stable, as
-        # in Cholesky, and keep the planned fill without a threshold search
-        self._lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    def _jacobian_matrix(self) -> sp.csc_matrix:
+        """J = F^T W F as a CSC matrix, with W the cell blocks that
+        _refill_jacobian set.  Row T of M_x, of M_y and of B holds the same
+        columns in the same order, so W F is formed on the nonzeros of F."""
+        forms, cells = self._forms, len(self._off_diagonal)
+        counts = np.diff(forms.indptr[: cells + 1])
+        scaled = np.repeat(self._diagonal.reshape(3, -1), counts, axis=1).ravel()
+        scaled *= forms.data
+        moments = forms.data[: 2 * counts.sum()].reshape(2, -1)
+        off_diagonal = np.repeat(self._off_diagonal, counts)
+        scaled[: moments.size].reshape(moments.shape)[...] += off_diagonal * moments[::-1]
+        return self._forms_t @ sp.csr_matrix((scaled, forms.indices, forms.indptr), shape=forms.shape)
+
+    def _factor(self) -> None:
+        """Factor the Jacobian at the cell blocks _refill_jacobian set, and
+        start the count of stale CG iterations afresh."""
+        # J is symmetric positive definite, as slope >= g > 0, so diagonal
+        # pivots are stable, as in Cholesky, and keep the planned fill
+        # without a threshold search
+        self._lu = splu(self._jacobian_matrix(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self._stale_iterations = 0
 
     def _state(self, u: np.ndarray, p_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """s as its two component rows and p at the velocity u, and the law's
@@ -290,7 +317,8 @@ class ExpandedMixedSolver:
         """CG for J delta = b from zero, preconditioned by the stored LU.
 
         Returns delta once its residual is at most target, zero when b
-        already is, and None when maxiter iterations miss it.
+        already is, and None when maxiter iterations miss it.  A returned
+        delta's iterations past the first count as stale.
         """
         delta = np.zeros_like(b)
         if np.linalg.norm(b) <= target:
@@ -299,12 +327,13 @@ class ExpandedMixedSolver:
         z = self._lu.solve(r)
         d = z
         rz = r @ z
-        for _ in range(maxiter):
+        for iteration in range(maxiter):
             jd = self._jacobian_times(d)
             alpha = rz / (d @ jd)
             delta += alpha * d
             r -= alpha * jd
             if np.linalg.norm(r) <= target:
+                self._stale_iterations += iteration
                 return delta
             z = self._lu.solve(r)
             rz, rz_prev = r @ z, rz
@@ -340,9 +369,11 @@ class ExpandedMixedSolver:
         for iteration in range(1, int(cfg.picard_max) + 1):
             self._refill_jacobian(*cell)
             target = max(_NEWTON_ETA * residual, floor)
-            delta = None if self._lu is None else self._pcg(step, target, _CG_MAXITER)
+            delta = None
+            if self._lu is not None and self._stale_iterations < _CG_STALE_BUDGET:
+                delta = self._pcg(step, target, _CG_MAXITER)
             if delta is None:
-                self._factor(cell[2] / areas)
+                self._factor()
                 delta = self._pcg(step, target, _CG_FRESH_MAXITER)
             if delta is None:
                 raise PicardError("CG missed the Newton stop on a fresh factorization", float(residual))

@@ -59,8 +59,11 @@ def triangle_quadrature() -> QuadratureRule:
 
 
 def cell_points(mesh: TriMesh, rule: QuadratureRule) -> np.ndarray:
-    """Physical quadrature points on every cell, shape (F, m, 2)."""
-    return rule.points @ mesh.vertices[mesh.triangles]
+    """Physical quadrature points on every cell, shape (F, m, 2): the (F, 6)
+    corner coordinates times the barycentric points acting on x and y
+    alike, as one 2-D product rather than F small ones."""
+    corners = mesh.vertices[mesh.triangles].reshape(mesh.num_triangles, 6)
+    return (corners @ np.kron(rule.points.T, np.eye(2))).reshape(mesh.num_triangles, -1, 2)
 
 
 @dataclass(frozen=True)

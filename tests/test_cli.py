@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -15,6 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from frozen_preconditioner import FrozenPreconditionedSolver
+
+import forchmix.mms as mms_module
+import forchmix.solver as solver_module
 from forchmix import ExpandedMixedSolver, convergence_study, law_from_string
 from forchmix.cli import _build_parser, main, parse_args
 
@@ -268,34 +273,72 @@ def test_main_writes_csv_file_deterministically(tmp_path: Path, capsys) -> None:
     assert len(text_a.decode().splitlines()) == 3
 
 
-# The CSV of `--mesh 4,8,16 --T 0.125` as the solver printed it once Newton
-# in the velocity resolved each step: n, (err_p, rate_p, err_s, rate_s,
+# The CSV of `--mesh 4,8,16 --T 0.125`: n, (err_p, rate_p, err_s, rate_s,
 # err_u, rate_u) and picard_avg, with None for the first row's missing rates.
+# _STUDY_ROWS is the solver's, with CG preconditioned by the factor of the
+# Jacobian; _FROZEN_STUDY_ROWS is what it printed while CG was preconditioned
+# by the factor of the frozen-K matrix A(1/g), as FrozenPreconditionedSolver
+# still is.  The errors differ by at most 1.2e-9 (relative, err_u at n=16).
 _STUDY_ROWS = [
+    (4, (9.886185926105e-03, None, 3.476920381014e-02, None, 2.562772443026e-02, None), 2.25),
+    (8, (5.260127316016e-03, 0.9103, 1.749040568242e-02, 0.9912, 1.275267540627e-02, 1.0069),
+     2.0),
+    (16, (2.881091118154e-03, 0.8685, 8.811812182326e-03, 0.9891, 6.420614628507e-03, 0.9900),
+     1.625),
+]
+_FROZEN_STUDY_ROWS = [
     (4, (9.886185926105e-03, None, 3.476920381244e-02, None, 2.562772443188e-02, None), 2.4167),
     (8, (5.260127316833e-03, 0.9103, 1.749040569282e-02, 0.9912, 1.275267541534e-02, 1.0069),
      2.0),
     (16, (2.881091115388e-03, 0.8685, 8.811812175185e-03, 0.9891, 6.420614620771e-03, 0.9900),
      1.5625),
 ]
+_STUDY_NAMES = ("err_p", "rate_p", "err_s", "rate_s", "err_u", "rate_u")
+
+
+def _study_csv(capsys) -> list[dict[str, str]]:
+    """The rows of the CSV of `--mesh 4,8,16 --T 0.125`, by column name."""
+    assert main(["--mesh", "4,8,16", "--T", "0.125", "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _assert_recorded(rows: list[dict[str, str]], recorded) -> None:
+    """n and picard_avg exactly, every printed error and rate to 1e-10
+    (relative)."""
+    assert [int(row["n"]) for row in rows] == [n for n, _, _ in recorded]
+    for row, (_, values, picard_avg) in zip(rows, recorded):
+        assert float(row["picard_avg"]) == picard_avg
+        for name, want in zip(_STUDY_NAMES, values):
+            if want is None:
+                assert row[name] == "", name
+            else:
+                assert float(row[name]) == pytest.approx(want, rel=1e-10), name
 
 
 def test_study_reproduces_recorded_numbers(capsys) -> None:
     """A refactor that claims the same numbers keeps the study's report: n and
     picard_avg exactly, every printed error and rate to 1e-10 (relative)."""
-    assert main(["--mesh", "4,8,16", "--T", "0.125", "--format", "csv"]) == 0
-    header, *lines = capsys.readouterr().out.splitlines()
-    columns = header.split(",")
-    rows = [dict(zip(columns, line.split(","))) for line in lines]
-    assert [int(row["n"]) for row in rows] == [n for n, _, _ in _STUDY_ROWS]
-    names = ("err_p", "rate_p", "err_s", "rate_s", "err_u", "rate_u")
-    for row, (_, values, picard_avg) in zip(rows, _STUDY_ROWS):
-        assert float(row["picard_avg"]) == picard_avg
-        for name, want in zip(names, values):
-            if want is None:
-                assert row[name] == "", name
+    _assert_recorded(_study_csv(capsys), _STUDY_ROWS)
+
+
+def test_study_matches_the_frozen_preconditioner(capsys, monkeypatch) -> None:
+    """The factor of the Jacobian changes the path of each step's Newton
+    iteration, not its limit: the study agrees with the one preconditioned by
+    the factor of A(1/g) to 1e-7 (relative) in every error and to the printed
+    4 decimals in every rate.  That oracle reproduces the numbers the study
+    printed before the change, as recorded."""
+    rows = _study_csv(capsys)
+    monkeypatch.setattr(solver_module, "_CG_STALE_BUDGET", math.inf)
+    monkeypatch.setattr(mms_module, "ExpandedMixedSolver", FrozenPreconditionedSolver)
+    frozen = _study_csv(capsys)
+    _assert_recorded(frozen, _FROZEN_STUDY_ROWS)
+    for row, want in zip(rows, frozen):
+        for name in _STUDY_NAMES:
+            if name.startswith("rate"):
+                assert row[name] == want[name], name
             else:
-                assert float(row[name]) == pytest.approx(want, rel=1e-10), name
+                assert float(row[name]) == pytest.approx(float(want[name]), rel=1e-7), name
 
 
 def test_main_reports_nonconvergence_with_code_three(capsys) -> None:

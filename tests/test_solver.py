@@ -185,6 +185,16 @@ def _count_solves(monkeypatch) -> list[int]:
     return calls
 
 
+def _factor_frozen(solver: ExpandedMixedSolver, weights: np.ndarray) -> None:
+    """Factor the Jacobian at isotropic cell blocks, zero v and
+    g = slope = w |T|, where it is A(1/g) = F^T diag(w, w, dt/|T|) F at the
+    cell weights w = 1/(K_T |T|)."""
+    zero = np.zeros((2, len(weights)))
+    g = weights * solver.mesh.areas
+    solver._refill_jacobian(zero, zero[0], g, g)
+    solver._factor()
+
+
 def test_config_validation() -> None:
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_final=1.0)
@@ -379,7 +389,7 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
     p_prev, load = rng.standard_normal(mesh.num_triangles), np.zeros(mesh.num_triangles)
     u = rng.standard_normal(solver.dofmap.n_rt0)
     level = DiscreteState(p=p_prev, s=np.zeros((mesh.num_triangles, 2)), u=u, t=0.0)
-    solver._factor(1.0 / mesh.areas)
+    _factor_frozen(solver, 1.0 / mesh.areas)
     calls = _spy_cg(monkeypatch, solver)
     (state, iterations, _, _), rhs = solver._advance([level], 0.1, load, solver._b_div_t @ p_prev)
     assert np.array_equal(rhs, solver._b_div_t @ p_prev)
@@ -423,8 +433,8 @@ def _condensed_matrix(solver: ExpandedMixedSolver, kbar: np.ndarray) -> sp.csc_m
 
 
 def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeypatch) -> None:
-    """When CG misses its target within the cap, A is factored again at the
-    current g and CG runs again; the final fields still match plain Picard
+    """When CG misses its target within the cap, J is factored again at the
+    current iterate and CG runs again; the final fields still match plain Picard
     at picard_tol = 1e-12 to 1e-9 (relative)."""
     monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
     factorizations = _count_calls(monkeypatch, "splu")
@@ -461,7 +471,7 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
     kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
     kbar[:2] = 1e-4, 1.0
     rhs = solver._b_div_t @ rng.standard_normal(mesh.num_triangles)
-    solver._factor(1.0 / (kbar * mesh.areas))
+    _factor_frozen(solver, 1.0 / (kbar * mesh.areas))
     want = spsolve(_condensed_matrix(solver, kbar), rhs)
     assert np.max(np.abs(solver._lu.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -492,7 +502,7 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     coupled.sort_indices()
     for _ in range(2):
         kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
-        solver._factor(1.0 / (kbar * mesh.areas))
+        _factor_frozen(solver, 1.0 / (kbar * mesh.areas))
         a, kwargs = received[-1]
         assert a.format == "csc"
         assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
@@ -505,6 +515,44 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     for _ in range(2):
         solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     assert numberings[0] == 1
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2", "1:0,1e12:0.5,1:3"])
+def test_the_factor_is_the_jacobian(law_text: str, n: int, monkeypatch) -> None:
+    """At a random velocity, splu receives the Jacobian that CG applies: the
+    matrix equals J on the unit vectors to 1e-12 (relative), with the pattern
+    of A and as many nonzeros in L + U as A's factorization has.  CG
+    preconditioned by that fresh factor meets a target of 1e-10 |b| in one
+    iteration, which counts no stale iteration."""
+    received = []
+    splu_original = solver_module.splu
+
+    def spy(a, **kwargs):
+        received.append(a)
+        return splu_original(a, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", spy)
+    mesh = unit_square_mesh(n)
+    solver = ExpandedMixedSolver(mesh, law_from_string(law_text), SolverConfig(dt=0.1, t_final=0.1))
+    rng = np.random.default_rng(n)
+    size = solver.dofmap.n_rt0
+    _, _, cell = solver._state(rng.standard_normal(size), rng.standard_normal(mesh.num_triangles))
+    solver._refill_jacobian(*cell)
+    solver._factor()
+    (a,) = received
+    jacobian = np.column_stack([solver._jacobian_times(e) for e in np.eye(size)])
+    assert np.max(np.abs(a.toarray() - jacobian)) <= 1e-12 * np.max(np.abs(jacobian))
+    frozen = _condensed_matrix(solver, 1.0 / cell[2])
+    for matrix in (a, frozen):
+        matrix.sort_indices()
+    assert np.array_equal(a.indptr, frozen.indptr) and np.array_equal(a.indices, frozen.indices)
+    assert solver._lu.nnz == splu(frozen, permc_spec="NATURAL", diag_pivot_thresh=0.0).nnz
+    b = rng.standard_normal(size)
+    delta = solver._pcg(b, 1e-10 * np.linalg.norm(b), 1)
+    assert delta is not None
+    assert np.linalg.norm(b - jacobian @ delta) <= 1.001e-10 * np.linalg.norm(b)
+    assert solver._stale_iterations == 0
 
 
 def _residual(solver: ExpandedMixedSolver, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
@@ -757,27 +805,58 @@ def test_march_binds_the_forcing_once(setup: str, monkeypatch) -> None:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
-def test_picard_iteration_budget_on_the_stiff_law() -> None:
-    """The newton-stiff benchmark run (law 1:0,1e4:2) takes 30 Newton
-    iterates, marched by hand through steps as by run.  Picard on K(|s|)
-    took 61 with its extrapolated start and Anderson mix, and 133 plain."""
+def test_picard_iteration_budget_on_the_stiff_law(monkeypatch) -> None:
+    """The newton-stiff benchmark run (law 1:0,1e4:2), marched by hand through
+    steps as by run, takes 28 Newton iterates and 51 triangular solves on one
+    factorization of the Jacobian.  Preconditioned by the factor of the
+    frozen-K matrix A(1/g) it took 30 and 104; Picard on K(|s|) took 61
+    iterates with its extrapolated start and Anderson mix, and 133 plain."""
+    factorizations = _count_calls(monkeypatch, "splu")
+    solves = _count_solves(monkeypatch)
     mesh, law, config, exact = _n16_setup("1:0,1e4:2")
     solver = ExpandedMixedSolver(mesh, law, config)
     state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
-    assert sum(iterations for _, iterations, _, _ in solver.steps(state0, exact.f)) <= 30
+    assert sum(iterations for _, iterations, _, _ in solver.steps(state0, exact.f)) <= 28
+    assert solves[0] <= 55
+    assert factorizations[0] == 1
 
 
 def test_picard_and_solve_budgets_on_the_study_row(monkeypatch) -> None:
     """The finest row of the cli-study benchmark takes 72 Newton iterates and
-    103 triangular solves; Picard on K(|s|) took 73 and 102.  Without the
-    floor _cg_rtol(picard_tol) |b_n - b_{n-1}| of the CG stop the row takes
-    136 solves, and with CG stopped at 1e-8 of the residual 417."""
+    85 triangular solves, 103 when preconditioned by the factor of A(1/g);
+    Picard on K(|s|) took 73 and 102.  Without the floor
+    _cg_rtol(picard_tol) |b_n - b_{n-1}| of the CG stop the row took 136
+    solves, and with CG stopped at 1e-8 of the residual 417."""
     solves = _count_solves(monkeypatch)
     mesh, law, config, exact = _study_row_setup()
     solver = ExpandedMixedSolver(mesh, law, config)
     result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     assert sum(result.picard_iters) <= 80
-    assert solves[0] <= 110
+    assert solves[0] <= 90
+
+
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e4:2"])
+def test_stale_cg_iterations_renew_the_factor(law_text: str, monkeypatch) -> None:
+    """With a budget of 2 stale CG iterations an n=8 march factors more than
+    once, and every factorization after the march's first comes once the
+    count of stale iterations since the last one has reached the budget.
+    Every level is still a Picard fixed point."""
+    monkeypatch.setattr(solver_module, "_CG_STALE_BUDGET", 2)
+    law = law_from_string(law_text)
+    exact = ManufacturedSolution(law)
+    solver = ExpandedMixedSolver(unit_square_mesh(8), law, SolverConfig(dt=1e-2, t_final=0.1))
+    stale, factor = [], solver._factor
+
+    def spy_factor():
+        stale.append(None if solver._lu is None else solver._stale_iterations)
+        factor()
+
+    monkeypatch.setattr(solver, "_factor", spy_factor)
+    levels = _levels(solver, exact, exact.f)
+    assert stale[0] is None
+    assert len(stale) > 1
+    assert all(count >= 2 for count in stale[1:])
+    _assert_picard_fixed_points(solver, exact.f, levels)
 
 
 def test_picard_budget_keeps_the_gradient_start_quadratic() -> None:

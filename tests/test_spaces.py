@@ -99,6 +99,30 @@ def test_integrate_cellwise_whole_mesh() -> None:
     )
 
 
+def _jittered_mesh(n: int, seed: int) -> TriMesh:
+    """The n x n square mesh with its interior vertices moved by up to 0.2/n."""
+    base = unit_square_mesh(n)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-0.2 / n, 0.2 / n, size=(int(interior.sum()), 2))
+    return build_mesh(vertices, base.triangles)
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("degree", [4, 9])
+def test_cell_points_are_the_batched_product_bitwise(n: int, degree: int) -> None:
+    """cell_points, one (F, 6) by (6, 3m) product, equals the F products of
+    the barycentric points by each cell's corners bit for bit, on jittered
+    meshes, for the scheme's rule and a 9th-degree reference rule."""
+    mesh = _jittered_mesh(n, seed=n)
+    rule = triangle_quadrature() if degree == 4 else triangle_rule(degree)
+    want = rule.points @ mesh.vertices[mesh.triangles]
+    got = cell_points(mesh, rule)
+    assert got.shape == want.shape == (mesh.num_triangles, len(rule.weights), 2)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_dofmap_counts(n: int) -> None:
     mesh = unit_square_mesh(n)
