@@ -31,9 +31,11 @@ CG solves each Newton step J delta = -R(u) from zero, applying J through
 [M_uz; B] and preconditioned by the factorization of J itself at an earlier
 iterate, to an inexact-Newton stop (see _NEWTON_ETA; Kelley, Iterative
 Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6; Knoll & Keyes,
-J. Comput. Phys. 193, 2004).  J = F^T W F, with W the cell blocks D_T / |T|
-and dt / |T|, has the sparsity of A, so a factorization forms it as one
-sparse product as well; where slope = g, as for a constant g, J is A(1/g).  A
+J. Comput. Phys. 193, 2004).  J = F^T W F, and W is the one stored cell
+operator: a sparse matrix on the rows of F with each cell's symmetric 2x2
+block D_T / |T| on its two moment rows and dt / |T| on its divergence row.
+CG applies J as F^T (W (F d)), and a factorization forms F^T (W F), with the
+sparsity of A; where slope = g, as for a constant g, J is A(1/g).  A
 march's first iterate factors J.  Each CG iteration past the first of a
 Newton step is stale, and once _CG_STALE_BUDGET of them have run since the
 last factorization the next iterate factors J afresh before its CG; when CG
@@ -97,7 +99,7 @@ _CG_FRESH_MAXITER = 100
 # Stale CG iterations, those past the first of a Newton step, after which the
 # next iterate factors J afresh.  A factor of J at t = 0 drifts from J over a
 # long march: without renewal the default study's n=64 row (2048 steps) took
-# 2663 triangular solves, 2108 at this budget and 2172 at 128; at 32 the
+# 2679 triangular solves, 2108 at this budget and 2172 at 128; at 32 the
 # n=128 row at dt = h factored three times rather than twice.
 _CG_STALE_BUDGET = 64
 # a double holds every whole step count only up to 2**53
@@ -227,10 +229,16 @@ class ExpandedMixedSolver:
         self._forms_t = self._forms.T
         self._b_div_t = self._forms[2 * mesh.num_triangles :].T
         self._terms = _terms(law)
-        # the Jacobian's cell weights on those rows: the diagonal of D_T / |T|,
-        # then dt / |T|, and the off-diagonal entry of D_T / |T|
-        self._diagonal = np.concatenate((np.zeros(2 * mesh.num_triangles), config.dt / mesh.areas))
-        self._off_diagonal = np.zeros(mesh.num_triangles)
+        # W, the Jacobian's one stored cell operator on those rows: of N
+        # cells, cell T's 2x2 block D_T / |T| sits on rows T and N + T, on
+        # the diagonals of offsets 0, -N and +N, and row 2N + T holds
+        # dt / |T|, set here once
+        cells = mesh.num_triangles
+        self._cell_weights = sp.dia_array(
+            (np.zeros((3, 3 * cells)), [0, -cells, cells]), shape=(3 * cells, 3 * cells)
+        )
+        self._dt_areas = self._cell_weights.data[0, 2 * cells :]
+        self._dt_areas[...] = config.dt / mesh.areas
         self._cg_rtol = _cg_rtol(config.picard_tol)
         self._lu = None
         # stale CG iterations since the last factorization
@@ -262,26 +270,14 @@ class ExpandedMixedSolver:
                 raise ValueError(f"the projection of {name} is not finite")
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
 
-    def _jacobian_matrix(self) -> sp.csc_matrix:
-        """J = F^T W F as a CSC matrix, with W the cell blocks that
-        _refill_jacobian set.  Row T of M_x, of M_y and of B holds the same
-        columns in the same order, so W F is formed on the nonzeros of F."""
-        forms, cells = self._forms, len(self._off_diagonal)
-        counts = np.diff(forms.indptr[: cells + 1])
-        scaled = np.repeat(self._diagonal.reshape(3, -1), counts, axis=1).ravel()
-        scaled *= forms.data
-        moments = forms.data[: 2 * counts.sum()].reshape(2, -1)
-        off_diagonal = np.repeat(self._off_diagonal, counts)
-        scaled[: moments.size].reshape(moments.shape)[...] += off_diagonal * moments[::-1]
-        return self._forms_t @ sp.csr_matrix((scaled, forms.indices, forms.indptr), shape=forms.shape)
-
     def _factor(self) -> None:
         """Factor the Jacobian at the cell blocks _refill_jacobian set, and
         start the count of stale CG iterations afresh."""
         # J is symmetric positive definite, as slope >= g > 0, so diagonal
         # pivots are stable, as in Cholesky, and keep the planned fill
         # without a threshold search
-        self._lu = splu(self._jacobian_matrix(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        jacobian = self._forms_t @ (self._cell_weights @ self._forms)
+        self._lu = splu(jacobian, permc_spec="NATURAL", diag_pivot_thresh=0.0)
         self._stale_iterations = 0
 
     def _state(self, u: np.ndarray, p_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -292,26 +288,24 @@ class ExpandedMixedSolver:
         v = forms[:split].reshape(2, -1) / -areas
         r = np.sqrt(v[0] ** 2 + v[1] ** 2)
         g, slope = _g_and_slope(self._terms, r)
-        p = p_hat - self._diagonal[split:] * forms[split:]
+        p = p_hat - self._dt_areas * forms[split:]
         return g * v, p, (v, r, g, slope)
 
     def _refill_jacobian(self, v: np.ndarray, r: np.ndarray, g: np.ndarray, slope: np.ndarray) -> None:
-        """Set the cell blocks D_T / |T| = (g I + (slope - g) v^ v^^T) / |T|
-        with v^ = v / |v| (0 where v = 0): through |v|^2 the product would
-        underflow, and g' alone diverges at 0 for exponents below 1."""
+        """Overwrite W's cell blocks D_T / |T| = (g I + (slope - g) v^ v^^T) / |T|
+        in place, with v^ = v / |v| (0 where v = 0): through |v|^2 the product
+        would underflow, and g' alone diverges at 0 for exponents below 1.
+        W's dt / |T| entries stay as the constructor set them."""
         areas = self.mesh.areas
         unit = np.divide(v, r, out=np.zeros_like(v), where=r > 0.0)
         bend = (slope - g) / areas
-        self._diagonal[: v.size].reshape(v.shape)[...] = g / areas + bend * unit**2
-        np.multiply(bend * unit[0], unit[1], out=self._off_diagonal)
+        data, cells = self._cell_weights.data, len(areas)
+        data[0, : v.size].reshape(v.shape)[...] = g / areas + bend * unit**2
+        data[1, :cells] = data[2, cells : 2 * cells] = bend * unit[0] * unit[1]
 
     def _jacobian_times(self, d: np.ndarray) -> np.ndarray:
-        """J d, through the forms, the cell weights and the forms again."""
-        x = self._forms @ d
-        y = self._diagonal * x
-        moments = x[: 2 * len(self._off_diagonal)].reshape(2, -1)
-        y[: moments.size].reshape(moments.shape)[...] += self._off_diagonal * moments[::-1]
-        return self._forms_t @ y
+        """J d = F^T (W (F d)), with no matrix J formed."""
+        return self._forms_t @ (self._cell_weights @ (self._forms @ d))
 
     def _pcg(self, b: np.ndarray, target: float, maxiter: int) -> np.ndarray | None:
         """CG for J delta = b from zero, preconditioned by the stored LU.

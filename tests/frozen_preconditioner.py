@@ -4,8 +4,8 @@ tests' reference for the numbers that the change of preconditioner moved."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+import forchmix.solver as solver_module
 from forchmix import ExpandedMixedSolver
 
 
@@ -20,9 +20,10 @@ class FrozenPreconditionedSolver(ExpandedMixedSolver):
         self._g = g
         super()._refill_jacobian(v, r, g, slope)
 
-    def _jacobian_matrix(self) -> sp.csc_matrix:
+    def _factor(self) -> None:
         weights = self._g / self.mesh.areas
         scaled = self._forms.copy()
-        rows = np.concatenate((weights, weights, self._diagonal[2 * len(weights) :]))
+        rows = np.concatenate((weights, weights, self._dt_areas))
         scaled.data *= np.repeat(rows, np.diff(scaled.indptr))
-        return self._forms_t @ scaled
+        self._lu = solver_module.splu(self._forms_t @ scaled, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self._stale_iterations = 0

@@ -586,7 +586,7 @@ def test_jacobian_is_the_derivative_of_the_residual(law_text: str) -> None:
     assert np.count_nonzero(np.abs(m_uz @ u) == 0.0) >= 2
     s, p, cell = solver._state(u, p_hat)
     solver._refill_jacobian(*cell)
-    assert np.all(np.isfinite(solver._diagonal)) and np.all(np.isfinite(solver._off_diagonal))
+    assert np.all(np.isfinite(solver._cell_weights.data))
     # the state is the residual's: -R(u) = [M_uz; B]^T [s; p]
     want = -_residual(solver, u, p_hat)
     assert np.allclose(solver._forms_t @ np.concatenate((s.ravel(), p)), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
@@ -599,6 +599,35 @@ def test_jacobian_is_the_derivative_of_the_residual(law_text: str) -> None:
         difference = (_residual(solver, u + h * d, p_hat) - _residual(solver, u - h * d, p_hat)) / (2.0 * h)
         jd = jacobian @ d
         assert np.max(np.abs(jd - difference)) <= 1e-6 * np.max(np.abs(jd))
+
+
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e12:0.5,1:3"])
+def test_cell_weights_keep_their_invariants_over_refills(law_text: str) -> None:
+    """W, the cell operator of J = F^T W F, stays symmetric over refills at
+    velocities with cells where v = 0, and its dt/|T| entries keep the
+    constructor's bits.  At zero v with g = slope it is exactly
+    diag(g/|T|, g/|T|, dt/|T|), the A(1/g) that _factor_frozen factors."""
+    mesh = unit_square_mesh(4)
+    config = SolverConfig(dt=0.1, t_final=0.1)
+    solver = ExpandedMixedSolver(mesh, law_from_string(law_text), config)
+    cells = mesh.num_triangles
+    dt_areas = config.dt / mesh.areas
+    _, m_uz = _blocks(solver)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        u = 1e-2 * rng.standard_normal(solver.dofmap.n_rt0)
+        u[m_uz[0].indices] = 0.0
+        _, _, cell = solver._state(u, np.zeros(cells))
+        assert cell[1][0] == 0.0
+        solver._refill_jacobian(*cell)
+        w = solver._cell_weights.toarray()
+        assert np.all(np.isfinite(w)) and np.array_equal(w, w.T)
+        assert solver._cell_weights.diagonal()[2 * cells :].tobytes() == dt_areas.tobytes()
+    g = rng.uniform(0.5, 2.0, cells)
+    zero = np.zeros((2, cells))
+    solver._refill_jacobian(zero, zero[0], g, g)
+    want = np.diag(np.concatenate((g / mesh.areas, g / mesh.areas, dt_areas)))
+    assert np.array_equal(solver._cell_weights.toarray(), want)
 
 
 def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
