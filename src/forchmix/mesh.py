@@ -62,16 +62,6 @@ class TriMesh:
         return len(self.edges)
 
 
-def _outward_normals(p: np.ndarray) -> np.ndarray:
-    """Outward unit normal of each triangle, with corners p (F, 3, 2), on the
-    edge opposite vertex k."""
-    # edge opposite vertex k runs from vertex k+1 to vertex k+2 (ccw traversal),
-    # so its right-hand normal (dy, -dx) points out of the triangle
-    d = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-    length = np.hypot(d[..., 0], d[..., 1])
-    return np.stack([d[..., 1] / length, -d[..., 0] / length], axis=-1)
-
-
 def build_mesh(vertices, triangles) -> TriMesh:
     """Assemble connectivity for a conforming set of ccw triangles: finite
     (V, 2) vertices and (F, 3) whole vertex indices, F >= 1."""
@@ -126,12 +116,15 @@ def build_mesh(vertices, triangles) -> TriMesh:
     signs = np.where(edge_tris[tri_edges, 0] == np.arange(len(triangles))[:, None], 1, -1)
     signs = signs.astype(np.int64)
 
-    owner = signs == 1
-    edge_normals = np.zeros((len(edges), 2))
-    edge_normals[tri_edges[owner]] = _outward_normals(p)[owner]
-
     edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
+    # run each edge ccw around its first triangle, whose centroid is then on its
+    # left: (dy, -dx) points out; 0.0 - v keeps the +0.0 that -v would negate
+    centroids = p.mean(axis=1)
+    to_centroid = centroids[edge_tris[:, 0]] - vertices[edges[:, 0]]
+    ccw = edge_vec[:, 0] * to_centroid[:, 1] > edge_vec[:, 1] * to_centroid[:, 0]
+    run = np.where(ccw[:, None], edge_vec, 0.0 - edge_vec)
+    edge_normals = np.column_stack([run[:, 1], -run[:, 0]]) / edge_lengths[:, None]
     diameters = np.max(edge_lengths[tri_edges], axis=1)
 
     return TriMesh(
@@ -144,7 +137,7 @@ def build_mesh(vertices, triangles) -> TriMesh:
         boundary_edge=boundary_edge,
         edge_normals=edge_normals,
         areas=signed_area,
-        centroids=p.mean(axis=1),
+        centroids=centroids,
         edge_lengths=edge_lengths,
         h=float(np.max(diameters)),
     )

@@ -48,6 +48,16 @@ from .spaces import (
 _DECAY = 5.0
 
 
+def _pressure(x, y) -> np.ndarray:
+    """P = (x^2 + y^2)/2 - (x^3 + y^3)/3, so that p = exp(-5t) P."""
+    return 0.5 * (x**2 + y**2) - (x**3 + y**3) / 3.0
+
+
+def _gradient(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The components of S = grad P, so that s = exp(-5t) S."""
+    return x * (1.0 - x), y * (1.0 - y)
+
+
 def forcing_f(law: ForchheimerLaw, x, y) -> Callable[[float], np.ndarray]:
     """Forcing f = p_t + div u of the manufactured solution bound to the
     points (x, y): the function t -> f(x, y, t), with the factors that
@@ -63,8 +73,8 @@ def forcing_f(law: ForchheimerLaw, x, y) -> Callable[[float], np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pressure = 0.5 * (x**2 + y**2) - (x**3 + y**3) / 3.0
-    s1, s2 = x * (1.0 - x), y * (1.0 - y)
+    pressure = _pressure(x, y)
+    s1, s2 = _gradient(x, y)
     ds1, ds2 = 1.0 - 2.0 * x, 1.0 - 2.0 * y
     norm = np.hypot(s1, s2)
     divergence = ds1 + ds2
@@ -92,17 +102,12 @@ class ManufacturedSolution:
 
     def p(self, x, y, t) -> np.ndarray:
         decay = np.exp(-_DECAY * np.asarray(t, dtype=float))
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return decay * (0.5 * (x**2 + y**2) - (x**3 + y**3) / 3.0)
+        return decay * _pressure(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def s(self, x, y, t) -> np.ndarray:
         decay = np.exp(-_DECAY * np.asarray(t, dtype=float))
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.stack(
-            np.broadcast_arrays(decay * x * (1.0 - x), decay * y * (1.0 - y)), axis=-1
-        )
+        s1, s2 = _gradient(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return np.stack(np.broadcast_arrays(decay * s1, decay * s2), axis=-1)
 
     def u(self, x, y, t) -> np.ndarray:
         return -K_flux(self.law, self.s(x, y, t))

@@ -114,35 +114,6 @@ def build_dofmap(mesh: TriMesh) -> DofMap:
     return DofMap(edge_dof=edge_dof, dof_edge=dof_edge, n_rt0=len(dof_edge))
 
 
-def rt0_cell_affine(mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray):
-    """Per-cell affine form of an RT0 field: u(x) = d_T + gamma_T * x.
-
-    Returns (gamma, d) with shapes (F,) and (F, 2).  Boundary edges contribute
-    nothing because their flux is constrained to zero.
-    """
-    num_tris = mesh.num_triangles
-    gamma = np.zeros(num_tris)
-    d = np.zeros((num_tris, 2))
-    dofs = dofmap.edge_dof[mesh.tri_edges]
-    for k in range(3):
-        have = dofs[:, k] >= 0
-        c = np.zeros(num_tris)
-        c[have] = coeffs[dofs[have, k]]
-        factor = c * mesh.tri_edge_signs[:, k] * mesh.edge_lengths[mesh.tri_edges[:, k]]
-        factor = factor / (2.0 * mesh.areas)
-        gamma += factor
-        d -= factor[:, None] * mesh.vertices[mesh.triangles[:, k]]
-    return gamma, d
-
-
-def rt0_at_cell_points(
-    mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Evaluate an RT0 coefficient vector at per-cell points (F, m, 2)."""
-    gamma, d = rt0_cell_affine(mesh, dofmap, coeffs)
-    return d[:, None, :] + gamma[:, None, None] * points
-
-
 def _filled(values, shape: tuple[int, ...]) -> np.ndarray:
     """A field's values as a C-ordered float array of shape; a constant fills it."""
     return np.ascontiguousarray(np.broadcast_to(values, shape), dtype=float)
@@ -208,4 +179,17 @@ def assemble_forms(mesh: TriMesh, dofmap: DofMap) -> sp.csr_matrix:
     return sp.csr_matrix(
         (values, np.tile(dofs.T[inside], 3), np.append(0, np.cumsum(np.tile(inside.sum(axis=1), 3)))),
         shape=(3 * mesh.num_triangles, dofmap.n_rt0),
+    )
+
+
+def rt0_at_cell_points(
+    mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Evaluate an RT0 coefficient vector at per-cell points (F, m, 2).
+
+    On a cell the field is affine, u(x) = u(c_T) + (div u)_T (x - c_T) / 2,
+    and the rows of assemble_forms hold |T| u(c_T) and |T| (div u)_T."""
+    moments = (assemble_forms(mesh, dofmap) @ coeffs).reshape(3, -1) / mesh.areas
+    return moments[:2].T[:, None, :] + 0.5 * moments[2][:, None, None] * (
+        points - mesh.centroids[:, None, :]
     )

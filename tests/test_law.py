@@ -16,15 +16,23 @@ from forchmix.law import (
     K_eval,
     K_flux,
     K_prime,
+    _as_nonneg_array,
+    _g_and_slope,
     _newton_s,
+    _terms,
     degeneracy_exponents,
-    g_eval,
     law_from_string,
     solve_s_of_xi,
 )
 
 TWO_TERM = ForchheimerLaw(exponents=(0.0, 1.0), coefficients=(1.0, 1.0))
 THREE_TERM = ForchheimerLaw(exponents=(0.0, 1.0, 2.0), coefficients=(1.0, 1.0, 2.0))
+
+
+def g_eval(law: ForchheimerLaw, s):
+    """Oracle g(s) for s >= 0, with the input check of every evaluation of
+    the law; at least a_0 > 0."""
+    return _g_and_slope(_terms(law), _as_nonneg_array(s, "s"))[0]
 
 
 def test_g_eval_two_term_values() -> None:

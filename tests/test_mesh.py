@@ -15,6 +15,26 @@ from forchmix.mesh import build_mesh
 from forchmix.spaces import cell_points
 
 
+def _owner_slot_normals(vertices, triangles, tri_edges, signs) -> np.ndarray:
+    """Oracle for edge_normals, derived per triangle slot: the outward unit
+    normal of triangle t on its local edge k, the right-hand normal (dy, -dx)
+    of the ccw run from vertex k+1 to vertex k+2, stored on the edge from the
+    slot whose incidence sign is +1, that of the edge's first triangle."""
+    p = vertices[triangles]
+    outward = np.empty((len(triangles), 3, 2))
+    for k in range(3):
+        d = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+        length = np.hypot(d[:, 0], d[:, 1])
+        outward[:, k, 0] = d[:, 1] / length
+        outward[:, k, 1] = -d[:, 0] / length
+    edge_normals = np.zeros((int(tri_edges.max()) + 1, 2))
+    for t in range(len(triangles)):
+        for k in range(3):
+            if signs[t, k] == 1:
+                edge_normals[tri_edges[t, k]] = outward[t, k]
+    return edge_normals
+
+
 def _loop_mesh(vertices, triangles) -> TriMesh:
     """Reference construction: fills edge_tris and edge_normals triangle by
     triangle, the way build_mesh did before it was vectorized."""
@@ -51,18 +71,7 @@ def _loop_mesh(vertices, triangles) -> TriMesh:
     signs = np.where(edge_tris[tri_edges, 0] == np.arange(len(triangles))[:, None], 1, -1)
     signs = signs.astype(np.int64)
 
-    outward = np.empty((len(triangles), 3, 2))
-    for k in range(3):
-        d = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
-        length = np.hypot(d[:, 0], d[:, 1])
-        outward[:, k, 0] = d[:, 1] / length
-        outward[:, k, 1] = -d[:, 0] / length
-    edge_normals = np.zeros((num_edges, 2))
-    for t in range(len(triangles)):
-        for k in range(3):
-            if signs[t, k] == 1:
-                edge_normals[tri_edges[t, k]] = outward[t, k]
-
+    edge_normals = _owner_slot_normals(vertices, triangles, tri_edges, signs)
     edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
     return TriMesh(
@@ -115,6 +124,16 @@ def _scrambled_mesh(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     shift = rng.integers(0, 3, size=len(triangles))
     triangles = np.take_along_axis(triangles, (np.arange(3) + shift[:, None]) % 3, axis=1)
     return renumbered, triangles
+
+
+def _jittered_mesh(n: int, seed: int) -> TriMesh:
+    """The n x n square mesh with its interior vertices moved by up to 0.2/n."""
+    base = unit_square_mesh(n)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-0.2 / n, 0.2 / n, size=(int(interior.sum()), 2))
+    return build_mesh(vertices, base.triangles)
 
 
 def _assert_same_mesh(actual: TriMesh, expected: TriMesh) -> None:
@@ -192,6 +211,20 @@ def test_edge_normals_unit_and_outward_on_boundary() -> None:
         "ed,ed->e", mesh.edge_normals[boundary], mids[boundary] - 0.5
     )
     assert np.all(outward > 0.0)
+
+
+@pytest.mark.parametrize("family", ["uniform", "jittered"])
+def test_edge_normals_are_the_owner_slot_normals(family: str) -> None:
+    """edge_normals, taken from the edge vectors, equals the per-slot oracle
+    bit for bit, has unit length and points out of the edge's first
+    triangle, on the n=8 square mesh and on it with jittered vertices."""
+    mesh = unit_square_mesh(8) if family == "uniform" else _jittered_mesh(8, seed=8)
+    want = _owner_slot_normals(mesh.vertices, mesh.triangles, mesh.tri_edges, mesh.tri_edge_signs)
+    assert mesh.edge_normals.tobytes() == want.tobytes()
+    assert np.allclose(np.hypot(*mesh.edge_normals.T), 1.0, rtol=0.0, atol=4e-16)
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    away = mids - mesh.centroids[mesh.edge_tris[:, 0]]
+    assert np.all(np.einsum("ed,ed->e", mesh.edge_normals, away) > 0.0)
 
 
 def test_geometry_of_first_cell() -> None:

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from quadrature_oracle import triangle_rule
+from test_law import g_eval
 from test_spaces import _ORDERING_MESHES, _ordering_mesh
 
 import forchmix.mms as mms_module
@@ -26,7 +27,7 @@ from forchmix import (
     law_from_string,
     unit_square_mesh,
 )
-from forchmix.law import K_eval, K_flux, g_eval
+from forchmix.law import K_eval, K_flux
 from forchmix.mesh import build_mesh
 from forchmix.spaces import (
     assemble_forms,

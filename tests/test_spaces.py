@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quadrature_oracle import triangle_rule
-from test_mesh import _scrambled_mesh
+from test_mesh import _jittered_mesh, _scrambled_mesh
 
 from forchmix import TriMesh, unit_square_mesh
 from forchmix.mesh import build_mesh
@@ -21,7 +21,6 @@ from forchmix.spaces import (
     l2_project_scalar,
     l2_project_vector,
     rt0_at_cell_points,
-    rt0_cell_affine,
     triangle_quadrature,
 )
 
@@ -97,16 +96,6 @@ def test_integrate_cellwise_whole_mesh() -> None:
     assert integrate_cellwise(mesh, rule, pts[..., 0]).sum() == pytest.approx(
         0.5, rel=1e-13
     )
-
-
-def _jittered_mesh(n: int, seed: int) -> TriMesh:
-    """The n x n square mesh with its interior vertices moved by up to 0.2/n."""
-    base = unit_square_mesh(n)
-    vertices = base.vertices.copy()
-    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
-    rng = np.random.default_rng(seed)
-    vertices[interior] += rng.uniform(-0.2 / n, 0.2 / n, size=(int(interior.sum()), 2))
-    return build_mesh(vertices, base.triangles)
 
 
 @pytest.mark.parametrize("n", [3, 16, 64])
@@ -214,27 +203,56 @@ def test_rt0_divergence_matches_flux_by_area() -> None:
         rt0_eval(mesh, 0, -1, np.zeros(2))
 
 
-def test_rt0_cell_affine_reconstructs_basis() -> None:
+def _divergence(mesh: TriMesh, dofmap, coeffs: np.ndarray) -> np.ndarray:
+    """Cell divergences of an RT0 field, from the B_div rows of the forms."""
+    return (assemble_forms(mesh, dofmap) @ coeffs)[2 * mesh.num_triangles :] / mesh.areas
+
+
+def test_rt0_at_cell_points_reconstructs_basis() -> None:
+    """A random field evaluated at random points per cell, and its
+    divergence from the forms, equal the sum of the oracle's basis
+    functions and their divergences."""
     mesh = unit_square_mesh(3)
     dofmap = build_dofmap(mesh)
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=dofmap.n_rt0)
-    gamma, d = rt0_cell_affine(mesh, dofmap, coeffs)
+    x = rng.uniform(size=(mesh.num_triangles, 6, 2))
+    got = rt0_at_cell_points(mesh, dofmap, coeffs, x)
+    div = _divergence(mesh, dofmap, coeffs)
     for t in (0, 4, 11):
-        x = rng.uniform(size=(6, 2))
         expected = np.zeros((6, 2))
+        expected_div = 0.0
         for k in range(3):
             dof = dofmap.edge_dof[mesh.tri_edges[t, k]]
             if dof >= 0:
-                expected += coeffs[dof] * rt0_eval(mesh, t, k, x)
-        got = d[t] + gamma[t] * x
-        assert np.allclose(got, expected, atol=1e-13)
-        div = sum(
-            coeffs[dofmap.edge_dof[mesh.tri_edges[t, k]]] * rt0_div(mesh, t, k)
-            for k in range(3)
-            if dofmap.edge_dof[mesh.tri_edges[t, k]] >= 0
-        )
-        assert 2.0 * gamma[t] == pytest.approx(div, rel=1e-12, abs=1e-13)
+                expected += coeffs[dof] * rt0_eval(mesh, t, k, x[t])
+                expected_div += coeffs[dof] * rt0_div(mesh, t, k)
+        assert np.allclose(got[t], expected, atol=1e-13)
+        assert div[t] == pytest.approx(expected_div, rel=1e-12, abs=1e-13)
+
+
+def test_rt0_basis_on_a_jittered_mesh() -> None:
+    """On a mesh with vertices moved by up to 0.2/n, each basis function
+    through rt0_at_cell_points equals the oracle at Gauss points on every
+    cell's edges, with average normal flux 1 on its own edge and 0 on the
+    other two of each cell."""
+    mesh = _jittered_mesh(4, seed=4)
+    dofmap = build_dofmap(mesh)
+    nodes, gw = np.polynomial.legendre.leggauss(3)
+    frac = 0.5 * (nodes + 1.0)
+    # Gauss points on local edge k, from vertex k+1 to vertex k+2
+    corners = mesh.vertices[mesh.triangles]
+    a, b = corners[:, [1, 2, 0]], corners[:, [2, 0, 1]]
+    pts = (a[:, :, None] + frac[:, None] * (b - a)[:, :, None]).reshape(mesh.num_triangles, -1, 2)
+    normals = mesh.edge_normals[mesh.tri_edges]
+    for j in range(dofmap.n_rt0):
+        got = rt0_at_cell_points(mesh, dofmap, np.eye(dofmap.n_rt0)[j], pts)
+        flux = np.einsum("fkqd,fkd->fkq", got.reshape(-1, 3, 3, 2), normals) @ (0.5 * gw)
+        own = mesh.tri_edges == dofmap.dof_edge[j]
+        assert np.allclose(flux, own, atol=1e-13)
+        for t, k in zip(*np.nonzero(own)):
+            assert np.allclose(got[t], rt0_eval(mesh, t, k, pts[t]), atol=1e-13)
+        assert np.all(got[~own.any(axis=1)] == 0.0)
 
 
 def test_scalar_projection_exact_for_linear_fields() -> None:
@@ -289,17 +307,20 @@ def _rt0_field(mesh, dofmap, coeffs):
     """Pointwise evaluator (x, y) -> (..., 2) of an RT0 field: each point
     takes the affine form of the cell in which its smallest barycentric
     coordinate is largest, so a point on an edge takes one incident cell."""
-    gamma, d = rt0_cell_affine(mesh, dofmap, coeffs)
     corners = mesh.vertices[mesh.triangles]
     jac = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=-1)
     inv = np.linalg.inv(jac)
 
     def evaluate(x, y):
         pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        local = np.einsum("fij,...fj->...fi", inv, pts[..., None, :] - corners[:, 0])
+        flat = pts.reshape(-1, 2)
+        local = np.einsum("fij,...fj->...fi", inv, flat[..., None, :] - corners[:, 0])
         bary = np.concatenate([1.0 - local.sum(axis=-1, keepdims=True), local], axis=-1)
         cells = np.argmax(bary.min(axis=-1), axis=-1)
-        return d[cells] + gamma[cells][..., None] * pts
+        # every cell's affine field at every point, then each point's cell
+        every = np.broadcast_to(flat, (mesh.num_triangles, *flat.shape))
+        values = rt0_at_cell_points(mesh, dofmap, coeffs, every)
+        return values[cells, np.arange(len(flat))].reshape(pts.shape)
 
     return evaluate
 
@@ -365,9 +386,8 @@ def test_commuting_projection_identity() -> None:
                 )
 
             coeffs = hdiv_interpolate(mesh, dofmap, v)
-            gamma, _ = rt0_cell_affine(mesh, dofmap, coeffs)
             projected = l2_project_scalar(mesh, div_v)
-            assert np.max(np.abs(2.0 * gamma - projected)) < 1e-12
+            assert np.max(np.abs(_divergence(mesh, dofmap, coeffs) - projected)) < 1e-12
 
 
 def test_assembled_blocks() -> None:
