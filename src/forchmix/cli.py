@@ -113,6 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _study_keywords(args: argparse.Namespace) -> dict:
+    """convergence_study's keyword arguments, each the dest of its flag."""
+    return {name: getattr(args, name) for name in ("dt", "dt_cap", "t_final", "picard_tol", "picard_max")}
+
+
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """Parse CLI flags and check them as convergence_study does; malformed
     flags exit with code 2, a bad value naming the study argument at fault.
@@ -126,9 +131,7 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     if not math.isfinite(args.dt_cap):
         parser.error("argument --dt-cap: must be finite")
     try:
-        _check_study(
-            args.mesh_sizes, args.dt, args.dt_cap, args.t_final, args.picard_tol, args.picard_max
-        )
+        _check_study(args.mesh_sizes, **_study_keywords(args))
     except ValueError as exc:
         parser.error(str(exc))
     return args
@@ -138,15 +141,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run the study described by argv and write the report."""
     args = parse_args(argv)
     try:
-        report = convergence_study(
-            args.law,
-            args.mesh_sizes,
-            dt=args.dt,
-            dt_cap=args.dt_cap,
-            t_final=args.t_final,
-            picard_tol=args.picard_tol,
-            picard_max=args.picard_max,
-        )
+        report = convergence_study(args.law, args.mesh_sizes, **_study_keywords(args))
     except (RuntimeError, ValueError) as exc:
         print(f"forchmix: numerical failure: {exc}", file=sys.stderr)
         return 3

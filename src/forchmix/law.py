@@ -132,12 +132,10 @@ def _g_prime(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
     """Evaluate g'(s); diverges at s = 0 when the law has exponents in (0,1)."""
     total = np.zeros_like(s_arr)
     with np.errstate(divide="ignore"):
-        for coef, exp in zip(law.coefficients, law.exponents):
-            if coef == 0.0 or exp == 0.0:
-                continue
+        for coef, exp in _terms(law):
             if exp == 1.0:
                 total = total + coef
-            else:
+            elif exp != 0.0:
                 total = total + coef * exp * np.power(s_arr, exp - 1.0)
     return total
 

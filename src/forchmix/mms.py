@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .law import (  # noqa: F401
     degeneracy_exponents,
 )
 from .mesh import TriMesh, _is_mesh_size, unit_square_mesh
-from .solver import _MAX_STEPS, DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig
+from .solver import _MAX_STEPS, DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _real
 from .spaces import (
     DofMap,
     cell_points,
@@ -143,21 +142,18 @@ def error_norms(
     beta = degeneracy_exponents(exact.law).beta
     pts = cell_points(mesh, rule)
     x, y = pts[..., 0], pts[..., 1]
-    weights = rule.weights
-    areas = mesh.areas
+    areas, weights = mesh.areas, rule.weights
 
     p_diff = state.p[:, None] - exact.p(x, y, t)
     e_p = float(np.sqrt(areas @ (p_diff**2 @ weights)))
 
-    s_diff = state.s[:, None, :] - exact.s(x, y, t)
-    # |x| bit for bit np.linalg.norm(x, axis=-1) at a fraction of its cost
-    s_mag = np.sqrt(s_diff[..., 0] ** 2 + s_diff[..., 1] ** 2)
-    e_s = float((areas @ (s_mag**beta @ weights)) ** (1.0 / beta))
+    def lebesgue(e: np.ndarray) -> float:
+        # (int |e|^beta)^(1/beta); |e| is bit for bit np.linalg.norm(e, axis=-1), and faster
+        magnitude = np.sqrt(e[..., 0] ** 2 + e[..., 1] ** 2)
+        return float((areas @ (magnitude**beta @ weights)) ** (1.0 / beta))
 
-    u_h = rt0_at_cell_points(mesh, dofmap, state.u, pts)
-    u_diff = u_h - exact.u(x, y, t)
-    u_mag = np.sqrt(u_diff[..., 0] ** 2 + u_diff[..., 1] ** 2)
-    e_u = float((areas @ (u_mag**beta @ weights)) ** (1.0 / beta))
+    e_s = lebesgue(state.s[:, None, :] - exact.s(x, y, t))
+    e_u = lebesgue(rt0_at_cell_points(mesh, dofmap, state.u, pts) - exact.u(x, y, t))
     return e_p, e_s, e_u
 
 
@@ -240,13 +236,6 @@ def _md_rate(rate: float | None) -> str:
     return "-" if rate is None else f"{rate:.2f}"
 
 
-def _real(name: str, value) -> float:
-    """value as a float, else a ValueError naming it; True is no time, as in SolverConfig."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number")
-    return float(value)
-
-
 def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
     """Resolve the dt policy and snap so that t_final is a whole number of steps.
 
@@ -273,7 +262,7 @@ def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
     return t_final / max(1, round(steps))
 
 
-def _check_study(mesh_sizes, dt, dt_cap, t_final, picard_tol, picard_max) -> list[int]:
+def _check_study(mesh_sizes, *, dt, dt_cap, t_final, picard_tol, picard_max) -> list[int]:
     """The mesh sizes as ints once all of convergence_study's arguments check
     out, else a ValueError naming the one at fault; the CLI checks here too."""
     if len(mesh_sizes) == 0:
@@ -307,7 +296,8 @@ def convergence_study(
     snapped to divide t_final exactly.  Rates compare consecutive rows.
     Every argument is checked before the first mesh runs.
     """
-    mesh_sizes = _check_study(mesh_sizes, dt, dt_cap, t_final, picard_tol, picard_max)
+    mesh_sizes = _check_study(mesh_sizes, dt=dt, dt_cap=dt_cap, t_final=t_final,
+                              picard_tol=picard_tol, picard_max=picard_max)
     exact = ManufacturedSolution(law)
     rows: list[ReportRow] = []
     runs: list[MeshRun] = []

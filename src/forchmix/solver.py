@@ -119,23 +119,22 @@ def _cg_rtol(picard_tol: float) -> float:
 
 
 def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
-    """The next time level of the polynomial through the given ones.
+    """The next level of the polynomial through levels, the last k time levels
+    oldest first: the backward-difference predictor sum_{j<k} nabla^j x^{n-1}
+    (Hairer, Norsett & Wanner, Solving ODEs I, III.1).  A constant history's
+    differences are exact zeros, so it returns exactly."""
+    total = levels[-1]
+    for _ in range(len(levels) - 1):
+        levels = [b - a for a, b in zip(levels, levels[1:])]
+        total = total + levels[-1]
+    return total
 
-    levels holds the last one to four levels, oldest first; the result is
-    the last level itself, 2 x^{n-1} - x^{n-2}, 3 (x^{n-1} - x^{n-2}) + x^{n-3}
-    or 4 x^{n-1} - 6 x^{n-2} + 4 x^{n-3} - x^{n-4}, each summed from
-    differences so that a constant history returns exactly.
-    """
-    if len(levels) == 4:
-        x4, x3, x2, x1 = levels  # x^{n-4} .. x^{n-1}
-        return 4.0 * (x1 - x2) + 2.0 * (x3 - x2) + (x3 - x4) + x3
-    if len(levels) == 3:
-        oldest, older, last = levels
-        return 3.0 * (last - older) + oldest
-    if len(levels) == 2:
-        older, last = levels
-        return 2.0 * last - older
-    return levels[-1]
+
+def _real(name: str, value) -> float:
+    """value as a float, else a ValueError naming it; True is no time or tolerance."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number")
+    return float(value)
 
 
 class PicardError(RuntimeError):
@@ -165,12 +164,11 @@ class SolverConfig:
     picard_max: int = 25
 
     def __post_init__(self) -> None:
-        # bool subclasses int, but True is no time, tolerance or count
-        for name, kind in (("dt", numbers.Real), ("t_final", numbers.Real),
-                           ("picard_tol", numbers.Real), ("picard_max", numbers.Integral)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {'a real number' if kind is numbers.Real else 'an integer'}")
+        for name in ("dt", "t_final", "picard_tol"):
+            _real(name, getattr(self, name))
+        # bool subclasses int, but True is no count
+        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, numbers.Integral):
+            raise ValueError("picard_max must be an integer")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):

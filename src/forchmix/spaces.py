@@ -119,16 +119,14 @@ def _filled(values, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(values, shape), dtype=float)
 
 
-def l2_project_scalar(mesh: TriMesh, f, rule: QuadratureRule | None = None) -> np.ndarray:
+def l2_project_scalar(mesh: TriMesh, f, rule: QuadratureRule) -> np.ndarray:
     """Cellwise L2 projection (cell averages) of a scalar field f(x, y)."""
-    rule = rule or triangle_quadrature()
     pts = cell_points(mesh, rule)
     return _filled(f(pts[..., 0], pts[..., 1]), pts.shape[:-1]) @ rule.weights
 
 
-def l2_project_vector(mesh: TriMesh, z, rule: QuadratureRule | None = None) -> np.ndarray:
+def l2_project_vector(mesh: TriMesh, z, rule: QuadratureRule) -> np.ndarray:
     """Componentwise cell averages of a vector field z(x, y) -> (..., 2)."""
-    rule = rule or triangle_quadrature()
     pts = cell_points(mesh, rule)
     values = _filled(z(pts[..., 0], pts[..., 1]), pts.shape)
     return np.einsum("fqd,q->fd", values, rule.weights)

@@ -12,7 +12,13 @@ from test_law import g_eval
 
 from forchmix import unit_square_mesh
 from forchmix.law import K_eval, K_flux, _newton_s, degeneracy_exponents
-from forchmix.spaces import assemble_forms, build_dofmap, hdiv_interpolate, l2_project_scalar
+from forchmix.spaces import (
+    assemble_forms,
+    build_dofmap,
+    hdiv_interpolate,
+    l2_project_scalar,
+    triangle_quadrature,
+)
 
 REFERENCE_COARSE_PRESSURE_ERROR = 1.965e-01
 
@@ -156,7 +162,7 @@ def test_criterion_06_commuting_projection(law) -> None:
 
             coeffs = hdiv_interpolate(mesh, dofmap, v)
             div = b_div @ coeffs / mesh.areas
-            projected = l2_project_scalar(mesh, div_v)
+            projected = l2_project_scalar(mesh, div_v, triangle_quadrature())
             worst = max(worst, float(np.max(np.abs(div - projected))))
     ok = worst <= 1e-10
     _report(ok, 6, f"worst deviation {worst:.2e} over 100 fields per mesh in {{2,4,8}}")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +357,13 @@ def test_oversampled_error_quadrature_is_consistent(capped_report, mms, monkeypa
     fine = error_norms(run.mesh, run.dofmap, run.result.state, mms)
     for coarse_value, fine_value in zip(base, fine):
         assert abs(coarse_value - fine_value) / fine_value < 0.01
+
+
+def test_readme_gives_the_default_studys_picard_avg(capped_report) -> None:
+    """README's picard_avg figures are those the default study prints."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    figures = re.search(r"It reads ([\d., and]+?) on the default rows", readme).group(1)
+    assert re.split(r", | and ", figures) == [f"{row.picard_avg:.4f}" for row in capped_report.rows]
 
 
 def test_uncapped_step_policy_restores_second_order(uncapped_errors) -> None:

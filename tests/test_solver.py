@@ -205,17 +205,28 @@ def test_config_validation() -> None:
         SolverConfig(dt=0.3, t_final=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_final=1.0, picard_tol=0.0)
-    for bad in (0, -3, 2.5, float("inf"), float("nan"), True, "25", None):
+    for bad in (0, -3, float("inf"), float("nan"), None):
         with pytest.raises(ValueError):
+            SolverConfig(dt=0.1, t_final=1.0, picard_max=bad)
+    for bad in (True, 2.5, "25"):
+        with pytest.raises(ValueError, match="^picard_max must be an integer"):
             SolverConfig(dt=0.1, t_final=1.0, picard_max=bad)
     # numpy integers are integers
     assert SolverConfig(dt=0.1, t_final=1.0, picard_max=np.int64(5)).picard_max == 5
-    for bad in (float("nan"), float("inf"), True, False, "0.1", None, 1j):
+    for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolverConfig(dt=bad, t_final=1.0)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_final=bad)
         with pytest.raises(ValueError):
+            SolverConfig(dt=0.1, t_final=1.0, picard_tol=bad)
+    # one rule, shared with convergence_study's checks, rejects what is no real number
+    for bad in (True, False, "0.1", None, 1j):
+        with pytest.raises(ValueError, match="^dt must be a real number"):
+            SolverConfig(dt=bad, t_final=1.0)
+        with pytest.raises(ValueError, match="^t_final must be a real number"):
+            SolverConfig(dt=0.1, t_final=bad)
+        with pytest.raises(ValueError, match="^picard_tol must be a real number"):
             SolverConfig(dt=0.1, t_final=1.0, picard_tol=bad)
     # a double counts whole steps only up to 2**53; past it, or at inf, no run
     for t_final in (1.0, 1e308):
@@ -903,8 +914,7 @@ def test_picard_budget_keeps_the_gradient_start_quadratic() -> None:
 def test_extrapolate_is_exact_on_polynomial_histories(depth: int) -> None:
     """From depth equally spaced levels, _extrapolate returns the next level
     of a history of degree depth - 1 in time to rounding, and a constant
-    history bit for bit.  Up to three levels it is the previous constant,
-    linear and quadratic extrapolation, bit for bit."""
+    history bit for bit."""
     rng = np.random.default_rng(depth)
     coefficients = rng.standard_normal((depth, 50))
     t0, dt = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)
@@ -917,13 +927,6 @@ def test_extrapolate_is_exact_on_polynomial_histories(depth: int) -> None:
     assert np.allclose(solver_module._extrapolate(levels), level(depth), rtol=0.0, atol=1e-13 * scale)
     constant = coefficients[0]
     assert np.array_equal(solver_module._extrapolate([constant] * depth), constant)
-    previous = {
-        1: lambda last: last,
-        2: lambda older, last: 2.0 * last - older,
-        3: lambda oldest, older, last: 3.0 * (last - older) + oldest,
-    }
-    if depth in previous:
-        assert np.array_equal(solver_module._extrapolate(levels), previous[depth](*levels))
 
 
 def test_sign_convention_consistency(law: ForchheimerLaw, mms) -> None:

@@ -257,7 +257,7 @@ def test_rt0_basis_on_a_jittered_mesh() -> None:
 
 def test_scalar_projection_exact_for_linear_fields() -> None:
     mesh = unit_square_mesh(4)
-    proj = l2_project_scalar(mesh, lambda x, y: 2.0 + 3.0 * x - y)
+    proj = l2_project_scalar(mesh, lambda x, y: 2.0 + 3.0 * x - y, triangle_quadrature())
     expected = 2.0 + 3.0 * mesh.centroids[:, 0] - mesh.centroids[:, 1]
     assert np.allclose(proj, expected, rtol=1e-14)
 
@@ -266,13 +266,13 @@ def test_scalar_projection_matches_independent_rule() -> None:
     smooth = lambda x, y: np.exp(x) * np.sin(3.0 * y) + x**4
     for n, tol in ((2, 1e-4), (8, 5e-8)):
         mesh = unit_square_mesh(n)
-        got = l2_project_scalar(mesh, smooth)
+        got = l2_project_scalar(mesh, smooth, triangle_quadrature())
         oracle = l2_project_scalar(mesh, smooth, triangle_rule(13))
         assert np.allclose(got, oracle, atol=tol)
     mesh = unit_square_mesh(2)
     exact_poly = lambda x, y: x**3 - 2.0 * y**2 * x**2
     assert np.allclose(
-        l2_project_scalar(mesh, exact_poly),
+        l2_project_scalar(mesh, exact_poly, triangle_quadrature()),
         l2_project_scalar(mesh, exact_poly, triangle_rule(9)),
         atol=1e-15,
     )
@@ -281,10 +281,10 @@ def test_scalar_projection_matches_independent_rule() -> None:
 def test_vector_projection_componentwise() -> None:
     mesh = unit_square_mesh(3)
     field = lambda x, y: np.stack(np.broadcast_arrays(x * y, 1.0 - y), axis=-1)
-    proj = l2_project_vector(mesh, field)
+    proj = l2_project_vector(mesh, field, triangle_quadrature())
     assert proj.shape == (mesh.num_triangles, 2)
     assert np.allclose(proj[:, 1], 1.0 - mesh.centroids[:, 1], rtol=1e-13)
-    oracle = l2_project_scalar(mesh, lambda x, y: x * y)
+    oracle = l2_project_scalar(mesh, lambda x, y: x * y, triangle_quadrature())
     assert np.allclose(proj[:, 0], oracle, rtol=1e-13)
 
 
@@ -386,7 +386,7 @@ def test_commuting_projection_identity() -> None:
                 )
 
             coeffs = hdiv_interpolate(mesh, dofmap, v)
-            projected = l2_project_scalar(mesh, div_v)
+            projected = l2_project_scalar(mesh, div_v, triangle_quadrature())
             assert np.max(np.abs(_divergence(mesh, dofmap, coeffs) - projected)) < 1e-12
 
 

@@ -15,7 +15,13 @@ machine's speed falls on both sides alike.  The output file holds, per
 workload and end-to-end metric, both sides' values pair by pair, their
 quartiles, the parent's interquartile range, the ratio of the medians, in
 how many pairs the change was better, and whether the change's median is
-within the metric's bound of the parent's.  The exit status is 1 when a
+within the metric's bound of the parent's.  Two verdicts follow: a metric
+is resolved unless the parent's interquartile range exceeds the bound times
+its median and some change run fails to beat every parent run, since a
+shift of the median within that spread reads as noise; a gain is
+claimable when the change is better in at least nine tenths of the pairs,
+ties counting for neither side, and its median beats the parent's by more
+than the parent's interquartile range.  The exit status is 1 when a
 run fails or reports a failed operation; the file is written all the same
 unless a run gave no result at all.
 """
@@ -61,6 +67,10 @@ def _metric(spec: dict, parent: list[float], change: list[float]) -> dict:
     sign = 1.0 if spec["better"] == "lower" else -1.0
     p_q, c_q = _quartiles(parent), _quartiles(change)
     worse_by = sign * (c_q[1] - p_q[1]) / abs(p_q[1]) if p_q[1] else 0.0
+    iqr = p_q[2] - p_q[0]
+    better_in = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    # every change run beats every parent run
+    dominates = max(sign * c for c in change) < min(sign * p for p in parent)
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -69,11 +79,13 @@ def _metric(spec: dict, parent: list[float], change: list[float]) -> dict:
         "change": change,
         "parent_q1_median_q3": p_q,
         "change_q1_median_q3": c_q,
-        "parent_iqr": p_q[2] - p_q[0],
+        "parent_iqr": iqr,
         "median_ratio": c_q[1] / p_q[1] if p_q[1] else None,
-        "change_better_in": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
+        "change_better_in": better_in,
         "ties": sum(c == p for p, c in zip(parent, change)),
         "within_bound": worse_by <= spec["bound"],
+        "resolved": iqr <= spec["bound"] * abs(p_q[1]) or dominates,
+        "gain_claimable": 10 * better_in >= 9 * len(parent) and sign * (p_q[1] - c_q[1]) > iqr,
     }
 
 
