@@ -8,7 +8,8 @@ relation of the flow model is then ``u = -K(|grad p|) grad p``.
 
 Two-term linear laws invert ``s * g(s) = xi`` in closed form; every other
 law solves it by a monotone Newton iteration started above the root (see
-``_newton_s``), so each evaluation of ``K`` or ``K'`` is a root solve.
+``_newton_s``), so each evaluation of ``K`` is a root solve; no step of the
+scheme or of its manufactured forcing evaluates ``K'``.
 
 All evaluation functions accept scalars or numpy arrays and are pure, so they
 are safe for concurrent use.
@@ -128,18 +129,6 @@ def _terms(law: ForchheimerLaw) -> list[tuple[float, float]]:
     return [(a, e) for a, e in zip(law.coefficients, law.exponents) if a > 0.0]
 
 
-def _g_prime(law: ForchheimerLaw, s_arr: np.ndarray) -> np.ndarray:
-    """Evaluate g'(s); diverges at s = 0 when the law has exponents in (0,1)."""
-    total = np.zeros_like(s_arr)
-    with np.errstate(divide="ignore"):
-        for coef, exp in _terms(law):
-            if exp == 1.0:
-                total = total + coef
-            elif exp != 0.0:
-                total = total + coef * exp * np.power(s_arr, exp - 1.0)
-    return total
-
-
 def _newton_s(law: ForchheimerLaw, xi_arr: np.ndarray) -> np.ndarray:
     """Monotone Newton for s*g(s) = xi, started above the root.
 
@@ -210,14 +199,11 @@ def K_prime(law: ForchheimerLaw, xi):
     With s = s(xi): K' = -g'(s) / (g(s)^2 * (g(s) + s*g'(s))).  For laws whose
     smallest positive exponent is below 1 the derivative diverges at xi = 0.
     """
-    return _K_and_K_prime(law, xi)[1]
-
-
-def _K_and_K_prime(law: ForchheimerLaw, xi):
-    """Arrays K(xi) and K'(xi) from a single root solve for s(xi)."""
     s = solve_s_of_xi(law, xi)
     g, slope = _g_and_slope(_terms(law), s)
-    return 1.0 / g, -_g_prime(law, s) / (g * g * slope)
+    with np.errstate(divide="ignore"):  # g' is infinite at s = 0 for an exponent below 1
+        g_prime = sum(a * e * np.power(s, e - 1.0) for a, e in _terms(law) if e != 0.0)
+    return -g_prime / (g * g * slope)
 
 
 def K_flux(law: ForchheimerLaw, y):

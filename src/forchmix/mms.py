@@ -6,11 +6,12 @@ The manufactured pressure on the unit square,
 
 has gradient s = exp(-5t) (x(1-x), y(1-y)), so the velocity
 u = -K(|s|) s satisfies u.n = 0 on all four sides exactly.  The forcing
-f = p_t + div u is derived in closed form from this convention; at points
-where s = 0 the removable singularity of the K' term is replaced by its
-limit -K(0) (d1 s1 + d2 s2).  It separates into factors of t and of the
-points (see forcing_f), so ManufacturedSolution.f(x, y) binds it to fixed
-points, such as the solver's quadrature points, and returns t -> f(x, y, t).
+f = p_t + div u is derived in closed form from this convention.  Its K'
+term is written through g and its slope at the root, so no K' is
+evaluated and f stays finite where s = 0.  It separates into factors of t
+and of the points (see forcing_f), so ManufacturedSolution.f(x, y) binds
+it to fixed points, such as the solver's quadrature points, and returns
+t -> f(x, y, t).
 
 Errors are measured at the final time: pressure in L2, gradient and
 velocity in L^beta with beta = 2 - a from the law's degeneracy exponents.
@@ -27,14 +28,8 @@ import numpy as np
 
 # K_eval and K_prime are no longer called here but stay importable from this
 # module: perfbench/spans.py traces the conductivity layer through them.
-from .law import (  # noqa: F401
-    ForchheimerLaw,
-    K_eval,
-    K_flux,
-    K_prime,
-    _K_and_K_prime,
-    degeneracy_exponents,
-)
+from .law import K_eval, K_prime  # noqa: F401
+from .law import ForchheimerLaw, K_flux, _g_and_slope, _terms, degeneracy_exponents, solve_s_of_xi
 from .mesh import TriMesh, _is_mesh_size, unit_square_mesh
 from .solver import _MAX_STEPS, DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _real
 from .spaces import (
@@ -63,32 +58,33 @@ def forcing_f(law: ForchheimerLaw, x, y) -> Callable[[float], np.ndarray]:
     depend only on the points evaluated once.
 
     With e = exp(-5t) the fields separate: p = e P, s = e S and
-    d1 s1 + d2 s2 = e D, and div u = -[K(|s|) e D + K'(|s|) e^2 R] with
-    R = (S1^2 d1 S1 + S2^2 d2 S2)/|S|, so
+    d1 s1 + d2 s2 = e D, and div u = -[K(xi) e D + xi K'(xi) e B] with
+    xi = e|S| and B = (S1^2 d1 S1 + S2^2 d2 S2)/|S|^2.  Differentiating
+    s g(s) = xi gives xi K'(xi) = 1/slope - K(xi), slope = (s g)'(s) at the
+    root s = s(xi), so
 
-        f = -5 e P - e K(e|S|) D - e^2 K'(e|S|) R.
+        f = -e [5 P + K D + (1/slope - K) B].
 
-    The K' term vanishes as |s| -> 0, so its limit 0 is used where e|S| = 0.
+    B is bounded, 0 where S = 0, and 1/slope - K is 0 at xi = 0, so no K' is
+    evaluated and nothing is infinite, even where K' diverges.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pressure = _pressure(x, y)
+    pressure_rate = _DECAY * _pressure(x, y)  # 5 P = -p_t / e
     s1, s2 = _gradient(x, y)
     ds1, ds2 = 1.0 - 2.0 * x, 1.0 - 2.0 * y
     norm = np.hypot(s1, s2)
+    norm2 = norm * norm
     divergence = ds1 + ds2
-    # the numerator vanishes with S, so R = 0 there
-    radial = (s1**2 * ds1 + s2**2 * ds2) / np.where(norm > 0.0, norm, 1.0)
+    # where |S|^2 is 0, so is the numerator, and B = 0 there
+    radial = (s1**2 * ds1 + s2**2 * ds2) / np.where(norm2 > 0.0, norm2, 1.0)
+    terms = _terms(law)
 
     def at(t) -> np.ndarray:
         decay = np.exp(-_DECAY * np.asarray(t, dtype=float))
-        xi = decay * norm
-        k, kp = _K_and_K_prime(law, xi)
-        kp_term = kp * radial
-        # K' may be infinite where xi = 0: at corners, or all once decay underflows
-        if not np.min(xi, initial=np.inf) > 0.0:
-            kp_term = np.where(xi > 0.0, kp_term, 0.0)
-        return -_DECAY * decay * pressure - decay * (k * divergence) - decay * decay * kp_term
+        g, slope = _g_and_slope(terms, solve_s_of_xi(law, decay * norm))
+        k = 1.0 / g
+        return -decay * (pressure_rate + k * divergence + (1.0 / slope - k) * radial)
 
     return at
 

@@ -124,9 +124,11 @@ def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
     (Hairer, Norsett & Wanner, Solving ODEs I, III.1).  A constant history's
     differences are exact zeros, so it returns exactly."""
     total = levels[-1]
-    for _ in range(len(levels) - 1):
-        levels = [b - a for a, b in zip(levels, levels[1:])]
-        total = total + levels[-1]
+    for depth in range(len(levels) - 1):
+        # the first round makes fresh arrays, which later rounds and the sum
+        # overwrite; the caller's levels, the history's u, are never written
+        levels = [np.subtract(b, a, out=a if depth else None) for a, b in zip(levels, levels[1:])]
+        total = np.add(total, levels[-1], out=total if depth else None)
     return total
 
 

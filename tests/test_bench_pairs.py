@@ -11,6 +11,7 @@ import pytest
 _ROOT = Path(__file__).resolve().parents[1]
 
 _SPEC = {
+    "run_seconds": 30,
     "workloads": [{"name": "w"}],
     "end_to_end": [
         {"name": "step_ms", "unit": "ms", "better": "lower", "bound": 0.24},
@@ -19,11 +20,14 @@ _SPEC = {
 }
 
 # a perfbench/run.py that prints a result in the form of the real one, its
-# k-th run the step_ms value k of the list, cyclically
+# k-th run the step_ms value k of the list, cyclically; it appends the
+# --seconds it was given to the file "seconds"
 _RUN = """import json, pathlib, sys
 count = pathlib.Path("runs")
 k = int(count.read_text()) if count.exists() else 0
 count.write_text(str(k + 1))
+with open("seconds", "a") as seconds:
+    seconds.write(sys.argv[sys.argv.index("--seconds") + 1] + "\\n")
 step_ms = {step_ms}[k % {runs}]
 print("machine " + json.dumps({{"nproc": 1, "commit": "abc"}}))
 print(json.dumps({{"correct": {failed} == 0, "attempted": 3, "failed": {failed},
@@ -114,6 +118,16 @@ def test_parent_runs_first_in_even_pairs(tmp_path: Path, monkeypatch) -> None:
     monkeypatch.setattr(tool, "_run", lambda checkout, *args: calls.append(checkout.name) or run(checkout, *args))
     tool.main([str(parent), str(change), "--pairs", "3", "--out", str(tmp_path / "out.json")])
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+
+
+def test_runs_last_the_specs_run_seconds_unless_told_otherwise(tmp_path: Path) -> None:
+    parent, change = _checkout(tmp_path, "parent", 1.0), _checkout(tmp_path, "change", 1.0)
+    out = tmp_path / "BENCH.json"
+    assert _tool().main([str(parent), str(change), "--pairs", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["command"].startswith("python3 perfbench/run.py --workload W --seconds 30 ")
+    assert _tool().main([str(parent), str(change), "--pairs", "2", "--seconds", "1.5", "--out", str(out)]) == 0
+    for checkout in (parent, change):
+        assert (checkout / "seconds").read_text().split() == ["30.0", "30.0", "1.5", "1.5"]
 
 
 def test_a_failed_operation_or_run_exits_nonzero(tmp_path: Path) -> None:

@@ -341,6 +341,17 @@ def test_study_matches_the_frozen_preconditioner(capsys, monkeypatch) -> None:
                 assert float(row[name]) == pytest.approx(float(want[name]), rel=1e-7), name
 
 
+def test_a_sublinear_law_marches_past_the_decay_underflow(capsys) -> None:
+    """With g = 1 + s^0.5, K' is infinite at xi = 0, which every quadrature
+    point reaches once exp(-5t) underflows, from t = 150 on; the study still
+    runs with no warning, and stderr holds only the summary line."""
+    argv = ["--law", "1:0,1:0.5", "--mesh", "2,4", "--T", "200", "--dt", "10", "--format", "csv"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    assert re.fullmatch(r"forchmix: finest mesh n=4: rates [^\n]*\n", captured.err)
+
+
 def test_main_reports_nonconvergence_with_code_three(capsys) -> None:
     code = main([*_FAST, "--max-picard", "1"])
     captured = capsys.readouterr()

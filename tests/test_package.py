@@ -72,10 +72,10 @@ def test_benchmark_tracer_finds_every_layer() -> None:
 
 def test_every_traced_hook_is_called(tmp_path: Path) -> None:
     """A tiny API march and a tiny CLI study call every attribute the tracer
-    wraps except mms.K_eval and mms.K_prime, which the forcing takes from one
-    root solve instead, and solver.K_eval, since a Newton iterate evaluates
-    the law's polynomial g with no root solve; a hook that nothing calls
-    times no work."""
+    wraps except mms.K_eval and mms.K_prime, since the forcing takes K and
+    the slope of s g(s) from one root solve and evaluates no K', and
+    solver.K_eval, since a Newton iterate evaluates the law's polynomial g
+    with no root solve; a hook that nothing calls times no work."""
     spans = _load_spans()
     calls: dict[tuple[str, str], int] = {}
 

@@ -914,7 +914,7 @@ def test_picard_budget_keeps_the_gradient_start_quadratic() -> None:
 def test_extrapolate_is_exact_on_polynomial_histories(depth: int) -> None:
     """From depth equally spaced levels, _extrapolate returns the next level
     of a history of degree depth - 1 in time to rounding, and a constant
-    history bit for bit."""
+    history bit for bit; it never writes into the levels it is given."""
     rng = np.random.default_rng(depth)
     coefficients = rng.standard_normal((depth, 50))
     t0, dt = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)
@@ -923,8 +923,10 @@ def test_extrapolate_is_exact_on_polynomial_histories(depth: int) -> None:
         return sum(c * (t0 + j * dt) ** k for k, c in enumerate(coefficients))
 
     levels = [level(j) for j in range(depth)]
+    copies = [x.copy() for x in levels]
     scale = max(np.max(np.abs(x)) for x in levels + [level(depth)])
     assert np.allclose(solver_module._extrapolate(levels), level(depth), rtol=0.0, atol=1e-13 * scale)
+    assert all(np.array_equal(x, copy) for x, copy in zip(levels, copies))
     constant = coefficients[0]
     assert np.array_equal(solver_module._extrapolate([constant] * depth), constant)
 

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --seconds 6 --out BENCH_<name>.json
+    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --out BENCH_<name>.json
 
 PARENT and CHANGE are directories holding a checkout each.  For every
 workload of CHANGE's BENCHMARK.json, pair k runs
@@ -11,18 +11,19 @@ workload of CHANGE's BENCHMARK.json, pair k runs
 
 once in each checkout, each run a fresh process, with the parent first in
 even pairs and the change first in odd ones, so that a drift of the
-machine's speed falls on both sides alike.  The output file holds, per
-workload and end-to-end metric, both sides' values pair by pair, their
-quartiles, the parent's interquartile range, the ratio of the medians, in
-how many pairs the change was better, and whether the change's median is
-within the metric's bound of the parent's.  Two verdicts follow: a metric
-is resolved unless the parent's interquartile range exceeds the bound times
-its median and some change run fails to beat every parent run, since a
-shift of the median within that spread reads as noise; a gain is
+machine's speed falls on both sides alike.  S is --seconds, by default the
+spec's run_seconds, the run length the benchmark is judged at.  The output
+file holds, per workload and end-to-end metric, both sides' values pair by
+pair, their quartiles, the parent's interquartile range, the ratio of the
+medians, in how many pairs the change was better, and whether the change's
+median is within the metric's bound of the parent's.  Two verdicts follow:
+a metric is resolved unless the parent's interquartile range exceeds the
+bound times its median and some change run fails to beat every parent run,
+since a shift of the median within that spread reads as noise; a gain is
 claimable when the change is better in at least nine tenths of the pairs,
 ties counting for neither side, and its median beats the parent's by more
-than the parent's interquartile range.  The exit status is 1 when a
-run fails or reports a failed operation; the file is written all the same
+than the parent's interquartile range.  The exit status is 1 when a run
+fails or reports a failed operation; the file is written all the same
 unless a run gave no result at all.
 """
 
@@ -94,12 +95,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.seconds is None:
+        args.seconds = float(spec["run_seconds"])
     if args.pairs < 2 or args.seconds <= 0:
         parser.error("--pairs must be at least 2, for quartiles, and --seconds positive")
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
 
     workloads, machine, failed = {}, {}, False
