@@ -35,10 +35,11 @@ def _mesh_sizes(text: str) -> tuple[int, ...]:
 
 
 def _dt_policy(text: str) -> float | str:
+    """A number as a float, any other text as it is: the study names the policies."""
     try:
-        return text if text == "h2" else float(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"dt must be a positive number or 'h2', got {text!r}")
+        return text
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,7 @@ import numpy as np
 from .law import K_eval, K_prime  # noqa: F401
 from .law import ForchheimerLaw, K_flux, _g_and_slope, _terms, degeneracy_exponents, solve_s_of_xi
 from .mesh import TriMesh, _is_mesh_size, unit_square_mesh
-from .solver import _MAX_STEPS, DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _real
+from .solver import DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _real, _step_count
 from .spaces import (
     DofMap,
     cell_points,
@@ -233,29 +233,19 @@ def _md_rate(rate: float | None) -> str:
 
 
 def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
-    """Resolve the dt policy and snap so that t_final is a whole number of steps.
-
-    A ValueError names the argument at fault.
-    """
-    t_final = _real("t_final", t_final)
-    if not (math.isfinite(t_final) and t_final >= 0.0):
-        raise ValueError("t_final must be nonnegative and finite")
+    """The step of the dt policy, a positive number or "h2" for
+    min(dt_cap, h^2), snapped so that t_final is a whole number of steps,
+    unsnapped when t_final = 0.  The one place that names a policy; the
+    step count obeys SolverConfig's rule.  A ValueError names the argument
+    at fault."""
     if not _real("dt_cap", dt_cap) > 0.0:
         raise ValueError("dt_cap must be positive, or inf for no cap")
     if isinstance(dt, str):
         if dt != "h2":
-            raise ValueError("dt must be a positive number or 'h2'")
-        raw = min(dt_cap, h * h)
-    else:
-        raw = _real("dt", dt)
-        if not (math.isfinite(raw) and raw > 0.0):
-            raise ValueError("dt must be positive and finite")
-    if t_final == 0.0:
-        return raw
-    steps = t_final / raw
-    if not steps <= _MAX_STEPS:
-        raise ValueError(f"final time / dt = {steps:.3g} steps, more than 2**53")
-    return t_final / max(1, round(steps))
+            raise ValueError(f"dt must be a positive number or 'h2', got {dt!r}")
+        dt = min(dt_cap, h * h)
+    steps = _step_count(dt, t_final)
+    return float(t_final) / max(1, round(steps)) if t_final else float(dt)
 
 
 def _check_study(mesh_sizes, *, dt, dt_cap, t_final, picard_tol, picard_max) -> list[int]:
@@ -287,10 +277,10 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Run the manufactured problem on each mesh and tabulate errors and rates.
 
-    dt is either a fixed step or the policy "h2", meaning
-    dt = min(dt_cap, h^2) per mesh (inf: no cap); either way the step is
-    snapped to divide t_final exactly.  Rates compare consecutive rows.
-    Every argument is checked before the first mesh runs.
+    dt is a fixed step or the policy "h2", dt = min(dt_cap, h^2) per mesh
+    (inf: no cap), either way snapped to divide t_final into at most 2**53
+    steps.  Rates compare consecutive rows.  Every argument is checked
+    before the first mesh runs, by the checks parse_args makes as well.
     """
     mesh_sizes = _check_study(mesh_sizes, dt=dt, dt_cap=dt_cap, t_final=t_final,
                               picard_tol=picard_tol, picard_max=picard_max)

@@ -91,11 +91,9 @@ from .spaces import (
 _NEWTON_ETA = 1e-2
 # CG iterations before the factorization is renewed at the current iterate;
 # past about eight a fresh factorization costs less than the iterations it
-# saves.
+# saves.  The retry on that fresh factor of J itself meets its stop in one
+# iteration up to rounding, so the same cap only stops a broken solve there.
 _CG_MAXITER = 8
-# A fresh factorization is of J itself, so CG meets its stop in one iteration
-# up to rounding; the bound only stops a broken solve.
-_CG_FRESH_MAXITER = 100
 # Stale CG iterations, those past the first of a Newton step, after which the
 # next iterate factors J afresh.  A factor of J at t = 0 drifts from J over a
 # long march: without renewal the default study's n=64 row (2048 steps) took
@@ -139,6 +137,21 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _step_count(dt, t_final) -> float:
+    """t_final / dt, once dt is a positive and t_final a nonnegative finite
+    real and the march takes at most 2**53 steps, else a ValueError naming
+    the fault; the one rule of a march's length."""
+    dt, t_final = _real("dt", dt), _real("t_final", t_final)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError("t_final must be nonnegative and finite")
+    steps = t_final / dt
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"t_final / dt = {steps:.3g} steps, more than 2**53")
+    return steps
+
+
 class PicardError(RuntimeError):
     """A step's nonlinear iteration failed to converge; carries its last
     residual, the increment of s, or |R(u)| when CG failed."""
@@ -166,18 +179,11 @@ class SolverConfig:
     picard_max: int = 25
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_final", "picard_tol"):
-            _real(name, getattr(self, name))
+        steps = _step_count(self.dt, self.t_final)
+        _real("picard_tol", self.picard_tol)
         # bool subclasses int, but True is no count
         if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, numbers.Integral):
             raise ValueError("picard_max must be an integer")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
-            raise ValueError("t_final must be nonnegative and finite")
-        steps = self.t_final / self.dt
-        if not steps <= _MAX_STEPS:
-            raise ValueError(f"t_final / dt = {steps:.3g} steps, more than 2**53")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("t_final must be an integer multiple of dt")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
@@ -368,7 +374,7 @@ class ExpandedMixedSolver:
                 delta = self._pcg(step, target, _CG_MAXITER)
             if delta is None:
                 self._factor()
-                delta = self._pcg(step, target, _CG_FRESH_MAXITER)
+                delta = self._pcg(step, target, _CG_MAXITER)
             if delta is None:
                 raise PicardError("CG missed the Newton stop on a fresh factorization", float(residual))
             u = u + delta

@@ -149,9 +149,7 @@ def hdiv_interpolate(mesh: TriMesh, dofmap: DofMap, v) -> np.ndarray:
     normal_flux = np.einsum("eqd,ed->eq", values, mesh.edge_normals)
     fluxes = 0.5 * (normal_flux @ gw)
 
-    interior_scale = 1.0
-    if dofmap.n_rt0 > 0:
-        interior_scale += float(np.max(np.abs(fluxes[dofmap.dof_edge])))
+    interior_scale = 1.0 + float(np.max(np.abs(fluxes[dofmap.dof_edge]), initial=0.0))
     worst_boundary = float(np.max(np.abs(fluxes[mesh.boundary_edge]), initial=0.0))
     if worst_boundary > _BOUNDARY_FLUX_TOL * interior_scale:
         raise ValueError(

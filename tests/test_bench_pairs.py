@@ -20,14 +20,19 @@ _SPEC = {
 }
 
 # a perfbench/run.py that prints a result in the form of the real one, its
-# k-th run the step_ms value k of the list, cyclically; it appends the
-# --seconds it was given to the file "seconds"
-_RUN = """import json, pathlib, sys
-count = pathlib.Path("runs")
+# k-th run the step_ms value k of the list, cyclically; it runs staged, away
+# from its checkout, so it keeps its count in the file "runs" of the checkout
+# and appends there the --seconds it was given to "seconds" and its working
+# directory to "cwd"
+_RUN = """import json, os, pathlib, sys
+home = pathlib.Path({home!r})
+count = home / "runs"
 k = int(count.read_text()) if count.exists() else 0
 count.write_text(str(k + 1))
-with open("seconds", "a") as seconds:
+with open(home / "seconds", "a") as seconds:
     seconds.write(sys.argv[sys.argv.index("--seconds") + 1] + "\\n")
+with open(home / "cwd", "a") as cwd:
+    cwd.write(os.getcwd() + "\\n")
 step_ms = {step_ms}[k % {runs}]
 print("machine " + json.dumps({{"nproc": 1, "commit": "abc"}}))
 print(json.dumps({{"correct": {failed} == 0, "attempted": 3, "failed": {failed},
@@ -47,9 +52,10 @@ def _checkout(root: Path, side: str, step_ms: float | list[float], failed: int =
     """A stand-in checkout whose runs report step_ms, or its values in turn."""
     values = step_ms if isinstance(step_ms, list) else [step_ms]
     (root / side / "perfbench").mkdir(parents=True)
+    (root / side / "src").mkdir()
     (root / side / "BENCHMARK.json").write_text(json.dumps(_SPEC))
     (root / side / "perfbench" / "run.py").write_text(
-        _RUN.format(failed=failed, step_ms=values, runs=len(values), code=code)
+        _RUN.format(home=str(root / side), failed=failed, step_ms=values, runs=len(values), code=code)
     )
     return root / side
 
@@ -81,6 +87,12 @@ def test_pairs_are_summarized_per_metric(tmp_path: Path) -> None:
     assert step["median_ratio"] == 0.5
     assert (step["change_better_in"], step["ties"], step["within_bound"]) == (3, 0, True)
     assert (step["resolved"], step["gain_claimable"]) == (True, True)
+    # both sides ran in one stage, outside both checkouts, removed at the end
+    cwds = [(checkout / "cwd").read_text().splitlines() for checkout in (parent, change)]
+    assert list(map(len, cwds)) == [3, 3] and len(set(cwds[0] + cwds[1])) == 1
+    stage = Path(cwds[0][0])
+    assert not any(stage.is_relative_to(checkout.resolve()) for checkout in (parent, change))
+    assert not stage.exists()
 
 
 def test_a_parent_spread_wider_than_the_bound_leaves_a_metric_unresolved(tmp_path: Path) -> None:

@@ -116,6 +116,19 @@ def test_parses_remaining_flags() -> None:
     assert args.out == "report.csv"
 
 
+# each usage error below that convergence_study rejects as well, with the
+# study's keyword arguments for the same value
+_STUDY_REJECTS = {
+    "--mesh 8,4": {"mesh_sizes": [8, 4]},
+    "--mesh 0,4": {"mesh_sizes": [0, 4]},
+    "--dt -0.1": {"dt": -0.1},
+    "--dt quadratic": {"dt": "quadratic"},
+    "--dt-cap 0": {"dt_cap": 0.0},
+    "--tol -1": {"picard_tol": -1.0},
+    "--max-picard 0": {"picard_max": 0},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -132,10 +145,16 @@ def test_parses_remaining_flags() -> None:
         ["--format", "json"],
     ],
 )
-def test_usage_errors_exit_with_code_two(argv: list[str]) -> None:
+def test_usage_errors_exit_with_code_two(argv: list[str], capsys) -> None:
+    """A value the study rejects is reported in the study's own words."""
     with pytest.raises(SystemExit) as excinfo:
-        parse_args(argv)
+        main(argv)
     assert excinfo.value.code == 2
+    study = _STUDY_REJECTS.get(" ".join(argv))
+    if study is not None:
+        with pytest.raises(ValueError) as rejected:
+            convergence_study(law_from_string("1:0,1:1"), **{"mesh_sizes": [4], **study})
+        assert capsys.readouterr().err.splitlines()[-1] == f"forchmix: error: {rejected.value}"
 
 
 @pytest.mark.parametrize(

@@ -300,6 +300,12 @@ def test_convergence_study_checks_every_argument_before_a_run(
             convergence_study(law, **kwargs)
     with pytest.raises(TypeError):
         convergence_study(law, 4)
+    # the study counts steps by SolverConfig's one rule, in its words
+    for reject in (lambda: SolverConfig(dt=1e-300, t_final=1.0),
+                   lambda: convergence_study(law, [2], dt=1e-300)):
+        with pytest.raises(ValueError) as excinfo:
+            reject()
+        assert str(excinfo.value) == "t_final / dt = 1e+300 steps, more than 2**53"
     assert runs == []
     convergence_study(law, [2], dt=0.05, t_final=0.05)
     assert runs == [8]

@@ -464,8 +464,9 @@ def test_cg_cap_falls_back_to_a_fresh_factorization(law: ForchheimerLaw, monkeyp
 
 def test_a_cg_miss_on_a_fresh_factorization_raises(law: ForchheimerLaw, mms, monkeypatch) -> None:
     """A CG that misses its target even on a fresh factorization ends the
-    step with PicardError, carrying the residual, instead of iterating on."""
-    monkeypatch.setattr(solver_module, "_CG_FRESH_MAXITER", 0)
+    step with PicardError, carrying the residual, instead of iterating on;
+    the one cap, at 0, leaves every CG short."""
+    monkeypatch.setattr(solver_module, "_CG_MAXITER", 0)
     solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=1e-2, t_final=1e-2))
     with pytest.raises(PicardError, match="fresh factorization") as excinfo:
         solver.run(mms.f, mms.p0, mms.s0, mms.u0)

@@ -9,9 +9,17 @@ workload of CHANGE's BENCHMARK.json, pair k runs
 
     python3 perfbench/run.py --workload W --seconds S --trace 0
 
-once in each checkout, each run a fresh process, with the parent first in
+once for each checkout, each run a fresh process, with the parent first in
 even pairs and the change first in odd ones, so that a drift of the
-machine's speed falls on both sides alike.  S is --seconds, by default the
+machine's speed falls on both sides alike.  Every run takes place in one
+stage, a temporary directory made once per invocation, whose contents are
+replaced before the run by the side's src/, its perfbench/ (without out/
+and __pycache__/) and its BENCHMARK.json.  perfbench/run.py turns off
+address-space randomization, so the directory a run starts from fixes its
+memory layout: one commit in two directories read fine-lu peak RSS 1 MiB
+apart in every pair.  The stage gives both sides the same path; it does not
+control the drift of the machine's speed, which can move a median step time
+by a quarter between two sides of one commit.  S is --seconds, by default the
 spec's run_seconds, the run length the benchmark is judged at.  The output
 file holds, per workload and end-to-end metric, both sides' values pair by
 pair, their quartiles, the parent's interquartile range, the ratio of the
@@ -31,19 +39,36 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 
-def _run(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run in a fresh process: its result and machine facts."""
+def _stage(checkout: Path, stage: Path) -> None:
+    """Replace stage's contents with what a run of checkout's benchmark reads."""
+    for entry in stage.iterdir():
+        if entry.is_dir():
+            shutil.rmtree(entry)
+        else:
+            entry.unlink()
+    leave_out = shutil.ignore_patterns("out", "__pycache__")
+    for name in ("src", "perfbench"):
+        shutil.copytree(checkout / name, stage / name, ignore=leave_out)
+    shutil.copy2(checkout / "BENCHMARK.json", stage)
+
+
+def _run(checkout: Path, stage: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run of checkout, staged, in a fresh process: its result
+    and machine facts."""
+    _stage(checkout, stage)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seconds", str(seconds), "--trace", "0"]
-    completed = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    completed = subprocess.run(argv, cwd=stage, stdout=subprocess.PIPE, text=True)
     lines = completed.stdout.splitlines()
     if completed.returncode != 0 or not lines:
         raise SystemExit(f"bench_pairs: {workload} in {checkout} exited with {completed.returncode}")
@@ -104,36 +129,40 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 2 or args.seconds <= 0:
         parser.error("--pairs must be at least 2, for quartiles, and --seconds positive")
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
-
     workloads, machine, failed = {}, {}, False
-    for name in (w["name"] for w in spec["workloads"]):
-        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for k in range(args.pairs):
-            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                result, machine = _run(checkouts[side], name, args.seconds)
-                runs[side].append(result)
-                failed |= result["failed"] > 0 or not result["correct"]
-                print(f"{name} pair {k} {side}: attempted {result['attempted']}, failed {result['failed']}",
-                      file=sys.stderr)
-        metrics = {}
-        for entry in spec["end_to_end"]:
-            values = {side: [r["metrics"].get(entry["name"], {}).get("value") for r in runs[side]]
-                      for side in SIDES}
-            if all(v is not None for side in SIDES for v in values[side]):
-                metrics[entry["name"]] = _metric(entry, values["parent"], values["change"])
-        workloads[name] = {
-            "pairs": args.pairs,
-            "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-            "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-            "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
-            "metrics": metrics,
-        }
+    stage = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    try:
+        for name in (w["name"] for w in spec["workloads"]):
+            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for k in range(args.pairs):
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    result, machine = _run(checkouts[side], stage, name, args.seconds)
+                    runs[side].append(result)
+                    failed |= result["failed"] > 0 or not result["correct"]
+                    print(f"{name} pair {k} {side}: attempted {result['attempted']}, "
+                          f"failed {result['failed']}", file=sys.stderr)
+            metrics = {}
+            for entry in spec["end_to_end"]:
+                values = {side: [r["metrics"].get(entry["name"], {}).get("value") for r in runs[side]]
+                          for side in SIDES}
+                if all(v is not None for side in SIDES for v in values[side]):
+                    metrics[entry["name"]] = _metric(entry, values["parent"], values["change"])
+            workloads[name] = {
+                "pairs": args.pairs,
+                "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+                "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+                "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
+                "metrics": metrics,
+            }
+    finally:
+        shutil.rmtree(stage)
 
     machine.pop("commit", None)
     record = {
         "command": f"python3 perfbench/run.py --workload W --seconds {args.seconds:g} --trace 0",
         "method": f"{args.pairs} alternating pairs per workload by tools/bench_pairs.py: the parent "
-                  "runs first in even pairs and the change in odd ones, each run a fresh process",
+                  "runs first in even pairs and the change in odd ones, each run a fresh process "
+                  "in one temporary directory staged with the side's src/, perfbench/ and BENCHMARK.json",
         "parent": _commit(args.parent),
         "change": _commit(args.change),
         "workloads": workloads,
