@@ -178,8 +178,16 @@ def solve_s_of_xi(law: ForchheimerLaw, xi):
     xi_arr = _as_nonneg_array(xi, "xi")
     if law.is_two_term_linear:
         a0, a1 = law.coefficients
-        # root of a1*s^2 + a0*s - xi, written to avoid cancellation near 0
-        s = 2.0 * xi_arr / (a0 + np.sqrt(a0 * a0 + 4.0 * a1 * xi_arr))
+        # root of a1*s^2 + a0*s - xi, written to avoid cancellation near 0 as
+        # xi / (h + sqrt(h^2 + a1 xi)), h = a0/2: bit for bit 2 xi / (a0 +
+        # sqrt(a0^2 + 4 a1 xi)), as powers of 2 scale exactly, with no 2 xi
+        # or 4 a1 xi to overflow; hypot takes the sum where it still would
+        h = 0.5 * a0
+        with np.errstate(over="ignore"):
+            root = np.sqrt(h * h + a1 * xi_arr)
+        if np.any(np.isinf(root)):
+            root = np.where(np.isinf(root), np.hypot(h, np.sqrt(a1) * np.sqrt(xi_arr)), root)
+        s = xi_arr / (h + root)
     else:
         s = _newton_s(law, xi_arr)
     return s
@@ -203,7 +211,8 @@ def K_prime(law: ForchheimerLaw, xi):
     g, slope = _g_and_slope(_terms(law), s)
     with np.errstate(divide="ignore"):  # g' is infinite at s = 0 for an exponent below 1
         g_prime = sum(a * e * np.power(s, e - 1.0) for a, e in _terms(law) if e != 0.0)
-    return -g_prime / (g * g * slope)
+    # one quotient at a time: g^2 slope overflows long before K' underflows
+    return -g_prime / slope / g / g
 
 
 def K_flux(law: ForchheimerLaw, y):

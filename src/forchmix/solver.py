@@ -152,6 +152,17 @@ def _step_count(dt, t_final) -> float:
     return steps
 
 
+def _rows_t(matrix: sp.csr_matrix, start: int) -> sp.csc_matrix:
+    """The transpose of matrix's rows from start on, on matrix's own data and
+    indices.  scipy's constructors copy a slice of less than half its array,
+    so the arrays are set on an empty matrix of the shape instead."""
+    offset = matrix.indptr[start]
+    rows_t = sp.csc_matrix((matrix.shape[1], matrix.shape[0] - start), dtype=matrix.dtype)
+    rows_t.data, rows_t.indices = matrix.data[offset:], matrix.indices[offset:]
+    rows_t.indptr = matrix.indptr[start:] - offset
+    return rows_t
+
+
 class PicardError(RuntimeError):
     """A step's nonlinear iteration failed to converge; carries its last
     residual, the increment of s, or |R(u)| when CG failed."""
@@ -233,7 +244,7 @@ class ExpandedMixedSolver:
         # M_uz u, as x then y moments, and B_div u, for s and div u, from one product
         self._forms = assemble_forms(mesh, self.dofmap)
         self._forms_t = self._forms.T
-        self._b_div_t = self._forms[2 * mesh.num_triangles :].T
+        self._b_div_t = _rows_t(self._forms, 2 * mesh.num_triangles)
         self._terms = _terms(law)
         # W, the Jacobian's one stored cell operator on those rows: of N
         # cells, cell T's 2x2 block D_T / |T| sits on rows T and N + T, on
@@ -256,11 +267,11 @@ class ExpandedMixedSolver:
         if f is None:
             zero = np.zeros(self.mesh.num_triangles)
             return lambda t: zero
-        points = cell_points(self.mesh, self.quadrature)
-        x, y = points[..., 0], points[..., 1]
-        values = f(x, y)
+        x, y = cell_points(self.mesh, self.quadrature)
+        values, shape = f(x, y), x.shape
         areas, weights = self.mesh.areas, self.quadrature.weights
-        return lambda t: areas * (_filled(values(t), x.shape) @ weights)
+        # closes over no point array, which the march would hold to its end
+        return lambda t: areas * (_filled(values(t), shape) @ weights)
 
     def initial_state(self, p0: ScalarField, s0: VectorField, u0: VectorField) -> DiscreteState:
         """Project the initial data onto the discrete spaces: p and s are cell

@@ -58,12 +58,12 @@ def triangle_quadrature() -> QuadratureRule:
     return QuadratureRule(points=np.array(points), weights=weights, degree=4)
 
 
-def cell_points(mesh: TriMesh, rule: QuadratureRule) -> np.ndarray:
-    """Physical quadrature points on every cell, shape (F, m, 2): the (F, 6)
-    corner coordinates times the barycentric points acting on x and y
-    alike, as one 2-D product rather than F small ones."""
-    corners = mesh.vertices[mesh.triangles].reshape(mesh.num_triangles, 6)
-    return (corners @ np.kron(rule.points.T, np.eye(2))).reshape(mesh.num_triangles, -1, 2)
+def cell_points(mesh: TriMesh, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Physical quadrature points on every cell as two C-contiguous (F, m)
+    coordinate planes x and y: each the (F, 3) corner coordinates times the
+    (3, m) barycentric points, one 2-D product per coordinate rather than F
+    small ones."""
+    return tuple(corner[mesh.triangles] @ rule.points.T for corner in mesh.vertices.T)
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,14 @@ def _filled(values, shape: tuple[int, ...]) -> np.ndarray:
 
 def l2_project_scalar(mesh: TriMesh, f, rule: QuadratureRule) -> np.ndarray:
     """Cellwise L2 projection (cell averages) of a scalar field f(x, y)."""
-    pts = cell_points(mesh, rule)
-    return _filled(f(pts[..., 0], pts[..., 1]), pts.shape[:-1]) @ rule.weights
+    x, y = cell_points(mesh, rule)
+    return _filled(f(x, y), x.shape) @ rule.weights
 
 
 def l2_project_vector(mesh: TriMesh, z, rule: QuadratureRule) -> np.ndarray:
     """Componentwise cell averages of a vector field z(x, y) -> (..., 2)."""
-    pts = cell_points(mesh, rule)
-    values = _filled(z(pts[..., 0], pts[..., 1]), pts.shape)
+    x, y = cell_points(mesh, rule)
+    values = _filled(z(x, y), (*x.shape, 2))
     return np.einsum("fqd,q->fd", values, rule.weights)
 
 
@@ -142,10 +142,10 @@ def hdiv_interpolate(mesh: TriMesh, dofmap: DofMap, v) -> np.ndarray:
     """
     nodes, gw = np.polynomial.legendre.leggauss(_EDGE_GAUSS)
     frac = 0.5 * (nodes + 1.0)
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    pts = a[:, None, :] + frac[None, :, None] * (b - a)[:, None, :]
-    values = _filled(v(pts[..., 0], pts[..., 1]), pts.shape)
+    first, second = mesh.vertices[mesh.edges[:, 0]].T, mesh.vertices[mesh.edges[:, 1]].T
+    # the points on each edge as (E, _EDGE_GAUSS) coordinate planes
+    x, y = (a[:, None] + frac * (b - a)[:, None] for a, b in zip(first, second))
+    values = _filled(v(x, y), (*x.shape, 2))
     normal_flux = np.einsum("eqd,ed->eq", values, mesh.edge_normals)
     fluxes = 0.5 * (normal_flux @ gw)
 
@@ -179,13 +179,17 @@ def assemble_forms(mesh: TriMesh, dofmap: DofMap) -> sp.csr_matrix:
 
 
 def rt0_at_cell_points(
-    mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray, points: np.ndarray
+    mesh: TriMesh, dofmap: DofMap, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Evaluate an RT0 coefficient vector at per-cell points (F, m, 2).
+    """Evaluate an RT0 coefficient vector at per-cell points, given as (F, m)
+    coordinate planes x and y such as cell_points returns; shape (F, m, 2).
 
     On a cell the field is affine, u(x) = u(c_T) + (div u)_T (x - c_T) / 2,
     and the rows of assemble_forms hold |T| u(c_T) and |T| (div u)_T."""
     moments = (assemble_forms(mesh, dofmap) @ coeffs).reshape(3, -1) / mesh.areas
-    return moments[:2].T[:, None, :] + 0.5 * moments[2][:, None, None] * (
-        points - mesh.centroids[:, None, :]
+    half_div = 0.5 * moments[2][:, None]
+    return np.stack(
+        [moment[:, None] + half_div * (plane - centroid[:, None])
+         for moment, plane, centroid in zip(moments[:2], (x, y), mesh.centroids.T)],
+        axis=-1,
     )

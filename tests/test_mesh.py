@@ -272,7 +272,7 @@ def test_cell_points_match_barycentric_sum(degree: int) -> None:
     vertices, triangles = _scrambled_mesh(8, 2)
     for mesh in (unit_square_mesh(16), build_mesh(vertices, triangles)):
         expected = np.einsum("qk,fkd->fqd", rule.points, mesh.vertices[mesh.triangles])
-        points = cell_points(mesh, rule)
+        points = np.stack(cell_points(mesh, rule), axis=-1)
         assert points.shape == expected.shape
         assert np.max(np.abs(points - expected)) <= 4e-16
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from quadrature_oracle import triangle_rule
 from test_law import g_eval
+from test_mesh import _jittered_mesh
 from test_spaces import _ORDERING_MESHES, _ordering_mesh
 
 import forchmix.mms as mms_module
@@ -314,12 +317,12 @@ def test_initial_state_projections(law: ForchheimerLaw, mms) -> None:
     assert state.t == 0.0
 
     oracle_rule = triangle_rule(11)
-    pts = cell_points(mesh, oracle_rule)
-    p_oracle = np.asarray(mms.p0(pts[..., 0], pts[..., 1])) @ oracle_rule.weights
+    x, y = cell_points(mesh, oracle_rule)
+    p_oracle = np.asarray(mms.p0(x, y)) @ oracle_rule.weights
     assert np.max(np.abs(state.p - p_oracle)) < 1e-12
 
     s_oracle = np.einsum(
-        "fqd,q->fd", np.asarray(mms.s0(pts[..., 0], pts[..., 1])), oracle_rule.weights
+        "fqd,q->fd", np.asarray(mms.s0(x, y)), oracle_rule.weights
     )
     assert np.max(np.abs(state.s - s_oracle)) < 1e-12
 
@@ -847,6 +850,43 @@ def test_march_binds_the_forcing_once(setup: str, monkeypatch) -> None:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
+def test_a_march_keeps_no_quadrature_points(law, mms, monkeypatch) -> None:
+    """The points a march binds its forcing to are freed once it is bound:
+    after one step, with the march still open, no coordinate plane that
+    cell_points returned to the solver is alive."""
+    planes = []
+    points = solver_module.cell_points
+
+    def spy(*args):
+        x, y = points(*args)
+        planes.extend((weakref.ref(x), weakref.ref(y)))
+        return x, y
+
+    monkeypatch.setattr(solver_module, "cell_points", spy)
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=0.25, t_final=1.0))
+    march = solver.steps(solver.initial_state(mms.p0, mms.s0, mms.u0), mms.f)
+    next(march)
+    gc.collect()
+    assert len(planes) == 2
+    assert all(plane() is None for plane in planes)
+
+
+def test_the_divergence_rows_share_the_forms_storage(law) -> None:
+    """B_div^T, which maps p_hat to b = B^T p_hat, is the transpose of the
+    forms' last N rows entry for entry, held on the forms' own arrays."""
+    mesh = _jittered_mesh(6, seed=6)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.5, t_final=1.0))
+    forms, b_div_t = solver._forms, solver._b_div_t
+    want = forms[2 * mesh.num_triangles :].T
+    assert b_div_t.format == want.format and b_div_t.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(b_div_t, name), getattr(want, name)), name
+    assert np.shares_memory(b_div_t.data, forms.data)
+    assert np.shares_memory(b_div_t.indices, forms.indices)
+    p_hat = np.random.default_rng(6).standard_normal(mesh.num_triangles)
+    assert (b_div_t @ p_hat).tobytes() == (want @ p_hat).tobytes()
+
+
 def test_picard_iteration_budget_on_the_stiff_law(monkeypatch) -> None:
     """The newton-stiff benchmark run (law 1:0,1e4:2), marched by hand through
     steps as by run, takes 28 Newton iterates and 51 triangular solves on one
@@ -966,8 +1006,7 @@ def test_steady_compatible_forcing_stagnates(law: ForchheimerLaw, mms) -> None:
     """A time-independent zero-mean forcing drives p to a steady state."""
     mesh = unit_square_mesh(8)
     rule = triangle_quadrature()
-    pts = cell_points(mesh, rule)
-    f_values = mms.f(pts[..., 0], pts[..., 1])(0.0)
+    f_values = mms.f(*cell_points(mesh, rule))(0.0)
     mean_f = float(mesh.areas @ (f_values @ rule.weights))
 
     def forcing(x, y):
@@ -998,10 +1037,10 @@ def test_final_norm_bounded_by_data(law: ForchheimerLaw, mms) -> None:
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.5, t_final=1.0))
     levels = _levels(solver, mms, mms.f)
     rule = triangle_quadrature()
-    pts = cell_points(mesh, rule)
+    forcing = mms.f(*cell_points(mesh, rule))
     f_norms = []
     for level in levels[1:]:
-        values = mms.f(pts[..., 0], pts[..., 1])(level.t)
+        values = forcing(level.t)
         f_norms.append(float(np.sqrt(mesh.areas @ (values**2 @ rule.weights))))
     p_norms = [float(np.sqrt(mesh.areas @ level.p**2)) for level in levels]
     bound = p_norms[0] + solver.config.dt * sum(f_norms)

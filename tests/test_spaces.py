@@ -79,10 +79,10 @@ def test_quadrature_integrates_monomials_exactly(degree: int) -> None:
     is the scheme's own rule, the others the tests' reference rules."""
     mesh = _reference_mesh()
     rule = triangle_rule(degree)
-    pts = cell_points(mesh, rule)
+    x, y = cell_points(mesh, rule)
     for p in range(degree + 1):
         for q in range(degree + 1 - p):
-            values = pts[..., 0] ** p * pts[..., 1] ** q
+            values = x**p * y**q
             got = float(integrate_cellwise(mesh, rule, values)[0])
             assert got == pytest.approx(reference_monomial_integral(p, q), rel=1e-13)
 
@@ -90,10 +90,10 @@ def test_quadrature_integrates_monomials_exactly(degree: int) -> None:
 def test_integrate_cellwise_whole_mesh() -> None:
     mesh = unit_square_mesh(3)
     rule = triangle_rule(2)
-    pts = cell_points(mesh, rule)
-    ones = np.ones(pts.shape[:2])
+    x, _ = cell_points(mesh, rule)
+    ones = np.ones(x.shape)
     assert integrate_cellwise(mesh, rule, ones).sum() == pytest.approx(1.0, rel=1e-14)
-    assert integrate_cellwise(mesh, rule, pts[..., 0]).sum() == pytest.approx(
+    assert integrate_cellwise(mesh, rule, x).sum() == pytest.approx(
         0.5, rel=1e-13
     )
 
@@ -101,15 +101,19 @@ def test_integrate_cellwise_whole_mesh() -> None:
 @pytest.mark.parametrize("n", [3, 16, 64])
 @pytest.mark.parametrize("degree", [4, 9])
 def test_cell_points_are_the_batched_product_bitwise(n: int, degree: int) -> None:
-    """cell_points, one (F, 6) by (6, 3m) product, equals the F products of
-    the barycentric points by each cell's corners bit for bit, on jittered
-    meshes, for the scheme's rule and a 9th-degree reference rule."""
+    """cell_points, one (F, 3) by (3, m) product per coordinate, equals the
+    F products of the barycentric points by each cell's corners bit for bit,
+    as C-contiguous coordinate planes, on jittered meshes, for the scheme's
+    rule and a 9th-degree reference rule."""
     mesh = _jittered_mesh(n, seed=n)
     rule = triangle_quadrature() if degree == 4 else triangle_rule(degree)
     want = rule.points @ mesh.vertices[mesh.triangles]
-    got = cell_points(mesh, rule)
-    assert got.shape == want.shape == (mesh.num_triangles, len(rule.weights), 2)
-    assert got.tobytes() == want.tobytes()
+    planes = cell_points(mesh, rule)
+    assert len(planes) == 2
+    for got, component in zip(planes, np.moveaxis(want, -1, 0)):
+        assert got.shape == (mesh.num_triangles, len(rule.weights))
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(component).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -217,7 +221,7 @@ def test_rt0_at_cell_points_reconstructs_basis() -> None:
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=dofmap.n_rt0)
     x = rng.uniform(size=(mesh.num_triangles, 6, 2))
-    got = rt0_at_cell_points(mesh, dofmap, coeffs, x)
+    got = rt0_at_cell_points(mesh, dofmap, coeffs, x[..., 0], x[..., 1])
     div = _divergence(mesh, dofmap, coeffs)
     for t in (0, 4, 11):
         expected = np.zeros((6, 2))
@@ -246,7 +250,7 @@ def test_rt0_basis_on_a_jittered_mesh() -> None:
     pts = (a[:, :, None] + frac[:, None] * (b - a)[:, :, None]).reshape(mesh.num_triangles, -1, 2)
     normals = mesh.edge_normals[mesh.tri_edges]
     for j in range(dofmap.n_rt0):
-        got = rt0_at_cell_points(mesh, dofmap, np.eye(dofmap.n_rt0)[j], pts)
+        got = rt0_at_cell_points(mesh, dofmap, np.eye(dofmap.n_rt0)[j], pts[..., 0], pts[..., 1])
         flux = np.einsum("fkqd,fkd->fkq", got.reshape(-1, 3, 3, 2), normals) @ (0.5 * gw)
         own = mesh.tri_edges == dofmap.dof_edge[j]
         assert np.allclose(flux, own, atol=1e-13)
@@ -319,7 +323,7 @@ def _rt0_field(mesh, dofmap, coeffs):
         cells = np.argmax(bary.min(axis=-1), axis=-1)
         # every cell's affine field at every point, then each point's cell
         every = np.broadcast_to(flat, (mesh.num_triangles, *flat.shape))
-        values = rt0_at_cell_points(mesh, dofmap, coeffs, every)
+        values = rt0_at_cell_points(mesh, dofmap, coeffs, every[..., 0], every[..., 1])
         return values[cells, np.arange(len(flat))].reshape(pts.shape)
 
     return evaluate
@@ -334,7 +338,7 @@ def test_hdiv_interpolation_idempotent_on_rt0() -> None:
     inside = mesh.centroids
     assert np.allclose(
         field(inside[:, 0], inside[:, 1]),
-        rt0_at_cell_points(mesh, dofmap, coeffs, inside[:, None, :])[:, 0],
+        rt0_at_cell_points(mesh, dofmap, coeffs, inside[:, :1], inside[:, 1:])[:, 0],
         atol=1e-14,
     )
     recovered = hdiv_interpolate(mesh, dofmap, field)
@@ -360,10 +364,8 @@ def test_hdiv_interpolation_first_order_accurate() -> None:
         mesh = unit_square_mesh(n)
         dofmap = build_dofmap(mesh)
         coeffs = hdiv_interpolate(mesh, dofmap, v)
-        pts = cell_points(mesh, rule)
-        diff = rt0_at_cell_points(mesh, dofmap, coeffs, pts) - v(
-            pts[..., 0], pts[..., 1]
-        )
+        x, y = cell_points(mesh, rule)
+        diff = rt0_at_cell_points(mesh, dofmap, coeffs, x, y) - v(x, y)
         sq = np.sum(diff * diff, axis=-1)
         errors.append(float(np.sqrt(integrate_cellwise(mesh, rule, sq).sum())))
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
@@ -403,7 +405,7 @@ def test_assembled_blocks() -> None:
     b = forms[2 * num_tris :].toarray()
     m = forms[: 2 * num_tris].toarray()
     rule = triangle_rule(2)
-    pts = cell_points(mesh, rule)
+    pts = np.stack(cell_points(mesh, rule), axis=-1)
     for t in range(mesh.num_triangles):
         for k in range(3):
             dof = dofmap.edge_dof[mesh.tri_edges[t, k]]
