@@ -147,6 +147,12 @@ def _newton_s(law: ForchheimerLaw, xi_arr: np.ndarray) -> np.ndarray:
     # xi**(1/p) / a**(1/p) rather than (xi/a)**(1/p): the quotient can
     # underflow to 0 for a subnormal xi, which would start below the root
     s = np.min([xi ** (1.0 / (e + 1.0)) / a ** (1.0 / (e + 1.0)) for a, e in terms], axis=0)
+    # where s g(s) <= (N + 1) xi could overflow, solve s g(s) = xi times a
+    # power of 2 below 1/(N + 1): the same iterates, as scaling is exact
+    big = xi > np.finfo(float).max / len(terms)
+    if np.any(big):
+        scale = np.where(big, 0.5 ** len(terms).bit_length(), 1.0)
+        terms, xi = [(a * scale, e) for a, e in terms], xi * scale
     for _ in range(_MAX_ITER):
         g, slope = _g_and_slope(terms, s)
         step = (s * g - xi) / slope

@@ -152,17 +152,6 @@ def _step_count(dt, t_final) -> float:
     return steps
 
 
-def _rows_t(matrix: sp.csr_matrix, start: int) -> sp.csc_matrix:
-    """The transpose of matrix's rows from start on, on matrix's own data and
-    indices.  scipy's constructors copy a slice of less than half its array,
-    so the arrays are set on an empty matrix of the shape instead."""
-    offset = matrix.indptr[start]
-    rows_t = sp.csc_matrix((matrix.shape[1], matrix.shape[0] - start), dtype=matrix.dtype)
-    rows_t.data, rows_t.indices = matrix.data[offset:], matrix.indices[offset:]
-    rows_t.indptr = matrix.indptr[start:] - offset
-    return rows_t
-
-
 class PicardError(RuntimeError):
     """A step's nonlinear iteration failed to converge; carries its last
     residual, the increment of s, or |R(u)| when CG failed."""
@@ -244,7 +233,6 @@ class ExpandedMixedSolver:
         # M_uz u, as x then y moments, and B_div u, for s and div u, from one product
         self._forms = assemble_forms(mesh, self.dofmap)
         self._forms_t = self._forms.T
-        self._b_div_t = _rows_t(self._forms, 2 * mesh.num_triangles)
         self._terms = _terms(law)
         # W, the Jacobian's one stored cell operator on those rows: of N
         # cells, cell T's 2x2 block D_T / |T| sits on rows T and N + T, on
@@ -370,7 +358,8 @@ class ExpandedMixedSolver:
             raise ValueError(f"the integral of the forcing at t={t_n} is not finite")
         state_prev = levels[-1]
         p_hat = state_prev.p + cfg.dt * load / areas
-        rhs = self._b_div_t @ p_hat
+        # b = B_div^T p_hat, the forms' transpose on (0, p_hat): no copy of B_div kept
+        rhs = self._forms_t @ np.concatenate((np.zeros(2 * len(areas)), p_hat))
         u = _extrapolate([level.u for level in levels])
         s, p, cell = self._state(u, p_hat)
         # -R(u), whose norm on step 1 stands in for |b_1 - b_0|

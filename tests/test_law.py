@@ -215,19 +215,20 @@ def test_conductivity_derivative_matches_finite_differences() -> None:
     assert np.max(np.abs(fd - K_prime(TWO_TERM, xi))) < 1e-9
 
 
-@pytest.mark.parametrize("xi", [1e150, 1e200, 1e250, 1.7e308])
+@pytest.mark.parametrize("xi", [1e150, 1e200, 1e250, 1.7e308, np.finfo(float).max])
 @pytest.mark.parametrize("text", ["1:0,1:1", "1:0,1e4:2", "1:0,1e12:0.5,1:3", "1:0,1e300:1"])
 def test_conductivity_and_derivative_stay_finite_at_huge_xi(text: str, xi: float) -> None:
     """K and K' are finite, with no overflow on the way, up to the largest
-    doubles: K' = -g'/(g^2 slope) underflows where g^2 slope would overflow,
-    and the closed form of the two-term linear laws holds past 4 a1 xi, and
-    past a1 xi itself for a1 = 1e300."""
+    double: K' = -g'/(g^2 slope) underflows where g^2 slope would overflow,
+    the closed form of the two-term linear laws holds past 4 a1 xi, and
+    past a1 xi itself for a1 = 1e300, and the Newton solve of the others
+    holds where its start's s g(s) would pass the largest double."""
     law = law_from_string(text)
     k, kp = K_eval(law, xi), K_prime(law, xi)
     assert 0.0 < k < 1.0 and -k / xi <= kp <= 0.0
     s = float(solve_s_of_xi(law, xi))
     g, _ = _g_and_slope(_terms(law), s)
-    assert s * float(g) == pytest.approx(xi, rel=1e-13)
+    assert s * (float(g) / xi) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_flux_map_basic() -> None:

@@ -14,7 +14,6 @@ from scipy.sparse.linalg import splu, spsolve
 
 from quadrature_oracle import triangle_rule
 from test_law import g_eval
-from test_mesh import _jittered_mesh
 from test_spaces import _ORDERING_MESHES, _ordering_mesh
 
 import forchmix.mms as mms_module
@@ -375,7 +374,7 @@ def _spy_cg(monkeypatch, solver: ExpandedMixedSolver) -> list[tuple[float, float
     def spy_advance(levels, t_n, load, rhs_prev):
         floor[0] = None
         if rhs_prev is not None:
-            rhs = solver._b_div_t @ _p_hat(solver, levels[-1].p, load)
+            rhs = _blocks(solver)[0].T @ _p_hat(solver, levels[-1].p, load)
             floor[0] = solver._cg_rtol * np.linalg.norm(rhs - rhs_prev)
         return advance(levels, t_n, load, rhs_prev)
 
@@ -406,8 +405,9 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
     level = DiscreteState(p=p_prev, s=np.zeros((mesh.num_triangles, 2)), u=u, t=0.0)
     _factor_frozen(solver, 1.0 / mesh.areas)
     calls = _spy_cg(monkeypatch, solver)
-    (state, iterations, _, _), rhs = solver._advance([level], 0.1, load, solver._b_div_t @ p_prev)
-    assert np.array_equal(rhs, solver._b_div_t @ p_prev)
+    b_prev = _blocks(solver)[0].T @ p_prev
+    (state, iterations, _, _), rhs = solver._advance([level], 0.1, load, b_prev)
+    assert rhs.tobytes() == b_prev.tobytes()
     assert factorizations[0] == 1
     assert iterations == len(calls) >= 2
     for floor, b_norm, target, residual in calls:
@@ -486,7 +486,7 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
     kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
     kbar[:2] = 1e-4, 1.0
-    rhs = solver._b_div_t @ rng.standard_normal(mesh.num_triangles)
+    rhs = _blocks(solver)[0].T @ rng.standard_normal(mesh.num_triangles)
     _factor_frozen(solver, 1.0 / (kbar * mesh.areas))
     want = spsolve(_condensed_matrix(solver, kbar), rhs)
     assert np.max(np.abs(solver._lu.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -869,22 +869,6 @@ def test_a_march_keeps_no_quadrature_points(law, mms, monkeypatch) -> None:
     gc.collect()
     assert len(planes) == 2
     assert all(plane() is None for plane in planes)
-
-
-def test_the_divergence_rows_share_the_forms_storage(law) -> None:
-    """B_div^T, which maps p_hat to b = B^T p_hat, is the transpose of the
-    forms' last N rows entry for entry, held on the forms' own arrays."""
-    mesh = _jittered_mesh(6, seed=6)
-    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.5, t_final=1.0))
-    forms, b_div_t = solver._forms, solver._b_div_t
-    want = forms[2 * mesh.num_triangles :].T
-    assert b_div_t.format == want.format and b_div_t.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(b_div_t, name), getattr(want, name)), name
-    assert np.shares_memory(b_div_t.data, forms.data)
-    assert np.shares_memory(b_div_t.indices, forms.indices)
-    p_hat = np.random.default_rng(6).standard_normal(mesh.num_triangles)
-    assert (b_div_t @ p_hat).tobytes() == (want @ p_hat).tobytes()
 
 
 def test_picard_iteration_budget_on_the_stiff_law(monkeypatch) -> None:

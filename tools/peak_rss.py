@@ -2,20 +2,22 @@
 
 Usage, from anywhere:
 
-    python3 tools/peak_rss.py N [--law L] [--steps K]
+    python3 tools/peak_rss.py N
 
-Builds the n x n unit-square mesh, marches the manufactured problem of law
-L (default 1:0,1:1) for K steps (default 3) at dt = h^2, as the benchmark's
-fine-lu operation does at N = 128, takes the error norms of the final level
-and prints the process's peak RSS in MiB.  It runs as the benchmark does:
-one BLAS thread and the fixed memory layout of perfbench/run.py, whose
-pin_layout re-executes this script once, and forchmix from this checkout's
-src/.  Run it in a fresh process per figure; the peak is the process's own.
+Runs the benchmark's fine-lu operation, perfbench/workloads.py's _api, on
+the n x n unit-square mesh in place of n = 128: the manufactured problem of
+fine-lu's law marched for fine-lu's number of steps at dt = h^2, then the
+error norms of the final level.  It prints the process's peak RSS in MiB.
+It runs as the benchmark does: one BLAS thread and the fixed memory layout
+of perfbench/run.py, whose pin_layout re-executes this script once, and
+forchmix from this checkout's src/.  Run it in a fresh process per figure;
+the peak is the process's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import resource
 import sys
 from pathlib import Path
@@ -29,26 +31,18 @@ from run import import_program, pin_layout, pin_threads  # noqa: E402
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="mesh size")
-    parser.add_argument("--law", default="1:0,1:1", help="comma list of coefficient:exponent terms")
-    parser.add_argument("--steps", type=int, default=3, help="backward Euler steps at dt = h^2")
     args = parser.parse_args(argv)
-    if args.n < 1 or args.steps < 0:
-        parser.error("N must be positive and --steps nonnegative")
+    if args.n < 1:
+        parser.error("N must be positive")
 
     pin_threads()
     pin_layout()
     import_program()
-    from forchmix import (
-        ExpandedMixedSolver, ManufacturedSolution, SolverConfig, error_norms, law_from_string, unit_square_mesh,
-    )
+    from forchmix import law_from_string
+    from workloads import DEFAULT_SEED, WORKLOADS, _api
 
-    law = law_from_string(args.law)
-    exact = ManufacturedSolution(law)
-    mesh = unit_square_mesh(args.n)
-    dt = mesh.h**2
-    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=dt, t_final=args.steps * dt))
-    result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
-    error_norms(mesh, solver.dofmap, result.state, exact)
+    workload = dataclasses.replace(WORKLOADS["fine-lu"], meshes=(args.n,))
+    _api(workload, law_from_string(workload.law(DEFAULT_SEED)))
     print(f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.2f}")
     return 0
 
