@@ -107,7 +107,7 @@ ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 VectorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # A forcing bound to points: f(x, y) returns t -> f(x, y, t), doing the work
 # that depends only on the points once.  A march binds it to the quadrature
-# points at its start (ManufacturedSolution.f is one); None is no forcing.
+# points at its start (ManufacturedSolution.f is one).
 ForcingField = Callable[[np.ndarray, np.ndarray], Callable[[float], np.ndarray]]
 
 
@@ -249,12 +249,9 @@ class ExpandedMixedSolver:
         # stale CG iterations since the last factorization
         self._stale_iterations = 0
 
-    def _loads(self, f: ForcingField | None) -> Callable[[float], np.ndarray]:
+    def _loads(self, f: ForcingField) -> Callable[[float], np.ndarray]:
         """t -> the cell integrals of the forcing f at time t, with f bound
         to the quadrature points once."""
-        if f is None:
-            zero = np.zeros(self.mesh.num_triangles)
-            return lambda t: zero
         x, y = cell_points(self.mesh, self.quadrature)
         values, shape = f(x, y), x.shape
         areas, weights = self.mesh.areas, self.quadrature.weights
@@ -312,11 +309,11 @@ class ExpandedMixedSolver:
         """J d = F^T (W (F d)), with no matrix J formed."""
         return self._forms_t @ (self._cell_weights @ (self._forms @ d))
 
-    def _pcg(self, b: np.ndarray, target: float, maxiter: int) -> np.ndarray | None:
+    def _pcg(self, b: np.ndarray, target: float) -> np.ndarray | None:
         """CG for J delta = b from zero, preconditioned by the stored LU.
 
         Returns delta once its residual is at most target, zero when b
-        already is, and None when maxiter iterations miss it.  A returned
+        already is, and None when _CG_MAXITER iterations miss it.  A returned
         delta's iterations past the first count as stale.
         """
         delta = np.zeros_like(b)
@@ -326,7 +323,7 @@ class ExpandedMixedSolver:
         z = self._lu.solve(r)
         d = z
         rz = r @ z
-        for iteration in range(maxiter):
+        for iteration in range(_CG_MAXITER):
             jd = self._jacobian_times(d)
             alpha = rz / (d @ jd)
             delta += alpha * d
@@ -371,10 +368,10 @@ class ExpandedMixedSolver:
             target = max(_NEWTON_ETA * residual, floor)
             delta = None
             if self._lu is not None and self._stale_iterations < _CG_STALE_BUDGET:
-                delta = self._pcg(step, target, _CG_MAXITER)
+                delta = self._pcg(step, target)
             if delta is None:
                 self._factor()
-                delta = self._pcg(step, target, _CG_MAXITER)
+                delta = self._pcg(step, target)
             if delta is None:
                 raise PicardError("CG missed the Newton stop on a fresh factorization", float(residual))
             u = u + delta
@@ -401,7 +398,7 @@ class ExpandedMixedSolver:
         return (state, iteration, mass_residual, f_integral), rhs
 
     def steps(
-        self, state0: DiscreteState, f: ForcingField | None
+        self, state0: DiscreteState, f: ForcingField
     ) -> Iterator[tuple[DiscreteState, int, float, float]]:
         """March from the level state0 at t=0 to t_final, one step per item.
 
@@ -423,12 +420,10 @@ class ExpandedMixedSolver:
             history.append(step[0])
             yield step
 
-    def run(
-        self, f: ForcingField | None, p0: ScalarField, s0: VectorField, u0: VectorField
-    ) -> RunResult:
+    def run(self, f: ForcingField, p0: ScalarField, s0: VectorField, u0: VectorField) -> RunResult:
         """March from the projections of p0, s0 and u0 to t_final by draining
-        steps, under the forcing f: None, or f(x, y) returning
-        t -> f(x, y, t) (see ForcingField)."""
+        steps, under the forcing f(x, y) returning t -> f(x, y, t) (see
+        ForcingField)."""
         state = self.initial_state(p0, s0, u0)
         picard_iters: list[int] = []
         mass_residuals: list[float] = []

@@ -43,7 +43,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def triangle_quadrature() -> QuadratureRule:
@@ -55,7 +54,7 @@ def triangle_quadrature() -> QuadratureRule:
         for orbit in ((first, other, other), (other, first, other), (other, other, first))
     ]
     weights = np.repeat(_DEGREE4_WEIGHTS, 3)
-    return QuadratureRule(points=np.array(points), weights=weights, degree=4)
+    return QuadratureRule(points=np.array(points), weights=weights)
 
 
 def cell_points(mesh: TriMesh, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:

@@ -89,7 +89,7 @@ def decay_run(law: ForchheimerLaw, mms: ManufacturedSolution) -> tuple[np.ndarra
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=1e-2, t_final=1.0))
     state = solver.initial_state(mms.p0, mms.s0, mms.u0)
     norms, picard_iters = [np.sqrt(mesh.areas @ state.p**2)], []
-    for state, iterations, _, _ in solver.steps(state, None):
+    for state, iterations, _, _ in solver.steps(state, lambda x, y: lambda t: 0.0):
         norms.append(np.sqrt(mesh.areas @ state.p**2))
         picard_iters.append(iterations)
     return np.asarray(norms), picard_iters

@@ -29,7 +29,7 @@ def _collapsed_rule(degree: int) -> QuadratureRule:
     y = (vv * (1.0 - uu)).ravel()
     weights = ww.ravel()
     points = np.column_stack([1.0 - x - y, x, y])
-    return QuadratureRule(points=points, weights=weights / weights.sum(), degree=2 * m - 2)
+    return QuadratureRule(points=points, weights=weights / weights.sum())
 
 
 def triangle_rule(degree: int) -> QuadratureRule:
@@ -38,10 +38,10 @@ def triangle_rule(degree: int) -> QuadratureRule:
     a collapsed Gauss rule beyond."""
     if degree <= 1:
         points = np.array([[1.0, 1.0, 1.0]]) / 3.0
-        return QuadratureRule(points=points, weights=np.array([1.0]), degree=1)
+        return QuadratureRule(points=points, weights=np.array([1.0]))
     if degree <= 2:
         points = np.array(_symmetric_orbit(2.0 / 3.0, 1.0 / 6.0))
-        return QuadratureRule(points=points, weights=np.full(3, 1.0 / 3.0), degree=2)
+        return QuadratureRule(points=points, weights=np.full(3, 1.0 / 3.0))
     if degree <= 4:
         return triangle_quadrature()
     return _collapsed_rule(degree)

@@ -62,7 +62,8 @@ _BAD_VALUES = {
     ),
     "--tol": _NOT_POSITIVE,
     "--dt": _NOT_POSITIVE,
-    "--dt-cap": _NOT_POSITIVE,
+    # inf is no cap
+    "--dt-cap": _NOT_POSITIVE.filter(lambda value: value != "inf"),
     "--law": st.one_of(
         _NOT_A_NUMBER,
         st.builds("1:0,1:{}".format, _NONFINITE),
@@ -124,6 +125,7 @@ _STUDY_REJECTS = {
     "--dt -0.1": {"dt": -0.1},
     "--dt quadratic": {"dt": "quadratic"},
     "--dt-cap 0": {"dt_cap": 0.0},
+    "--dt-cap nan": {"dt_cap": math.nan},
     "--tol -1": {"picard_tol": -1.0},
     "--max-picard 0": {"picard_max": 0},
 }
@@ -143,6 +145,7 @@ _STUDY_REJECTS = {
         ["--tol", "-1"],
         ["--max-picard", "0"],
         ["--format", "json"],
+        ["--dt-cap", "nan"],
     ],
 )
 def test_usage_errors_exit_with_code_two(argv: list[str], capsys) -> None:
@@ -167,7 +170,6 @@ def test_usage_errors_exit_with_code_two(argv: list[str], capsys) -> None:
         ["--dt", "nan"],
         ["--dt", "inf"],
         ["--dt-cap", "nan"],
-        ["--dt-cap", "inf"],
     ],
 )
 def test_nonfinite_values_exit_with_code_two(argv: list[str], capsys) -> None:
@@ -175,6 +177,16 @@ def test_nonfinite_values_exit_with_code_two(argv: list[str], capsys) -> None:
         main([*_FAST, *argv])
     assert excinfo.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_an_infinite_dt_cap_runs_the_uncapped_study(tmp_path: Path, capsys) -> None:
+    """--dt-cap inf is the study's dt_cap=inf, no cap: dt = h^2 on every mesh."""
+    out = tmp_path / "uncapped.csv"
+    argv = ["--mesh", "2,4", "--T", "0.25", "--dt-cap", "inf", "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    study = convergence_study(law_from_string("1:0,1:1"), [2, 4], t_final=0.25, dt_cap=math.inf)
+    assert out.read_text(encoding="utf-8") == study.to_csv()
 
 
 @pytest.mark.parametrize("law", ["1:0,1:inf", "1:0,nan:1", "1:0,1:nan"])
@@ -233,7 +245,7 @@ def _march_started(self, *args):
 _STUDY_VALUES = {
     "mesh_sizes": st.lists(st.integers(-2, 24), min_size=1, max_size=4),
     "dt": st.one_of(st.just("h2"), st.floats(), st.floats(1e-4, 1.0)),
-    "dt_cap": st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(1e-4, 1.0)),
+    "dt_cap": st.one_of(st.floats(), st.floats(1e-4, 1.0)),
     "t_final": st.one_of(st.floats(), st.floats(0.0, 2.0)),
     "picard_tol": st.one_of(st.floats(), st.floats(1e-12, 1e-2)),
     "picard_max": st.integers(-3, 50),

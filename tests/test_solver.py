@@ -47,6 +47,10 @@ def _zero_vector(x, y):
     return np.stack(np.broadcast_arrays(0.0 * x, 0.0 * y), axis=-1)
 
 
+def _zero_forcing(x, y):
+    return lambda t: 0.0
+
+
 def _blocks(solver: ExpandedMixedSolver) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """B_div and M_uz of the solver's mesh, from the stacked forms; row T of
     M_uz holds cell T's x moments and row F + T its y moments."""
@@ -249,10 +253,10 @@ def test_zero_data_stays_zero_in_one_iteration(law: ForchheimerLaw, monkeypatch)
     mesh = unit_square_mesh(3)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0))
     state0 = solver.initial_state(_zero_scalar, _zero_vector, _zero_vector)
-    state, iterations, _, _ = next(solver.steps(state0, None))
+    state, iterations, _, _ = next(solver.steps(state0, _zero_forcing))
     assert iterations == 1
     factorizations[0] = 0
-    result = solver.run(None, _zero_scalar, _zero_vector, _zero_vector)
+    result = solver.run(_zero_forcing, _zero_scalar, _zero_vector, _zero_vector)
     assert result.picard_iters == [1] * 10
     assert factorizations[0] == 1
     for each in (state, result.state):
@@ -266,7 +270,7 @@ def test_a_mesh_without_interior_edges_marches(law: ForchheimerLaw) -> None:
     run still marches, one iterate a step, with an empty velocity."""
     mesh = build_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.2))
-    result = solver.run(None, _zero_scalar, _zero_vector, _zero_vector)
+    result = solver.run(_zero_forcing, _zero_scalar, _zero_vector, _zero_vector)
     assert result.picard_iters == [1, 1]
     assert result.state.u.shape == (0,)
     assert np.all(result.state.p == 0.0) and np.all(result.state.s == 0.0)
@@ -378,10 +382,10 @@ def _spy_cg(monkeypatch, solver: ExpandedMixedSolver) -> list[tuple[float, float
             floor[0] = solver._cg_rtol * np.linalg.norm(rhs - rhs_prev)
         return advance(levels, t_n, load, rhs_prev)
 
-    def spy_pcg(b, target, maxiter):
+    def spy_pcg(b, target):
         if floor[0] is None:
             floor[0] = solver._cg_rtol * np.linalg.norm(b)
-        delta = pcg(b, target, maxiter)
+        delta = pcg(b, target)
         residual = np.nan if delta is None else np.linalg.norm(b - solver._jacobian_times(delta))
         calls.append((floor[0], np.linalg.norm(b), target, residual))
         return delta
@@ -414,7 +418,7 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
         assert floor == 0.0
         assert target == solver_module._NEWTON_ETA * b_norm > 0.0
         assert residual <= 1.001 * target
-    _assert_picard_fixed_points(solver, None, [level, state])
+    _assert_picard_fixed_points(solver, _zero_forcing, [level, state])
 
 
 def test_cg_stop_follows_the_picard_tolerance(law: ForchheimerLaw, mms, monkeypatch) -> None:
@@ -565,7 +569,8 @@ def test_the_factor_is_the_jacobian(law_text: str, n: int, monkeypatch) -> None:
     assert np.array_equal(a.indptr, frozen.indptr) and np.array_equal(a.indices, frozen.indices)
     assert solver._lu.nnz == splu(frozen, permc_spec="NATURAL", diag_pivot_thresh=0.0).nnz
     b = rng.standard_normal(size)
-    delta = solver._pcg(b, 1e-10 * np.linalg.norm(b), 1)
+    monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
+    delta = solver._pcg(b, 1e-10 * np.linalg.norm(b))
     assert delta is not None
     assert np.linalg.norm(b - jacobian @ delta) <= 1.001e-10 * np.linalg.norm(b)
     assert solver._stale_iterations == 0
@@ -1123,3 +1128,14 @@ def test_a_forcing_of_x_y_and_t_fails_at_the_march_start(law, mms, monkeypatch) 
     with pytest.raises(TypeError):
         solver.run(old_shape, mms.p0, mms.s0, mms.u0)
     assert advanced == []
+
+
+def test_none_is_not_a_forcing(law, mms, monkeypatch) -> None:
+    """No source is the zero forcing f(x, y) returning t -> 0.0, the one
+    spelling: None raises TypeError when the march binds it, before any
+    factorization."""
+    factorizations = _count_calls(monkeypatch, "splu")
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=0.01, t_final=0.02))
+    with pytest.raises(TypeError):
+        solver.run(None, mms.p0, mms.s0, mms.u0)
+    assert factorizations[0] == 0

@@ -70,13 +70,13 @@ def test_quadrature_weights_sum_to_one(degree: int) -> None:
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-13)
     assert np.all(rule.weights > 0.0)
     assert np.allclose(rule.points.sum(axis=1), 1.0, rtol=1e-13)
-    assert rule.degree >= degree
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 7, 9])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 7, 9])
 def test_quadrature_integrates_monomials_exactly(degree: int) -> None:
-    """Compare with p! q! / (p + q + 2)! on the reference triangle; degree 4
-    is the scheme's own rule, the others the tests' reference rules."""
+    """Compare with p! q! / (p + q + 2)! on the reference triangle: each rule
+    is exact through the degree it is drawn for.  Degrees 3 and 4 draw the
+    scheme's own rule, the others the tests' reference rules."""
     mesh = _reference_mesh()
     rule = triangle_rule(degree)
     x, y = cell_points(mesh, rule)
