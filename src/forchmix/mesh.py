@@ -82,64 +82,69 @@ def build_mesh(vertices, triangles) -> TriMesh:
     if np.any(triangles < 0) or np.any(triangles >= num_vertices):
         raise ValueError("triangle vertex indices must lie in [0, number of vertices)")
     triangles = triangles.astype(np.int64, copy=False)
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    signed_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    # by coordinate: contiguous planes gather and reduce faster than (F, 3, 2)
+    x, y = vertices.T.copy()
+    px, py = x[triangles.T], y[triangles.T]
+    d1x, d1y, d2x, d2y = px[1] - px[0], py[1] - py[0], px[2] - px[0], py[2] - py[0]
+    signed_area = 0.5 * (d1x * d2y - d1y * d2x)
     if np.any(signed_area <= 0.0):
         raise ValueError("triangles must be counterclockwise with positive area")
 
     # local edge k is opposite local vertex k; an edge's key lo * V + hi sorts
-    # the edges by (lo, hi)
-    local = np.stack(
-        [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=1
-    ).reshape(-1, 2)
-    keys = local.min(axis=1) * num_vertices + local.max(axis=1)
-    codes, inverse = np.unique(keys, return_inverse=True)
-    edges = np.column_stack(np.divmod(codes, num_vertices))
+    # the edges by (lo, hi).  A stable sort of the flat (triangle, local edge)
+    # slots by key numbers the edges and lists each edge's triangles in
+    # increasing order: the lower-indexed one comes first and defines the
+    # edge normal.
+    a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+    keys = (np.minimum(a, b) * num_vertices + np.maximum(a, b)).ravel()
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    opens = np.append(True, sorted_keys[1:] != sorted_keys[:-1])
+    first = np.flatnonzero(opens)
+    lo, hi = np.divmod(sorted_keys[first], num_vertices)
+    edges = np.column_stack([lo, hi])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(opens) - 1
     tri_edges = inverse.reshape(-1, 3)
 
-    counts = np.bincount(inverse, minlength=len(edges))
+    counts = np.diff(first, append=len(keys))
     if counts.max() > 2:
         e = int(np.argmax(counts > 2))
         raise ValueError(f"edge {e} is shared by more than two triangles")
-    # a stable sort of the flat (triangle, local edge) slots by edge lists each
-    # edge's triangles in increasing order: the lower-indexed one comes first
-    # and defines the edge normal
-    tri_of_slot = np.argsort(inverse, kind="stable") // 3
-    first = np.cumsum(counts) - counts
+    tri_of_slot = order // 3
     edge_tris = np.column_stack(
         [tri_of_slot[first], np.where(counts == 2, tri_of_slot[first + counts - 1], -1)]
     )
     boundary_edge = counts == 1
 
-    signs = np.where(edge_tris[tri_edges, 0] == np.arange(len(triangles))[:, None], 1, -1)
-    signs = signs.astype(np.int64)
+    # an edge's first slot is its first triangle's, as a cell's three edges differ
+    signs = np.full(len(keys), -1, dtype=np.int64)
+    signs[order[first]] = 1
 
-    edge_vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    edge_lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
+    ex, ey = x[hi] - x[lo], y[hi] - y[lo]
+    edge_lengths = np.hypot(ex, ey)
     # run each edge ccw around its first triangle, whose centroid is then on its
     # left: (dy, -dx) points out; 0.0 - v keeps the +0.0 that -v would negate
-    centroids = p.mean(axis=1)
-    to_centroid = centroids[edge_tris[:, 0]] - vertices[edges[:, 0]]
-    ccw = edge_vec[:, 0] * to_centroid[:, 1] > edge_vec[:, 1] * to_centroid[:, 0]
-    run = np.where(ccw[:, None], edge_vec, 0.0 - edge_vec)
-    edge_normals = np.column_stack([run[:, 1], -run[:, 0]]) / edge_lengths[:, None]
-    diameters = np.max(edge_lengths[tri_edges], axis=1)
+    cx, cy = (px[0] + px[1] + px[2]) / 3, (py[0] + py[1] + py[2]) / 3
+    owner = edge_tris[:, 0]
+    ccw = ex * (cy[owner] - y[lo]) > ey * (cx[owner] - x[lo])
+    rx, ry = np.where(ccw, ex, 0.0 - ex), np.where(ccw, ey, 0.0 - ey)
+    edge_normals = np.column_stack([ry / edge_lengths, -rx / edge_lengths])
 
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
         edges=edges,
         tri_edges=tri_edges,
-        tri_edge_signs=signs,
+        tri_edge_signs=signs.reshape(-1, 3),
         edge_tris=edge_tris,
         boundary_edge=boundary_edge,
         edge_normals=edge_normals,
         areas=signed_area,
-        centroids=centroids,
+        centroids=np.column_stack([cx, cy]),
         edge_lengths=edge_lengths,
-        h=float(np.max(diameters)),
+        # every edge lies on a triangle: the largest edge is the largest diameter
+        h=float(np.max(edge_lengths)),
     )
 
 

@@ -40,6 +40,7 @@ from .spaces import (
 )
 
 _DECAY = 5.0
+_SQUARES_NORMAL = math.sqrt(np.finfo(float).tiny)
 
 
 def _pressure(x, y) -> np.ndarray:
@@ -121,6 +122,20 @@ class ManufacturedSolution:
         return self.u(x, y, 0.0)
 
 
+def _unsquashed(norm: Callable[[np.ndarray], float], e: np.ndarray) -> float:
+    """norm(e) for a norm that sums squares of e's entries.  Below the root of
+    the smallest normal float those squares lose digits or underflow to 0, and
+    above the root of the largest they overflow; there the norm is taken of
+    e / max|e| and scaled back, as a norm is homogeneous."""
+    with np.errstate(over="ignore"):
+        value = norm(e)
+    if not _SQUARES_NORMAL <= value < np.inf:
+        scale = float(np.max(np.abs(e), initial=0.0))
+        if 0.0 < scale < np.inf:
+            return scale * norm(e / scale)
+    return value
+
+
 def error_norms(
     mesh: TriMesh,
     dofmap: DofMap,
@@ -139,16 +154,17 @@ def error_norms(
     x, y = cell_points(mesh, rule)
     areas, weights = mesh.areas, rule.weights
 
-    p_diff = state.p[:, None] - exact.p(x, y, t)
-    e_p = float(np.sqrt(areas @ (p_diff**2 @ weights)))
+    def l2(e: np.ndarray) -> float:
+        return float(np.sqrt(areas @ (e**2 @ weights)))
 
     def lebesgue(e: np.ndarray) -> float:
         # (int |e|^beta)^(1/beta); |e| is bit for bit np.linalg.norm(e, axis=-1), and faster
         magnitude = np.sqrt(e[..., 0] ** 2 + e[..., 1] ** 2)
         return float((areas @ (magnitude**beta @ weights)) ** (1.0 / beta))
 
-    e_s = lebesgue(state.s[:, None, :] - exact.s(x, y, t))
-    e_u = lebesgue(rt0_at_cell_points(mesh, dofmap, state.u, x, y) - exact.u(x, y, t))
+    e_p = _unsquashed(l2, state.p[:, None] - exact.p(x, y, t))
+    e_s = _unsquashed(lebesgue, state.s[:, None, :] - exact.s(x, y, t))
+    e_u = _unsquashed(lebesgue, rt0_at_cell_points(mesh, dofmap, state.u, x, y) - exact.u(x, y, t))
     return e_p, e_s, e_u
 
 

@@ -158,21 +158,30 @@ def hdiv_interpolate(mesh: TriMesh, dofmap: DofMap, v) -> np.ndarray:
     return fluxes[dofmap.dof_edge]
 
 
+def _cell_moments(mesh: TriMesh, dofmap: DofMap) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Per cell and local edge, as (F, 3) arrays: the edge's dof, -1 on the
+    boundary, and |T| times the pairings of its RT0 basis function phi with
+    e_x, e_y and the divergence.  Both integrands are of degree at most one,
+    so the entries are exact: (phi, e_i) reduces to |T| * phi_i(centroid)."""
+    dofs = dofmap.edge_dof[mesh.tri_edges]
+    sign_len = mesh.tri_edge_signs * mesh.edge_lengths[mesh.tri_edges]
+    # |T| * phi(centroid) = sign * |e| * (centroid - p_opp) / 2
+    moments = (
+        sign_len * (0.5 * (centroid[:, None] - corner[mesh.triangles]))
+        for centroid, corner in zip(mesh.centroids.T, mesh.vertices.T)
+    )
+    return dofs, (*moments, sign_len)
+
+
 def assemble_forms(mesh: TriMesh, dofmap: DofMap) -> sp.csr_matrix:
     """[M_x; M_y; B_div] (3F x n_rt0), the scheme's one form assembly: row T
-    of each block holds cell T's interior edges, with the (u, z) pairings of
-    their RT0 basis functions with e_x and e_y and their divergences.  Both
-    integrands are of degree at most one, so the entries are exact: (u, z)
-    reduces to |T| * phi(centroid)."""
-    edges = mesh.tri_edges.T
-    dofs = dofmap.edge_dof[edges]
-    sign_len = mesh.tri_edge_signs.T * mesh.edge_lengths[edges]
-    # |T| * phi(centroid) = sign * |e| * (centroid - p_opp) / 2
-    moment = 0.5 * (mesh.centroids.T[:, None, :] - mesh.vertices.T[:, mesh.triangles.T])
-    moments, inside = sign_len * moment, dofs.T >= 0
-    values = np.concatenate((moments[0].T[inside], moments[1].T[inside], sign_len.T[inside]))
+    of each block holds cell T's interior edges, with the _cell_moments of
+    their RT0 basis functions."""
+    dofs, moments = _cell_moments(mesh, dofmap)
+    inside = dofs >= 0
+    values = np.concatenate([moment[inside] for moment in moments])
     return sp.csr_matrix(
-        (values, np.tile(dofs.T[inside], 3), np.append(0, np.cumsum(np.tile(inside.sum(axis=1), 3)))),
+        (values, np.tile(dofs[inside], 3), np.append(0, np.cumsum(np.tile(inside.sum(axis=1), 3)))),
         shape=(3 * mesh.num_triangles, dofmap.n_rt0),
     )
 
@@ -184,11 +193,17 @@ def rt0_at_cell_points(
     coordinate planes x and y such as cell_points returns; shape (F, m, 2).
 
     On a cell the field is affine, u(x) = u(c_T) + (div u)_T (x - c_T) / 2,
-    and the rows of assemble_forms hold |T| u(c_T) and |T| (div u)_T."""
-    moments = (assemble_forms(mesh, dofmap) @ coeffs).reshape(3, -1) / mesh.areas
-    half_div = 0.5 * moments[2][:, None]
+    and the rows of assemble_forms hold |T| u(c_T) and |T| (div u)_T, summed
+    here in a row product's order, so bit for bit as the forms times coeffs."""
+    dofs, moments = _cell_moments(mesh, dofmap)
+    u = np.where(dofs >= 0, coeffs[dofs], 0.0)
+    mx, my, div = (
+        (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2]) / mesh.areas
+        for terms in (moment * u for moment in moments)
+    )
+    half_div = 0.5 * div[:, None]
     return np.stack(
         [moment[:, None] + half_div * (plane - centroid[:, None])
-         for moment, plane, centroid in zip(moments[:2], (x, y), mesh.centroids.T)],
+         for moment, plane, centroid in zip((mx, my), (x, y), mesh.centroids.T)],
         axis=-1,
     )

@@ -383,6 +383,20 @@ def test_a_sublinear_law_marches_past_the_decay_underflow(capsys) -> None:
     assert re.fullmatch(r"forchmix: finest mesh n=4: rates [^\n]*\n", captured.err)
 
 
+def test_a_velocity_error_below_the_squares_range_reads_positive(capsys) -> None:
+    """With g = 1e200 + s, u and its error are about 1e-202, whose squares
+    underflow to 0: the norm is taken of the error scaled by its largest
+    entry, so err_u reads its size, near 3.245e-202 on n=4, and rate_u is
+    finite."""
+    argv = ["--law", "1e200:0,1:1", "--mesh", "2,4", "--T", "0.1", "--format", "csv"]
+    assert main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert all(0.0 < float(row["err_u"]) < 1e-200 for row in rows)
+    assert float(rows[1]["err_u"]) == pytest.approx(3.245e-202, rel=1e-3)
+    assert math.isfinite(float(rows[1]["rate_u"]))
+
+
 def test_main_reports_nonconvergence_with_code_three(capsys) -> None:
     code = main([*_FAST, "--max-picard", "1"])
     captured = capsys.readouterr()

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quadrature_oracle import triangle_rule
 
@@ -264,6 +266,26 @@ def test_scrambled_mesh_matches_loop_construction(seed: int) -> None:
     assert np.all(mesh.edge_tris[interior, 0] < mesh.edge_tris[interior, 1])
     outward = _outward_normals(mesh)
     assert np.allclose(np.linalg.norm(outward, axis=-1), 1.0, rtol=1e-14)
+
+
+@given(st.data())
+def test_any_numbering_matches_loop_construction(data) -> None:
+    """build_mesh numbers edges and orders each edge's triangles by one
+    stable sort of the slots' edge keys, so the order of tied keys decides
+    edge_tris and every sign and normal: under any vertex numbering,
+    triangle order and rotation of the corners it must match the loop."""
+    base = unit_square_mesh(data.draw(st.integers(1, 8), label="n"))
+    new_index = np.array(data.draw(st.permutations(range(base.num_vertices)), label="numbering"))
+    order = data.draw(st.permutations(range(base.num_triangles)), label="triangle order")
+    shift = data.draw(
+        st.lists(st.integers(0, 2), min_size=base.num_triangles, max_size=base.num_triangles),
+        label="rotations",
+    )
+    vertices = np.empty_like(base.vertices)
+    vertices[new_index] = base.vertices
+    triangles = new_index[base.triangles][np.array(order)]
+    triangles = np.take_along_axis(triangles, (np.arange(3) + np.array(shift)[:, None]) % 3, axis=1)
+    _assert_same_mesh(build_mesh(vertices, triangles), _loop_mesh(vertices, triangles))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4, 7])

@@ -239,6 +239,37 @@ def test_error_norms_homogeneous(law: ForchheimerLaw) -> None:
         assert got == pytest.approx(lam * reference, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-160, 1e-200, 1e-300, 1e160, 1e300])
+def test_error_norms_homogeneous_past_the_squares_range(law: ForchheimerLaw, lam: float) -> None:
+    """Where the squares of the errors would be subnormal, underflow to 0 or
+    overflow, every norm still scales linearly."""
+    mesh = unit_square_mesh(3)
+    dofmap = build_dofmap(mesh)
+    exact = ManufacturedSolution(law)
+    zero = DiscreteState(np.zeros(mesh.num_triangles), np.zeros((mesh.num_triangles, 2)),
+                         np.zeros(dofmap.n_rt0), 0.0)
+
+    @dataclass(frozen=True)
+    class Scaled:
+        law: ForchheimerLaw
+        scale: float
+
+        def p(self, x, y, t):
+            return self.scale * exact.p(x, y, t)
+
+        def s(self, x, y, t):
+            return self.scale * exact.s(x, y, t)
+
+        def u(self, x, y, t):
+            return self.scale * exact.u(x, y, t)
+
+    base = error_norms(mesh, dofmap, zero, Scaled(law, 1.0))
+    scaled = error_norms(mesh, dofmap, zero, Scaled(law, lam))
+    assert min(base) > 0.0
+    for got, reference in zip(scaled, base):
+        assert got == pytest.approx(lam * reference, rel=1e-12)
+
+
 def test_rate_formula_on_synthetic_sequences() -> None:
     assert convergence_rate(1.0, 1.0, 0.2, 0.1) == pytest.approx(0.0, abs=1e-15)
     assert convergence_rate(0.4, 0.1, 0.2, 0.1) == pytest.approx(2.0, rel=1e-14)

@@ -7,6 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from forms_oracle import rt0_at_points, stacked_forms
 from quadrature_oracle import triangle_rule
 from test_mesh import _jittered_mesh, _scrambled_mesh
 
@@ -418,6 +419,39 @@ def test_assembled_blocks() -> None:
                 rt0_eval(mesh, t, k, pts[t]).T @ rule.weights
             )
             assert np.allclose(m[[t, num_tris + t], dof], moment, atol=1e-14)
+
+
+def _forms_mesh(spec: int | str) -> TriMesh:
+    return build_mesh(*_scrambled_mesh(16, 1)) if spec == "scrambled" else unit_square_mesh(spec)
+
+
+@pytest.mark.parametrize("spec", [1, 2, 5, 16, "scrambled"])
+def test_forms_are_the_oracles_bytes(spec: int | str) -> None:
+    """assemble_forms builds its entries from (F, 3) arrays with the oracle's
+    products in the oracle's order: its CSR arrays are the oracle's, byte for
+    byte and dtype for dtype."""
+    mesh = _forms_mesh(spec)
+    dofmap = build_dofmap(mesh)
+    forms, expected = assemble_forms(mesh, dofmap), stacked_forms(mesh, dofmap)
+    assert forms.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(forms, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("spec", [1, 2, 5, 16, "scrambled"])
+def test_rt0_at_cell_points_is_the_forms_product_bytes(spec: int | str) -> None:
+    """rt0_at_cell_points sums each cell's three edges itself, in a CSR row's
+    order from +0.0, so its values are those of the forms times the
+    coefficients, signed zeros included."""
+    mesh = _forms_mesh(spec)
+    dofmap = build_dofmap(mesh)
+    coeffs = np.random.default_rng(7).normal(size=dofmap.n_rt0)
+    coeffs[::4], coeffs[1::6] = 0.0, -0.0
+    x, y = cell_points(mesh, triangle_quadrature())
+    got = rt0_at_cell_points(mesh, dofmap, coeffs, x, y)
+    expected = rt0_at_points(mesh, dofmap, coeffs, x, y)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_single_square_divergence_block() -> None:
