@@ -92,13 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="relative tolerance of the Newton iteration in each step (default 1e-6)",
     )
     parser.add_argument(
-        "--max-picard",
-        dest="picard_max",
-        type=int,
-        default=25,
-        help="cap on Newton iterates per step (default 25)",
-    )
-    parser.add_argument(
         "--format",
         dest="fmt",
         choices=("csv", "markdown"),
@@ -115,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _study_keywords(args: argparse.Namespace) -> dict:
     """convergence_study's keyword arguments, each the dest of its flag."""
-    return {name: getattr(args, name) for name in ("dt", "dt_cap", "t_final", "picard_tol", "picard_max")}
+    return {name: getattr(args, name) for name in ("dt", "dt_cap", "t_final", "picard_tol")}
 
 
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:

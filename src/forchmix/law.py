@@ -234,5 +234,11 @@ def K_flux(law: ForchheimerLaw, y):
         raise ValueError("y must be finite")
     # by component: the same sums as a reduction over the short last axis, faster
     parts = [y_arr[..., i] for i in range(y_arr.shape[-1])]
-    k = K_eval(law, np.sqrt(sum(part * part for part in parts)))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(sum(part * part for part in parts))
+    big = np.isinf(norm)
+    if np.any(big):  # the squares overflow: the norm of y / max|y|, scaled back
+        scale = np.max(np.abs(y_arr), axis=-1, where=big[..., None], initial=1.0)
+        norm = np.where(big, scale * np.sqrt(sum((part / scale) ** 2 for part in parts)), norm)
+    k = K_eval(law, norm)
     return np.stack([k * part for part in parts], axis=-1)

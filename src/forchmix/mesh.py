@@ -148,9 +148,19 @@ def build_mesh(vertices, triangles) -> TriMesh:
     )
 
 
+# the largest n whose edge keys lo * V + hi, V = (n + 1)^2, fit build_mesh's int64
+_MAX_MESH_SIZE = 55107
+
+
 def _is_mesh_size(n) -> bool:
-    """Whether unit_square_mesh accepts n: an integer of at least 1, not a bool."""
-    return not isinstance(n, bool) and isinstance(n, numbers.Integral) and n >= 1
+    """Whether unit_square_mesh accepts n: an integer from 1 to _MAX_MESH_SIZE, not a bool."""
+    return not isinstance(n, bool) and isinstance(n, numbers.Integral) and 1 <= n <= _MAX_MESH_SIZE
+
+
+def _unit_square_h(n: int) -> float:
+    """unit_square_mesh(n).h, bit for bit, with no mesh built: its widest square's diagonal."""
+    side = np.max(np.diff(np.linspace(0.0, 1.0, n + 1)))
+    return float(np.hypot(side, side))
 
 
 def unit_square_mesh(n: int) -> TriMesh:
@@ -158,10 +168,10 @@ def unit_square_mesh(n: int) -> TriMesh:
     lower-left to upper-right diagonal into two right triangles.
 
     The result has (n+1)^2 vertices, 2n^2 triangles, 3n^2 + 2n edges, and
-    mesh size h = sqrt(2)/n.
+    mesh size h = sqrt(2)/n up to rounding (see _unit_square_h).
     """
     if not _is_mesh_size(n):
-        raise ValueError("n must be a positive integer")
+        raise ValueError(f"n must be a positive integer, at most {_MAX_MESH_SIZE}")
     ticks = np.linspace(0.0, 1.0, n + 1)
     grid_x, grid_y = np.meshgrid(ticks, ticks)
     vertices = np.column_stack([grid_x.ravel(), grid_y.ravel()])

@@ -30,14 +30,9 @@ import numpy as np
 # module: perfbench/spans.py traces the conductivity layer through them.
 from .law import K_eval, K_prime  # noqa: F401
 from .law import ForchheimerLaw, K_flux, _g_and_slope, _terms, degeneracy_exponents, solve_s_of_xi
-from .mesh import TriMesh, _is_mesh_size, unit_square_mesh
+from .mesh import _MAX_MESH_SIZE, TriMesh, _is_mesh_size, _unit_square_h, unit_square_mesh
 from .solver import DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _real, _step_count
-from .spaces import (
-    DofMap,
-    cell_points,
-    rt0_at_cell_points,
-    triangle_quadrature,
-)
+from .spaces import DofMap, cell_points, rt0_at_cell_points, triangle_quadrature
 
 _DECAY = 5.0
 _SQUARES_NORMAL = math.sqrt(np.finfo(float).tiny)
@@ -263,20 +258,20 @@ def _pick_dt(dt: float | str, dt_cap: float, h: float, t_final: float) -> float:
     return float(t_final) / max(1, round(steps)) if t_final else float(dt)
 
 
-def _check_study(mesh_sizes, *, dt, dt_cap, t_final, picard_tol, picard_max) -> list[int]:
+def _check_study(mesh_sizes, *, dt, dt_cap, t_final, picard_tol) -> list[int]:
     """The mesh sizes as ints once all of convergence_study's arguments check
     out, else a ValueError naming the one at fault; the CLI checks here too."""
     if len(mesh_sizes) == 0:
         raise ValueError("mesh_sizes must be nonempty")
     if not all(_is_mesh_size(n) for n in mesh_sizes):
-        raise ValueError("mesh_sizes must be positive integers")
+        raise ValueError(f"mesh_sizes must be positive integers, at most {_MAX_MESH_SIZE}")
     # numpy integers included; the rows report plain ints
     sizes = [int(n) for n in mesh_sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("mesh_sizes must be strictly increasing")
-    # the finest mesh, h = sqrt(2)/n, takes the most steps under either policy
-    dt_finest = _pick_dt(dt, dt_cap, math.sqrt(2.0) / sizes[-1], t_final)
-    SolverConfig(dt_finest, t_final, picard_tol, picard_max)
+    # the finest mesh takes the most steps under either policy
+    dt_finest = _pick_dt(dt, dt_cap, _unit_square_h(sizes[-1]), t_final)
+    SolverConfig(dt_finest, t_final, picard_tol)
     return sizes
 
 
@@ -288,7 +283,6 @@ def convergence_study(
     dt_cap: float = 1e-2,
     t_final: float = 1.0,
     picard_tol: float = 1e-6,
-    picard_max: int = 25,
 ) -> ConvergenceReport:
     """Run the manufactured problem on each mesh and tabulate errors and rates.
 
@@ -297,8 +291,7 @@ def convergence_study(
     steps.  Rates compare consecutive rows.  Every argument is checked
     before the first mesh runs, by the checks parse_args makes as well.
     """
-    mesh_sizes = _check_study(mesh_sizes, dt=dt, dt_cap=dt_cap, t_final=t_final,
-                              picard_tol=picard_tol, picard_max=picard_max)
+    mesh_sizes = _check_study(mesh_sizes, dt=dt, dt_cap=dt_cap, t_final=t_final, picard_tol=picard_tol)
     exact = ManufacturedSolution(law)
     rows: list[ReportRow] = []
     runs: list[MeshRun] = []
@@ -306,12 +299,10 @@ def convergence_study(
     for n in mesh_sizes:
         mesh = unit_square_mesh(n)
         dt_n = _pick_dt(dt, dt_cap, mesh.h, t_final)
-        solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt_n, t_final, picard_tol, picard_max))
+        solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt_n, t_final, picard_tol))
         result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
         e_p, e_s, e_u = error_norms(mesh, solver.dofmap, result.state, exact)
-        picard_avg = (
-            float(np.mean(result.picard_iters)) if result.picard_iters else 0.0
-        )
+        picard_avg = float(np.mean(result.picard_iters)) if result.picard_iters else 0.0
         if prev is None:
             rates: tuple[float | None, float | None, float | None] = (None, None, None)
         else:

@@ -41,10 +41,10 @@ Newton step is stale, and once _CG_STALE_BUDGET of them have run since the
 last factorization the next iterate factors J afresh before its CG; when CG
 misses its stop within _CG_MAXITER iterations, J is likewise factored afresh
 at the current iterate and CG runs again.  A step starts from the
-extrapolation of u through up to four levels, from the fifth step on the
-cubic 4 u^{n-1} - 6 u^{n-2} + 4 u^{n-3} - u^{n-4}, and stops once successive
-iterates of s differ by at most picard_tol (1 + max|s|), or once R(u) is
-below the CG stop's floor, where the next step would be zero.
+extrapolation of u through up to four levels, a cubic from the fifth step,
+and stops once successive iterates of s differ by at most picard_tol
+(1 + max|s|), or once R(u) is below the CG stop's floor, where the next step
+would be zero, else raises PicardError after _NEWTON_MAXITER iterates.
 
 run projects the exact initial data p0, s0 and u0 and drains steps, the one
 marching loop, which a caller iterates for every level.  A march binds its
@@ -94,6 +94,9 @@ _NEWTON_ETA = 1e-2
 # saves.  The retry on that fresh factor of J itself meets its stop in one
 # iteration up to rounding, so the same cap only stops a broken solve there.
 _CG_MAXITER = 8
+# Newton iterates after which a step raises PicardError; uncapped, Newton took
+# at most 7 a step over laws up to 1:0,1e9:9 and picard_tol down to 1e-14.
+_NEWTON_MAXITER = 25
 # Stale CG iterations, those past the first of a Newton step, after which the
 # next iterate factors J afresh.  A factor of J at t = 0 drifts from J over a
 # long march: without renewal the default study's n=64 row (2048 steps) took
@@ -167,8 +170,8 @@ class SolverConfig:
 
     t_final must be an integer multiple of dt.  A step's Newton iteration
     stops once successive iterates of s differ by at most
-    picard_tol (1 + max|s|), and picard_max caps its iterates; the names
-    stay those of the Picard iteration it replaced.  The levels of the
+    picard_tol (1 + max|s|), and after at most _NEWTON_MAXITER iterates; the
+    names stay those of the Picard iteration it replaced.  The levels of the
     tested marches solve their frozen-K equations to within
     10 * picard_tol (relative).
     """
@@ -176,20 +179,14 @@ class SolverConfig:
     dt: float
     t_final: float
     picard_tol: float = 1e-6
-    picard_max: int = 25
 
     def __post_init__(self) -> None:
         steps = _step_count(self.dt, self.t_final)
         _real("picard_tol", self.picard_tol)
-        # bool subclasses int, but True is no count
-        if isinstance(self.picard_max, bool) or not isinstance(self.picard_max, numbers.Integral):
-            raise ValueError("picard_max must be an integer")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("t_final must be an integer multiple of dt")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
             raise ValueError("picard_tol must be positive and finite")
-        if self.picard_max < 1:
-            raise ValueError("picard_max must be at least 1")
 
     @property
     def num_steps(self) -> int:
@@ -363,7 +360,7 @@ class ExpandedMixedSolver:
         step = self._forms_t @ np.concatenate((s.ravel(), p))
         residual = np.linalg.norm(step)
         floor = self._cg_rtol * (residual if rhs_prev is None else np.linalg.norm(rhs - rhs_prev))
-        for iteration in range(1, int(cfg.picard_max) + 1):
+        for iteration in range(1, _NEWTON_MAXITER + 1):
             self._refill_jacobian(*cell)
             target = max(_NEWTON_ETA * residual, floor)
             delta = None
@@ -389,7 +386,7 @@ class ExpandedMixedSolver:
                 break
         else:
             raise PicardError(
-                f"Newton iteration did not converge in {cfg.picard_max} iterations "
+                f"Newton iteration did not converge in {_NEWTON_MAXITER} iterations "
                 f"(last residual {increment:.3e}, the increment of s)",
                 residual=increment,
             )

@@ -87,7 +87,6 @@ def test_defaults() -> None:
         dt_cap=1e-2,
         t_final=1.0,
         picard_tol=1e-6,
-        picard_max=25,
         fmt="markdown",
         out=None,
     )
@@ -107,12 +106,10 @@ def test_parses_fixed_dt_and_tolerance() -> None:
 
 def test_parses_remaining_flags() -> None:
     args = parse_args(
-        ["--dt-cap", "0.5", "--T", "2.0", "--max-picard", "9",
-         "--format", "csv", "--out", "report.csv"]
+        ["--dt-cap", "0.5", "--T", "2.0", "--format", "csv", "--out", "report.csv"]
     )
     assert args.dt_cap == 0.5
     assert args.t_final == 2.0
-    assert args.picard_max == 9
     assert args.fmt == "csv"
     assert args.out == "report.csv"
 
@@ -127,7 +124,7 @@ _STUDY_REJECTS = {
     "--dt-cap 0": {"dt_cap": 0.0},
     "--dt-cap nan": {"dt_cap": math.nan},
     "--tol -1": {"picard_tol": -1.0},
-    "--max-picard 0": {"picard_max": 0},
+    "--mesh 10000000000000": {"mesh_sizes": [10**13]},
 }
 
 
@@ -143,9 +140,10 @@ _STUDY_REJECTS = {
         ["--dt", "quadratic"],
         ["--dt-cap", "0"],
         ["--tol", "-1"],
-        ["--max-picard", "0"],
+        ["--max-picard", "5"],  # no longer a flag: the Newton cap is the solver's
         ["--format", "json"],
         ["--dt-cap", "nan"],
+        ["--mesh", "10000000000000"],  # past build_mesh's int64 keys; no ticks are made
     ],
 )
 def test_usage_errors_exit_with_code_two(argv: list[str], capsys) -> None:
@@ -187,6 +185,22 @@ def test_an_infinite_dt_cap_runs_the_uncapped_study(tmp_path: Path, capsys) -> N
     capsys.readouterr()
     study = convergence_study(law_from_string("1:0,1:1"), [2, 4], t_final=0.25, dt_cap=math.inf)
     assert out.read_text(encoding="utf-8") == study.to_csv()
+
+
+def test_the_check_validates_the_step_the_finest_row_marches(monkeypatch) -> None:
+    """parse_args checks the step of the finest mesh's own h: for n=43
+    uncapped, 1/h^2 is 924.4999999999966, so the row marches dt = 1/924,
+    where 1/(sqrt(2)/43)^2 is 924.5000000000001 and the check validated 1/925."""
+    checked = []
+    config = mms_module.SolverConfig
+
+    def spy(dt, *rest):
+        checked.append(dt)
+        return config(dt, *rest)
+
+    monkeypatch.setattr(mms_module, "SolverConfig", spy)
+    parse_args(["--mesh", "43", "--dt-cap", "inf"])
+    assert checked == [1.0 / 924]
 
 
 @pytest.mark.parametrize("law", ["1:0,1:inf", "1:0,nan:1", "1:0,1:nan"])
@@ -248,11 +262,10 @@ _STUDY_VALUES = {
     "dt_cap": st.one_of(st.floats(), st.floats(1e-4, 1.0)),
     "t_final": st.one_of(st.floats(), st.floats(0.0, 2.0)),
     "picard_tol": st.one_of(st.floats(), st.floats(1e-12, 1e-2)),
-    "picard_max": st.integers(-3, 50),
 }
 _STUDY_FLAGS = {
     "mesh_sizes": "--mesh", "dt": "--dt", "dt_cap": "--dt-cap",
-    "t_final": "--T", "picard_tol": "--tol", "picard_max": "--max-picard",
+    "t_final": "--T", "picard_tol": "--tol",
 }
 
 
@@ -397,8 +410,9 @@ def test_a_velocity_error_below_the_squares_range_reads_positive(capsys) -> None
     assert math.isfinite(float(rows[1]["rate_u"]))
 
 
-def test_main_reports_nonconvergence_with_code_three(capsys) -> None:
-    code = main([*_FAST, "--max-picard", "1"])
+def test_main_reports_nonconvergence_with_code_three(capsys, monkeypatch) -> None:
+    monkeypatch.setattr(solver_module, "_NEWTON_MAXITER", 1)
+    code = main(_FAST)
     captured = capsys.readouterr()
     assert code == 3
     assert "residual" in captured.err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,19 @@ def test_flux_map_basic() -> None:
         K_flux(TWO_TERM, np.array([np.nan, 1.0]))
     with pytest.raises(ValueError):
         K_flux(TWO_TERM, 1.0)
+
+
+@pytest.mark.parametrize("y", [[1e154, 1e154], [1e200, 0.0]])
+def test_flux_map_takes_vectors_whose_squares_overflow(y) -> None:
+    """|y| is finite where the sum of its squares is not: K(|y|) y comes
+    from the norm of y / max|y|, scaled back, with no warning, and its norm
+    is the root s(|y|).  The sum of squares made |y| infinite and raised."""
+    y = np.array(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flux = K_flux(TWO_TERM, y)
+    assert np.all(np.isfinite(flux))
+    assert np.hypot(*flux) == pytest.approx(solve_s_of_xi(TWO_TERM, np.hypot(*y)), rel=1e-14)
 
 
 def test_flux_map_monotone() -> None:

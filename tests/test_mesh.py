@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from quadrature_oracle import triangle_rule
 
 from forchmix import TriMesh, unit_square_mesh
-from forchmix.mesh import build_mesh
+from forchmix.mesh import _MAX_MESH_SIZE, _unit_square_h, build_mesh
 from forchmix.spaces import cell_points
 
 
@@ -179,6 +179,25 @@ def test_areas_and_mesh_size(n: int) -> None:
     assert np.allclose(mesh.areas, 1.0 / (2 * n * n), rtol=1e-14)
     assert mesh.areas.sum() == pytest.approx(1.0, rel=1e-14)
     assert mesh.h == pytest.approx(math.sqrt(2.0) / n, rel=1e-14)
+
+
+def test_unit_square_h_is_the_built_meshs_h() -> None:
+    """_unit_square_h(n) is unit_square_mesh(n).h bit for bit, which
+    sqrt(2)/n is not: the two differ in the last bits for most n."""
+    for n in [*range(1, 65), 128, 299]:
+        assert _unit_square_h(n) == unit_square_mesh(n).h, n
+
+
+def test_mesh_sizes_stop_where_the_edge_keys_fit_int64() -> None:
+    """build_mesh keys an edge lo * V + hi, at most V^2 - V - 1 with V =
+    (n + 1)^2 vertices, in int64: n = 55107 fits and unit_square_mesh
+    rejects the next n, before any array is made."""
+    for n, fits in ((_MAX_MESH_SIZE, True), (_MAX_MESH_SIZE + 1, False)):
+        vertices = (n + 1) ** 2
+        assert (vertices**2 - vertices - 1 < 2**63) == fits
+    for bad in (_MAX_MESH_SIZE + 1, 10**13):
+        with pytest.raises(ValueError, match="positive integer, at most 55107"):
+            unit_square_mesh(bad)
 
 
 def test_edge_orientation_signs() -> None:

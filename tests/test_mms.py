@@ -322,7 +322,7 @@ def test_convergence_study_checks_every_argument_before_a_run(
     cases += [("dt_cap", bad) for bad in (nan, 0.0, -0.1, -inf)]
     cases += [("t_final", bad) for bad in (inf, nan, -1.0)]
     # bool subclasses int, but True is no time step
-    cases += [("dt", True), ("dt_cap", True), ("picard_tol", nan), ("picard_max", 0)]
+    cases += [("dt", True), ("dt_cap", True), ("picard_tol", nan)]
     # values of the wrong type are named as well, not left to a TypeError
     cases += [("dt", None), ("dt_cap", None), ("t_final", "1")]
     for name, bad in cases:
