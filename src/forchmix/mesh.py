@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the largest n whose edge keys lo * V + hi, V = (n + 1)^2, fit build_mesh's int64
+_MAX_MESH_SIZE = 55107
+
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -146,10 +149,6 @@ def build_mesh(vertices, triangles) -> TriMesh:
         # every edge lies on a triangle: the largest edge is the largest diameter
         h=float(np.max(edge_lengths)),
     )
-
-
-# the largest n whose edge keys lo * V + hi, V = (n + 1)^2, fit build_mesh's int64
-_MAX_MESH_SIZE = 55107
 
 
 def _is_mesh_size(n) -> bool:

@@ -761,8 +761,9 @@ def test_stiff_large_steps_converge() -> None:
     7 measured), every level a Picard fixed point.  Picard on K(|s|) took 27
     iterates on the first step of 1:0,1e4:2 and raised PicardError."""
     assert solver_module._NEWTON_MAXITER > 8
+    mesh = unit_square_mesh(8)
     for law_text in ("1:0,1e4:2", "1:0,1e9:9"):
-        mesh, law = unit_square_mesh(8), law_from_string(law_text)
+        law = law_from_string(law_text)
         exact = ManufacturedSolution(law)
         solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=1.0, picard_tol=1e-10))
         state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
