@@ -31,7 +31,7 @@ import numpy as np
 from .law import K_eval, K_prime  # noqa: F401
 from .law import ForchheimerLaw, K_flux, _g_and_slope, _terms, degeneracy_exponents, solve_s_of_xi
 from .mesh import _MAX_MESH_SIZE, TriMesh, _is_mesh_size, _unit_square_h, unit_square_mesh
-from .solver import DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _real, _step_count
+from .solver import DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _dot, _real, _step_count
 from .spaces import DofMap, cell_points, rt0_at_cell_points, triangle_quadrature
 
 _DECAY = 5.0
@@ -150,12 +150,12 @@ def error_norms(
     areas, weights = mesh.areas, rule.weights
 
     def l2(e: np.ndarray) -> float:
-        return float(np.sqrt(areas @ (e**2 @ weights)))
+        return float(np.sqrt(_dot(areas, e**2 @ weights)))
 
     def lebesgue(e: np.ndarray) -> float:
         # (int |e|^beta)^(1/beta); |e| is bit for bit np.linalg.norm(e, axis=-1), and faster
         magnitude = np.sqrt(e[..., 0] ** 2 + e[..., 1] ** 2)
-        return float((areas @ (magnitude**beta @ weights)) ** (1.0 / beta))
+        return float(_dot(areas, magnitude**beta @ weights) ** (1.0 / beta))
 
     e_p = _unsquashed(l2, state.p[:, None] - exact.p(x, y, t))
     e_s = _unsquashed(lebesgue, state.s[:, None, :] - exact.s(x, y, t))

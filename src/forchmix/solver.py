@@ -31,11 +31,13 @@ CG solves each Newton step J delta = -R(u) from zero, applying J through
 [M_uz; B] and preconditioned by the factorization of J itself at an earlier
 iterate, to an inexact-Newton stop (see _NEWTON_ETA; Kelley, Iterative
 Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6; Knoll & Keyes,
-J. Comput. Phys. 193, 2004).  J = F^T W F, and W is the one stored cell
-operator: a sparse matrix on the rows of F with each cell's symmetric 2x2
-block D_T / |T| on its two moment rows and dt / |T| on its divergence row.
-CG applies J as F^T (W (F d)), and a factorization forms F^T (W F), with the
-sparsity of A; where slope = g, as for a constant g, J is A(1/g).  A
+J. Comput. Phys. 193, 2004).  J = F^T W F, and W, the cell operator on the
+rows of F, is stored as per-cell planes: w_xx, w_yy and w_xy of each cell's
+symmetric 2x2 block D_T / |T| on its two moment rows, and dt / |T| on its
+divergence row.  CG applies J as F^T (W (F d)), W blockwise on the thirds of
+F d, and a factorization forms F^T (W F), W F on the one pattern the three
+blocks of F share, with the sparsity of A; where slope = g, as for a
+constant g, J is A(1/g).  A
 march's first iterate factors J.  Each CG iteration past the first of a
 Newton step is stale, and once _CG_STALE_BUDGET of them have run since the
 last factorization the next iterate factors J afresh before its CG; when CG
@@ -117,6 +119,17 @@ ForcingField = Callable[[np.ndarray, np.ndarray], Callable[[float], np.ndarray]]
 def _cg_rtol(picard_tol: float) -> float:
     """The floor of the CG stop, relative to |b_n - b_{n-1}|, for a Picard tolerance."""
     return min(max(1e-2 * picard_tol, 1e-12), 1e-8)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b as numpy's own sum of a * b, whose bits, unlike those of BLAS's
+    dot, which splits a long sum over its threads, follow no thread count."""
+    return np.add.reduce(a * b)
+
+
+def _norm(a: np.ndarray) -> float:
+    """The Euclidean norm of a, summed by _dot."""
+    return np.sqrt(_dot(a, a))
 
 
 def _extrapolate(levels: Sequence[np.ndarray]) -> np.ndarray:
@@ -231,16 +244,11 @@ class ExpandedMixedSolver:
         self._forms = assemble_forms(mesh, self.dofmap)
         self._forms_t = self._forms.T
         self._terms = _terms(law)
-        # W, the Jacobian's one stored cell operator on those rows: of N
-        # cells, cell T's 2x2 block D_T / |T| sits on rows T and N + T, on
-        # the diagonals of offsets 0, -N and +N, and row 2N + T holds
-        # dt / |T|, set here once
-        cells = mesh.num_triangles
-        self._cell_weights = sp.dia_array(
-            (np.zeros((3, 3 * cells)), [0, -cells, cells]), shape=(3 * cells, 3 * cells)
-        )
-        self._dt_areas = self._cell_weights.data[0, 2 * cells :]
-        self._dt_areas[...] = config.dt / mesh.areas
+        # W, the Jacobian's cell operator on those rows, as per-cell planes:
+        # cell T's symmetric 2x2 block D_T / |T| as w_xx, w_yy and w_xy on
+        # its two moment rows, and dt / |T| on its divergence row, set here once
+        self._cell_planes = np.zeros((3, mesh.num_triangles))
+        self._dt_areas = config.dt / mesh.areas
         self._cg_rtol = _cg_rtol(config.picard_tol)
         self._lu = None
         # stale CG iterations since the last factorization
@@ -272,12 +280,23 @@ class ExpandedMixedSolver:
     def _factor(self) -> None:
         """Factor the Jacobian at the cell blocks _refill_jacobian set, and
         start the count of stale CG iterations afresh."""
+        # dropped first, the old factor is not held beside the new one at splu's peak
+        self._lu = None
         # J is symmetric positive definite, as slope >= g > 0, so diagonal
         # pivots are stable, as in Cholesky, and keep the planned fill
         # without a threshold search
-        jacobian = self._forms_t @ (self._cell_weights @ self._forms)
-        self._lu = splu(jacobian, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self._lu = splu(self._forms_t @ self._weighted_forms(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         self._stale_iterations = 0
+
+    def _weighted_forms(self) -> sp.csr_matrix:
+        """W F on F's own index arrays: the blocks of F = [M_x; M_y; B_div]
+        share one pattern, so each cell's two moment rows mix entry by entry.
+        Its temporaries are freed on return, before splu runs."""
+        forms, counts = self._forms, np.diff(self._forms.indptr[: len(self._dt_areas) + 1])
+        w_xx, w_yy, w_xy, dt_areas = (np.repeat(w, counts) for w in (*self._cell_planes, self._dt_areas))
+        f_x, f_y, f_div = forms.data.reshape(3, -1)
+        data = np.concatenate((w_xx * f_x + w_xy * f_y, w_xy * f_x + w_yy * f_y, dt_areas * f_div))
+        return sp.csr_matrix((data, forms.indices, forms.indptr), shape=forms.shape)
 
     def _state(self, u: np.ndarray, p_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """s as its two component rows and p at the velocity u, and the law's
@@ -291,20 +310,23 @@ class ExpandedMixedSolver:
         return g * v, p, (v, r, g, slope)
 
     def _refill_jacobian(self, v: np.ndarray, r: np.ndarray, g: np.ndarray, slope: np.ndarray) -> None:
-        """Overwrite W's cell blocks D_T / |T| = (g I + (slope - g) v^ v^^T) / |T|
-        in place, with v^ = v / |v| (0 where v = 0): through |v|^2 the product
-        would underflow, and g' alone diverges at 0 for exponents below 1.
-        W's dt / |T| entries stay as the constructor set them."""
+        """Overwrite W's planes w_xx, w_yy and w_xy of the blocks D_T / |T| =
+        (g I + (slope - g) v^ v^^T) / |T| in place, with v^ = v / |v| (0 where
+        v = 0): through |v|^2 the product would underflow, and g' alone diverges
+        at 0 for exponents below 1.  W's dt / |T| stay as the constructor set them."""
         areas = self.mesh.areas
         unit = np.divide(v, r, out=np.zeros_like(v), where=r > 0.0)
         bend = (slope - g) / areas
-        data, cells = self._cell_weights.data, len(areas)
-        data[0, : v.size].reshape(v.shape)[...] = g / areas + bend * unit**2
-        data[1, :cells] = data[2, cells : 2 * cells] = bend * unit[0] * unit[1]
+        self._cell_planes[:2] = g / areas + bend * unit**2
+        self._cell_planes[2] = bend * unit[0] * unit[1]
 
     def _jacobian_times(self, d: np.ndarray) -> np.ndarray:
-        """J d = F^T (W (F d)), with no matrix J formed."""
-        return self._forms_t @ (self._cell_weights @ (self._forms @ d))
+        """J d = F^T (W (F d)), W applied blockwise, with no matrix J formed."""
+        y_x, y_y, y_div = (self._forms @ d).reshape(3, -1)
+        w_xx, w_yy, w_xy = self._cell_planes
+        return self._forms_t @ np.concatenate(
+            (w_xx * y_x + w_xy * y_y, w_xy * y_x + w_yy * y_y, self._dt_areas * y_div)
+        )
 
     def _pcg(self, b: np.ndarray, target: float) -> np.ndarray | None:
         """CG for J delta = b from zero, preconditioned by the stored LU.
@@ -314,22 +336,22 @@ class ExpandedMixedSolver:
         delta's iterations past the first count as stale.
         """
         delta = np.zeros_like(b)
-        if np.linalg.norm(b) <= target:
+        if _norm(b) <= target:
             return delta
         r = b.copy()
         z = self._lu.solve(r)
         d = z
-        rz = r @ z
+        rz = _dot(r, z)
         for iteration in range(_CG_MAXITER):
             jd = self._jacobian_times(d)
-            alpha = rz / (d @ jd)
+            alpha = rz / _dot(d, jd)
             delta += alpha * d
             r -= alpha * jd
-            if np.linalg.norm(r) <= target:
+            if _norm(r) <= target:
                 self._stale_iterations += iteration
                 return delta
             z = self._lu.solve(r)
-            rz, rz_prev = r @ z, rz
+            rz, rz_prev = _dot(r, z), rz
             d = z + (rz / rz_prev) * d
         return None
 
@@ -358,8 +380,8 @@ class ExpandedMixedSolver:
         s, p, cell = self._state(u, p_hat)
         # -R(u), whose norm on step 1 stands in for |b_1 - b_0|
         step = self._forms_t @ np.concatenate((s.ravel(), p))
-        residual = np.linalg.norm(step)
-        floor = self._cg_rtol * (residual if rhs_prev is None else np.linalg.norm(rhs - rhs_prev))
+        residual = _norm(step)
+        floor = self._cg_rtol * (residual if rhs_prev is None else _norm(rhs - rhs_prev))
         for iteration in range(1, _NEWTON_MAXITER + 1):
             self._refill_jacobian(*cell)
             target = max(_NEWTON_ETA * residual, floor)
@@ -380,7 +402,7 @@ class ExpandedMixedSolver:
             if increment <= cfg.picard_tol * (1.0 + float(np.max(np.abs(s), initial=0.0))):
                 break
             step = self._forms_t @ np.concatenate((s.ravel(), p))
-            residual = np.linalg.norm(step)
+            residual = _norm(step)
             # the next iterate's CG would stop at once, with a zero step
             if residual <= floor:
                 break
@@ -390,7 +412,7 @@ class ExpandedMixedSolver:
                 f"(last residual {increment:.3e}, the increment of s)",
                 residual=increment,
             )
-        mass_residual = float(abs(areas @ p - areas @ state_prev.p - cfg.dt * f_integral))
+        mass_residual = float(abs(_dot(areas, p) - _dot(areas, state_prev.p) - cfg.dt * f_integral))
         state = DiscreteState(p=p, s=s.T.copy(), u=u, t=t_n)
         return (state, iteration, mass_residual, f_integral), rhs
 

@@ -20,8 +20,9 @@ from frozen_preconditioner import FrozenPreconditionedSolver
 
 import forchmix.mms as mms_module
 import forchmix.solver as solver_module
-from forchmix import ExpandedMixedSolver, convergence_study, law_from_string
+from forchmix import ExpandedMixedSolver, convergence_study, law_from_string, unit_square_mesh
 from forchmix.cli import _build_parser, main, parse_args
+from forchmix.spaces import build_dofmap
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -474,3 +475,27 @@ def test_python_m_forchmix_runs_from_a_source_checkout(tmp_path: Path) -> None:
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("n,h,dt,err_p,rate_p,err_s,rate_s,err_u,rate_u,picard_avg\n")
     assert forchmix("--mesh", "0").returncode == 2
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one core OpenBLAS runs one thread, however many it is asked for")
+def test_report_is_the_same_under_one_and_two_blas_threads(tmp_path: Path) -> None:
+    """On n=64, whose velocity has more entries than the 10000 above which
+    OpenBLAS splits a dot product over its threads, four steps give the same
+    CSV bytes from the CLI under OPENBLAS_NUM_THREADS=1 and 2, and the same
+    errors to the last bit, which the CSV's 13 digits would hide."""
+    assert build_dofmap(unit_square_mesh(64)).n_rt0 > 10000
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    study = (
+        "from forchmix import convergence_study, law_from_string; print(repr(convergence_study("
+        "law_from_string('1:0,1:1'), [64], dt=1e-2, t_final=4e-2).rows))"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), OPENBLAS_NUM_THREADS=threads)
+        report = tmp_path / f"threads-{threads}.csv"
+        cli = ["-m", "forchmix", "--mesh", "64", "--dt", "1e-2", "--T", "4e-2", "--format", "csv", "--out", str(report)]
+        for argv in (cli, ["-c", study]):
+            done = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+            assert done.returncode == 0, done.stderr
+        outputs.append((report.read_bytes(), done.stdout))
+    assert outputs[0] == outputs[1]

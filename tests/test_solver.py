@@ -14,7 +14,9 @@ from scipy.sparse.linalg import splu, spsolve
 
 from quadrature_oracle import triangle_rule
 from test_law import g_eval
+from test_mesh import _scrambled_mesh
 from test_spaces import _ORDERING_MESHES, _ordering_mesh
+from weights_oracle import cell_weights
 
 import forchmix.mms as mms_module
 import forchmix.solver as solver_module
@@ -369,15 +371,15 @@ def _spy_cg(monkeypatch, solver: ExpandedMixedSolver) -> list[tuple[float, float
         floor[0] = None
         if rhs_prev is not None:
             rhs = _blocks(solver)[0].T @ _p_hat(solver, levels[-1].p, load)
-            floor[0] = solver._cg_rtol * np.linalg.norm(rhs - rhs_prev)
+            floor[0] = solver._cg_rtol * solver_module._norm(rhs - rhs_prev)
         return advance(levels, t_n, load, rhs_prev)
 
     def spy_pcg(b, target):
         if floor[0] is None:
-            floor[0] = solver._cg_rtol * np.linalg.norm(b)
+            floor[0] = solver._cg_rtol * solver_module._norm(b)
         delta = pcg(b, target)
         residual = np.nan if delta is None else np.linalg.norm(b - solver._jacobian_times(delta))
-        calls.append((floor[0], np.linalg.norm(b), target, residual))
+        calls.append((floor[0], solver_module._norm(b), target, residual))
         return delta
 
     monkeypatch.setattr(solver, "_advance", spy_advance)
@@ -597,7 +599,7 @@ def test_jacobian_is_the_derivative_of_the_residual(law_text: str) -> None:
     assert np.count_nonzero(np.abs(m_uz @ u) == 0.0) >= 2
     s, p, cell = solver._state(u, p_hat)
     solver._refill_jacobian(*cell)
-    assert np.all(np.isfinite(solver._cell_weights.data))
+    assert np.all(np.isfinite(solver._cell_planes))
     # the state is the residual's: -R(u) = [M_uz; B]^T [s; p]
     want = -_residual(solver, u, p_hat)
     assert np.allclose(solver._forms_t @ np.concatenate((s.ravel(), p)), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
@@ -612,17 +614,26 @@ def test_jacobian_is_the_derivative_of_the_residual(law_text: str) -> None:
         assert np.max(np.abs(jd - difference)) <= 1e-6 * np.max(np.abs(jd))
 
 
+def _cell_operator(solver: ExpandedMixedSolver) -> np.ndarray:
+    """W, the cell operator of J = F^T W F, as the dense 3N x 3N matrix its
+    planes w_xx, w_yy and w_xy and its dt/|T| stand for."""
+    w_xx, w_yy, w_xy = (sp.diags(plane) for plane in solver._cell_planes)
+    return sp.bmat([[w_xx, w_xy, None], [w_xy, w_yy, None], [None, None, sp.diags(solver._dt_areas)]]).toarray()
+
+
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e12:0.5,1:3"])
 def test_cell_weights_keep_their_invariants_over_refills(law_text: str) -> None:
-    """W, the cell operator of J = F^T W F, stays symmetric over refills at
-    velocities with cells where v = 0, and its dt/|T| entries keep the
-    constructor's bits.  At zero v with g = slope it is exactly
-    diag(g/|T|, g/|T|, dt/|T|), the A(1/g) that _factor_frozen factors."""
+    """W's planes stay finite over refills at velocities with cells where
+    v = 0, the symmetric operator they stand for is entry by entry the
+    oracle's dia_array, and dt/|T| is the constructor's own array with its
+    bits.  At zero v with g = slope, W is exactly diag(g/|T|, g/|T|, dt/|T|),
+    the A(1/g) that _factor_frozen factors."""
     mesh = unit_square_mesh(4)
     config = SolverConfig(dt=0.1, t_final=0.1)
     solver = ExpandedMixedSolver(mesh, law_from_string(law_text), config)
     cells = mesh.num_triangles
-    dt_areas = config.dt / mesh.areas
+    dt_areas = solver._dt_areas
+    assert dt_areas.tobytes() == (config.dt / mesh.areas).tobytes()
     _, m_uz = _blocks(solver)
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -631,14 +642,73 @@ def test_cell_weights_keep_their_invariants_over_refills(law_text: str) -> None:
         _, _, cell = solver._state(u, np.zeros(cells))
         assert cell[1][0] == 0.0
         solver._refill_jacobian(*cell)
-        w = solver._cell_weights.toarray()
-        assert np.all(np.isfinite(w)) and np.array_equal(w, w.T)
-        assert solver._cell_weights.diagonal()[2 * cells :].tobytes() == dt_areas.tobytes()
+        w = _cell_operator(solver)
+        assert np.all(np.isfinite(solver._cell_planes)) and np.array_equal(w, w.T)
+        assert np.array_equal(w, cell_weights(mesh, config.dt, *cell).toarray())
+        assert solver._dt_areas is dt_areas
+        assert dt_areas.tobytes() == (config.dt / mesh.areas).tobytes()
     g = rng.uniform(0.5, 2.0, cells)
     zero = np.zeros((2, cells))
     solver._refill_jacobian(zero, zero[0], g, g)
     want = np.diag(np.concatenate((g / mesh.areas, g / mesh.areas, dt_areas)))
-    assert np.array_equal(solver._cell_weights.toarray(), want)
+    assert np.array_equal(_cell_operator(solver), want)
+
+
+@pytest.mark.parametrize("spec", [1, 2, 5, 16, "scrambled"])
+@pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e12:0.5,1:3"])
+def test_planes_apply_and_factor_the_oracles_operator(spec: int | str, law_text: str, monkeypatch) -> None:
+    """At a random velocity with cells where v = 0, on unit squares and a
+    scrambled n=16 mesh, _jacobian_times(d) is bit for bit F^T (W (F d))
+    with W the oracle's dia_array, and the matrix _factor hands to splu is
+    bit for bit the oracle's F^T (W F) in canonical CSC: the blockwise W
+    and the W F built on F's pattern change no entry, not even a zero's sign."""
+    received = []
+    splu_original = solver_module.splu
+
+    def spy(a, **kwargs):
+        received.append(a)
+        return splu_original(a, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", spy)
+    mesh = build_mesh(*_scrambled_mesh(16, 0)) if spec == "scrambled" else unit_square_mesh(spec)
+    config = SolverConfig(dt=0.1, t_final=0.1)
+    solver = ExpandedMixedSolver(mesh, law_from_string(law_text), config)
+    forms, (_, m_uz) = solver._forms, _blocks(solver)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(solver.dofmap.n_rt0)
+    u[m_uz[0].indices] = 0.0
+    _, _, cell = solver._state(u, rng.standard_normal(mesh.num_triangles))
+    assert cell[1][0] == 0.0
+    solver._refill_jacobian(*cell)
+    w = cell_weights(mesh, config.dt, *cell)
+    for d in rng.standard_normal((3, solver.dofmap.n_rt0)):
+        assert solver._jacobian_times(d).tobytes() == (forms.T @ (w @ (forms @ d))).tobytes()
+    solver._factor()
+    (got,) = received
+    want = (forms.T @ (w @ forms)).tocsc()
+    for matrix in (got, want):
+        matrix.sum_duplicates()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_renewal_frees_the_old_factor_before_splu(law: ForchheimerLaw, mms, monkeypatch) -> None:
+    """With every Newton iterate renewing the factor (_CG_STALE_BUDGET = 0),
+    the solver holds no factor whenever splu runs, so the old SuperLU object
+    is freed before the new one is built, not held beside it."""
+    monkeypatch.setattr(solver_module, "_CG_STALE_BUDGET", 0)
+    solver = ExpandedMixedSolver(unit_square_mesh(8), law, SolverConfig(dt=1e-2, t_final=5e-2))
+    held = []
+    splu_original = solver_module.splu
+
+    def spy(a, **kwargs):
+        held.append(solver._lu)
+        return splu_original(a, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", spy)
+    solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+    assert len(held) >= 5
+    assert all(lu is None for lu in held)
 
 
 def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
