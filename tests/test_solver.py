@@ -495,8 +495,9 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     """At each of two random conductivities, splu receives A as a CSC matrix
     equal, entry by entry, to the condensed matrix assembled from the global
     forms in the DofMap's nested-dissection numbering, with no permutation
-    and diagonal pivots: its pattern holds every pair of edges that share a
-    cell.  One solver numbers the dofs once across factorizations and runs."""
+    and diagonal pivots on _LU_PANEL-column panels: its pattern holds every
+    pair of edges that share a cell.  One solver numbers the dofs once
+    across factorizations and runs."""
     numberings = _count_calls(monkeypatch, "build_dofmap")
     received = []
     splu_original = solver_module.splu
@@ -517,7 +518,7 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
         _factor_frozen(solver, 1.0 / (kbar * mesh.areas))
         a, kwargs = received[-1]
         assert a.format == "csc"
-        assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+        assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "panel_size": solver_module._LU_PANEL}
         want = _condensed_matrix(solver, kbar).toarray()
         assert np.max(np.abs(a.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
         a.sort_indices()
@@ -709,6 +710,62 @@ def test_a_renewal_frees_the_old_factor_before_splu(law: ForchheimerLaw, mms, mo
     solver.run(mms.f, mms.p0, mms.s0, mms.u0)
     assert len(held) >= 5
     assert all(lu is None for lu in held)
+
+
+def test_the_iterates_law_data_is_freed_before_splu(law: ForchheimerLaw, mms, monkeypatch) -> None:
+    """With every Newton iterate factoring (_CG_STALE_BUDGET = 0), the law
+    data of the iterate that set the Jacobian, its v array held here by a
+    weakref, is already freed whenever splu runs."""
+    monkeypatch.setattr(solver_module, "_CG_STALE_BUDGET", 0)
+    solver = ExpandedMixedSolver(unit_square_mesh(8), law, SolverConfig(dt=1e-2, t_final=5e-2))
+    state_original, splu_original = solver._state, solver_module.splu
+    latest, held = [], []
+
+    def state(u, p_hat):
+        s, p, cell = state_original(u, p_hat)
+        latest[:] = [weakref.ref(cell[0])]
+        return s, p, cell
+
+    def spy(a, **kwargs):
+        held.append(latest[0]() is not None)
+        return splu_original(a, **kwargs)
+
+    monkeypatch.setattr(solver, "_state", state)
+    monkeypatch.setattr(solver_module, "splu", spy)
+    solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+    assert len(held) >= 5
+    assert not any(held)
+
+
+@pytest.mark.parametrize("spec", [16, "scrambled"])
+def test_the_panel_width_changes_only_superlus_workspace(spec: int | str, law: ForchheimerLaw, monkeypatch) -> None:
+    """On n=16 and the scrambled n=16 mesh, at a random velocity, the
+    solver's factor of J on _LU_PANEL-column panels and scipy's factor of
+    the same J on its default panels hold as many nonzeros, under the same
+    row and column permutations, and solve one right-hand side alike to 1e-12
+    (relative)."""
+    received = []
+    splu_original = solver_module.splu
+
+    def spy(a, **kwargs):
+        received.append(a)
+        return splu_original(a, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", spy)
+    mesh = build_mesh(*_scrambled_mesh(16, 0)) if spec == "scrambled" else unit_square_mesh(spec)
+    solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
+    rng = np.random.default_rng(5)
+    _, _, cell = solver._state(rng.standard_normal(solver.dofmap.n_rt0), rng.standard_normal(mesh.num_triangles))
+    solver._refill_jacobian(*cell)
+    solver._factor()
+    (a,) = received
+    default = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    assert solver._lu.nnz == default.nnz
+    assert np.array_equal(solver._lu.perm_r, default.perm_r)
+    assert np.array_equal(solver._lu.perm_c, default.perm_c)
+    b = rng.standard_normal(solver.dofmap.n_rt0)
+    want = default.solve(b)
+    assert np.max(np.abs(solver._lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
