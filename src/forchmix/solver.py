@@ -107,13 +107,9 @@ _NEWTON_MAXITER = 25
 _CG_STALE_BUDGET = 64
 # a double holds every whole step count only up to 2**53
 _MAX_STEPS = 2.0**53
-# Columns of SuperLU's panel, half scipy's default of 20.  The panel sizes the
-# factorization's work arrays, a dense n x w block of doubles and integer
-# arrays, not its fill: at n=128, width 10 took fine-lu's peak RSS from 128.4
-# to 121.0 MiB and a factorization from 65 to 58 ms.  A narrower panel frees
-# too small a workspace to lift glibc's mmap threshold above a march's
-# per-step arrays, which then fault afresh each step: a 200-step n=64 march
-# took about 70k minor faults at width 8 against 18k at 10 and 20.
+# Columns of SuperLU's panel, half scipy's default of 20: the width sizes only
+# SuperLU's workspace, not the fill, and widths below 10 multiply a long
+# march's page faults (ROADMAP, "SuperLU panels narrower than 10").
 _LU_PANEL = 10
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -293,8 +289,9 @@ class ExpandedMixedSolver:
         # J is symmetric positive definite, as slope >= g > 0, so diagonal
         # pivots are stable, as in Cholesky, and keep the planned fill
         # without a threshold search
-        jacobian = self._forms_t @ self._weighted_forms()
-        self._lu = splu(jacobian, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=_LU_PANEL)
+        self._lu = splu(
+            self._forms_t @ self._weighted_forms(), permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=_LU_PANEL
+        )
         self._stale_iterations = 0
 
     def _weighted_forms(self) -> sp.csr_matrix:
