@@ -31,7 +31,7 @@ import numpy as np
 from .law import K_eval, K_prime  # noqa: F401
 from .law import ForchheimerLaw, K_flux, _g_and_slope, _terms, degeneracy_exponents, solve_s_of_xi
 from .mesh import _MAX_MESH_SIZE, TriMesh, _is_mesh_size, _unit_square_h, unit_square_mesh
-from .solver import DiscreteState, ExpandedMixedSolver, RunResult, SolverConfig, _dot, _real, _step_count
+from .solver import DiscreteState, ExpandedMixedSolver, SolverConfig, _dot, _real, _step_count
 from .spaces import DofMap, cell_points, rt0_at_cell_points, triangle_quadrature
 
 _DECAY = 5.0
@@ -192,20 +192,10 @@ class ReportRow:
 
 
 @dataclass(frozen=True)
-class MeshRun:
-    """Raw per-mesh artifacts kept alongside the serialized rows."""
-
-    mesh: TriMesh
-    dofmap: DofMap
-    result: RunResult
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
-    """Rows of a convergence study plus the raw run of each row."""
+    """The rows of a convergence study, one per mesh."""
 
     rows: list[ReportRow]
-    runs: list[MeshRun]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -294,7 +284,6 @@ def convergence_study(
     mesh_sizes = _check_study(mesh_sizes, dt=dt, dt_cap=dt_cap, t_final=t_final, picard_tol=picard_tol)
     exact = ManufacturedSolution(law)
     rows: list[ReportRow] = []
-    runs: list[MeshRun] = []
     prev: ReportRow | None = None
     for n in mesh_sizes:
         mesh = unit_square_mesh(n)
@@ -324,6 +313,5 @@ def convergence_study(
             picard_avg=picard_avg,
         )
         rows.append(row)
-        runs.append(MeshRun(mesh=mesh, dofmap=solver.dofmap, result=result))
         prev = row
-    return ConvergenceReport(rows=rows, runs=runs)
+    return ConvergenceReport(rows=rows)

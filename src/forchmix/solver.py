@@ -49,10 +49,14 @@ and stops once successive iterates of s differ by at most picard_tol
 would be zero, else raises PicardError after _NEWTON_MAXITER iterates.
 
 run projects the exact initial data p0, s0 and u0 and drains steps, the one
-marching loop, which a caller iterates for every level.  A march binds its
-forcing to the fixed quadrature points once (see ForcingField), so a step
-evaluates only t -> f(x, y, t).  Initial data whose projection is not
-finite, or a forcing whose integral is not, raise ValueError before a solve.
+marching loop, which a caller iterates for every level.  Each march is a
+_March of its own: it binds its forcing to the fixed quadrature points once
+(see ForcingField), so a step evaluates only t -> f(x, y, t), and it owns the
+factor of J, the stale count, W's planes, the last four levels and the
+previous step's b.  The solver keeps only what the mesh, the law and dt fix,
+so marches on one solver are independent, and a finished march frees its
+factor.  Initial data whose projection is not finite, or a forcing whose
+integral is not, raise ValueError before a solve.
 """
 
 from __future__ import annotations
@@ -248,15 +252,9 @@ class ExpandedMixedSolver:
         self._forms = assemble_forms(mesh, self.dofmap)
         self._forms_t = self._forms.T
         self._terms = _terms(law)
-        # W, the Jacobian's cell operator on those rows, as per-cell planes:
-        # cell T's symmetric 2x2 block D_T / |T| as w_xx, w_yy and w_xy on
-        # its two moment rows, and dt / |T| on its divergence row, set here once
-        self._cell_planes = np.zeros((3, mesh.num_triangles))
+        # the divergence row of W, the Jacobian's cell operator on those rows
         self._dt_areas = config.dt / mesh.areas
         self._cg_rtol = _cg_rtol(config.picard_tol)
-        self._lu = None
-        # stale CG iterations since the last factorization
-        self._stale_iterations = 0
 
     def _loads(self, f: ForcingField) -> Callable[[float], np.ndarray]:
         """t -> the cell integrals of the forcing f at time t, with f bound
@@ -281,6 +279,68 @@ class ExpandedMixedSolver:
                 raise ValueError(f"the projection of {name} is not finite")
         return DiscreteState(p=p, s=s.reshape(-1, 2), u=u, t=0.0)
 
+    def _state(self, u: np.ndarray, p_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """s as its two component rows and p at the velocity u, and the law's
+        cell data (v, |v|, g, slope) from which the Jacobian is formed."""
+        areas = self.mesh.areas
+        forms, split = self._forms @ u, 2 * len(areas)
+        v = forms[:split].reshape(2, -1) / -areas
+        r = np.sqrt(v[0] ** 2 + v[1] ** 2)
+        g, slope = _g_and_slope(self._terms, r)
+        p = p_hat - self._dt_areas * forms[split:]
+        return g * v, p, (v, r, g, slope)
+
+    def steps(
+        self, state0: DiscreteState, f: ForcingField
+    ) -> Iterator[tuple[DiscreteState, int, float, float]]:
+        """March from the level state0 at t=0 to t_final, one step per item.
+
+        Yields (state, picard_iters, mass_residual, f_integral) for each
+        step.  The march is a _March of its own, made at its start, which
+        binds the forcing f(x, y) (see ForcingField) once and holds all the
+        march changes, so marches on one solver are independent.
+        """
+        march = _March(self, f)
+        times = np.linspace(0.0, self.config.t_final, self.config.num_steps + 1)
+        for t_n in times[1:].tolist():
+            yield march.advance(list(march.levels) or [state0], t_n)
+
+    def run(self, f: ForcingField, p0: ScalarField, s0: VectorField, u0: VectorField) -> RunResult:
+        """March from the projections of p0, s0 and u0 to t_final by draining
+        steps, under the forcing f(x, y) returning t -> f(x, y, t) (see
+        ForcingField)."""
+        state = self.initial_state(p0, s0, u0)
+        picard_iters: list[int] = []
+        mass_residuals: list[float] = []
+        f_integrals: list[float] = []
+        for state, iterations, mass_residual, f_integral in self.steps(state, f):
+            picard_iters.append(iterations)
+            mass_residuals.append(mass_residual)
+            f_integrals.append(f_integral)
+        return RunResult(state, picard_iters, mass_residuals, f_integrals)
+
+
+class _March:
+    """What one march of a solver changes as it goes: its bound forcing, the
+    factor of J with its count of stale CG iterations, W's planes, the last
+    four levels and the previous step's b = B^T p_hat."""
+
+    def __init__(self, solver: ExpandedMixedSolver, f: ForcingField) -> None:
+        self.solver = solver
+        self._loads = solver._loads(f)
+        # bound once, for the products each CG iteration makes
+        self._forms, self._forms_t, self._dt_areas = solver._forms, solver._forms_t, solver._dt_areas
+        # W's moment rows as per-cell planes: cell T's symmetric 2x2 block
+        # D_T / |T| as w_xx, w_yy and w_xy
+        self._cell_planes = np.zeros((3, len(self._dt_areas)))
+        self._lu = None
+        # stale CG iterations since the last factorization
+        self._stale_iterations = 0
+        # the levels a step extrapolates from; s^0 projects exact data and
+        # is no discrete solution, so it is used only by the first step
+        self.levels: deque[DiscreteState] = deque(maxlen=4)
+        self._rhs: np.ndarray | None = None  # the previous step's b
+
     def _factor(self) -> None:
         """Factor the Jacobian at the cell blocks _refill_jacobian set, and
         start the count of stale CG iterations afresh."""
@@ -304,23 +364,12 @@ class ExpandedMixedSolver:
         data = np.concatenate((w_xx * f_x + w_xy * f_y, w_xy * f_x + w_yy * f_y, dt_areas * f_div))
         return sp.csr_matrix((data, forms.indices, forms.indptr), shape=forms.shape)
 
-    def _state(self, u: np.ndarray, p_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """s as its two component rows and p at the velocity u, and the law's
-        cell data (v, |v|, g, slope) from which the Jacobian is formed."""
-        areas = self.mesh.areas
-        forms, split = self._forms @ u, 2 * len(areas)
-        v = forms[:split].reshape(2, -1) / -areas
-        r = np.sqrt(v[0] ** 2 + v[1] ** 2)
-        g, slope = _g_and_slope(self._terms, r)
-        p = p_hat - self._dt_areas * forms[split:]
-        return g * v, p, (v, r, g, slope)
-
     def _refill_jacobian(self, v: np.ndarray, r: np.ndarray, g: np.ndarray, slope: np.ndarray) -> None:
         """Overwrite W's planes w_xx, w_yy and w_xy of the blocks D_T / |T| =
         (g I + (slope - g) v^ v^^T) / |T| in place, with v^ = v / |v| (0 where
         v = 0): through |v|^2 the product would underflow, and g' alone diverges
-        at 0 for exponents below 1.  W's dt / |T| stay as the constructor set them."""
-        areas = self.mesh.areas
+        at 0 for exponents below 1.  W's dt / |T| is the solver's."""
+        areas = self.solver.mesh.areas
         unit = np.divide(v, r, out=np.zeros_like(v), where=r > 0.0)
         bend = (slope - g) / areas
         self._cell_planes[:2] = g / areas + bend * unit**2
@@ -361,33 +410,32 @@ class ExpandedMixedSolver:
             d = z + (rz / rz_prev) * d
         return None
 
-    def _advance(
-        self, levels: Sequence[DiscreteState], t_n: float, load: np.ndarray, rhs_prev: np.ndarray | None
-    ) -> tuple[tuple[DiscreteState, int, float, float], np.ndarray]:
-        """One backward Euler step, resolved by Newton's method in u.
+    def advance(self, levels: Sequence[DiscreteState], t_n: float) -> tuple[DiscreteState, int, float, float]:
+        """One backward Euler step to t_n, resolved by Newton's method in u.
 
-        levels are the last one to four time levels, oldest first, load
-        holds the cell integrals of f^n and rhs_prev is the previous step's
-        b = B^T p_hat, None on the first.  The first iterate starts from the
-        extrapolation of u through all levels.  Returns the new level, its
-        Newton count, its mass residual |int(p^n) - int(p^{n-1}) - dt
-        int(f^n)|, identically small, and int(f^n); then the step's b.
+        levels are the last one to four time levels, oldest first; the first
+        iterate starts from the extrapolation of u through them all.  Keeps
+        the new level and the step's b.  Returns the new level, its Newton
+        count, its mass residual |int(p^n) - int(p^{n-1}) - dt int(f^n)|,
+        identically small, and int(f^n).
         """
-        cfg = self.config
-        areas = self.mesh.areas
+        solver, dt = self.solver, self.solver.config.dt
+        areas = solver.mesh.areas
+        load = self._loads(t_n)
         f_integral = float(load.sum())
         if not math.isfinite(f_integral):
             raise ValueError(f"the integral of the forcing at t={t_n} is not finite")
         state_prev = levels[-1]
-        p_hat = state_prev.p + cfg.dt * load / areas
+        p_hat = state_prev.p + dt * load / areas
         # b = B_div^T p_hat, the forms' transpose on (0, p_hat): no copy of B_div kept
         rhs = self._forms_t @ np.concatenate((np.zeros(2 * len(areas)), p_hat))
         u = _extrapolate([level.u for level in levels])
-        s, p, cell = self._state(u, p_hat)
+        s, p, cell = solver._state(u, p_hat)
         # -R(u), whose norm on step 1 stands in for |b_1 - b_0|
         step = self._forms_t @ np.concatenate((s.ravel(), p))
         residual = _norm(step)
-        floor = self._cg_rtol * (residual if rhs_prev is None else _norm(rhs - rhs_prev))
+        floor = solver._cg_rtol * (residual if self._rhs is None else _norm(rhs - self._rhs))
+        self._rhs = rhs
         for iteration in range(1, _NEWTON_MAXITER + 1):
             self._refill_jacobian(*cell)
             # spent: the law data is not held while splu runs
@@ -402,12 +450,12 @@ class ExpandedMixedSolver:
             if delta is None:
                 raise PicardError("CG missed the Newton stop on a fresh factorization", float(residual))
             u = u + delta
-            s_new, p, cell = self._state(u, p_hat)
+            s_new, p, cell = solver._state(u, p_hat)
             increment = float(np.max(np.abs(s_new - s), initial=0.0))
             s = s_new
             if not (math.isfinite(increment) and np.all(np.isfinite(p))):
                 raise RuntimeError("Newton iterate produced non-finite values")
-            if increment <= cfg.picard_tol * (1.0 + float(np.max(np.abs(s), initial=0.0))):
+            if increment <= solver.config.picard_tol * (1.0 + float(np.max(np.abs(s), initial=0.0))):
                 break
             step = self._forms_t @ np.concatenate((s.ravel(), p))
             residual = _norm(step)
@@ -420,43 +468,7 @@ class ExpandedMixedSolver:
                 f"(last residual {increment:.3e}, the increment of s)",
                 residual=increment,
             )
-        mass_residual = float(abs(_dot(areas, p) - _dot(areas, state_prev.p) - cfg.dt * f_integral))
+        mass_residual = float(abs(_dot(areas, p) - _dot(areas, state_prev.p) - dt * f_integral))
         state = DiscreteState(p=p, s=s.T.copy(), u=u, t=t_n)
-        return (state, iteration, mass_residual, f_integral), rhs
-
-    def steps(
-        self, state0: DiscreteState, f: ForcingField
-    ) -> Iterator[tuple[DiscreteState, int, float, float]]:
-        """March from the level state0 at t=0 to t_final, one step per item.
-
-        Yields (state, picard_iters, mass_residual, f_integral) for each
-        step.  The march binds the forcing f(x, y) (see ForcingField) to
-        the quadrature points once, at its start, factors afresh on its
-        first solve, and keeps the last four levels to extrapolate from.
-        """
-        cfg = self.config
-        self._lu = None
-        loads = self._loads(f)
-        times = np.linspace(0.0, cfg.t_final, cfg.num_steps + 1)
-        # the levels a step extrapolates from; s^0 projects exact data and
-        # is no discrete solution, so it is used only by the first step
-        history: deque[DiscreteState] = deque(maxlen=4)
-        rhs = None
-        for t_n in times[1:].tolist():
-            step, rhs = self._advance(list(history) or [state0], t_n, loads(t_n), rhs)
-            history.append(step[0])
-            yield step
-
-    def run(self, f: ForcingField, p0: ScalarField, s0: VectorField, u0: VectorField) -> RunResult:
-        """March from the projections of p0, s0 and u0 to t_final by draining
-        steps, under the forcing f(x, y) returning t -> f(x, y, t) (see
-        ForcingField)."""
-        state = self.initial_state(p0, s0, u0)
-        picard_iters: list[int] = []
-        mass_residuals: list[float] = []
-        f_integrals: list[float] = []
-        for state, iterations, mass_residual, f_integral in self.steps(state, f):
-            picard_iters.append(iterations)
-            mass_residuals.append(mass_residual)
-            f_integrals.append(f_integral)
-        return RunResult(state, picard_iters, mass_residuals, f_integrals)
+        self.levels.append(state)
+        return state, iteration, mass_residual, f_integral

@@ -29,7 +29,9 @@ from forchmix import (
     convergence_study,
     unit_square_mesh,
 )
+from forchmix.mesh import TriMesh
 from forchmix.mms import ManufacturedSolution, error_norms
+from forchmix.spaces import DofMap
 
 # Property tests draw the same examples on every run and keep no database, so
 # tier-1 stays reproducible and its wall time bounded.
@@ -50,9 +52,31 @@ def mms(law: ForchheimerLaw) -> ManufacturedSolution:
 
 
 @pytest.fixture(scope="session")
-def capped_report(law: ForchheimerLaw) -> ConvergenceReport:
-    """The default study: dt = min(1e-2, h^2), meshes 4 through 64."""
-    return convergence_study(law, [4, 8, 16, 32, 64])
+def capped_study(law: ForchheimerLaw) -> tuple[ConvergenceReport, list[tuple[TriMesh, DofMap, RunResult]]]:
+    """The default study, dt = min(1e-2, h^2) on meshes 4 through 64, and
+    each row's (mesh, dofmap, RunResult), recorded from ExpandedMixedSolver.run
+    as the study calls it."""
+    runs = []
+    run = ExpandedMixedSolver.run
+
+    def recording(solver, *args):
+        result = run(solver, *args)
+        runs.append((solver.mesh, solver.dofmap, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExpandedMixedSolver, "run", recording)
+        return convergence_study(law, [4, 8, 16, 32, 64]), runs
+
+
+@pytest.fixture(scope="session")
+def capped_report(capped_study) -> ConvergenceReport:
+    return capped_study[0]
+
+
+@pytest.fixture(scope="session")
+def capped_runs(capped_study) -> list[tuple[TriMesh, DofMap, RunResult]]:
+    return capped_study[1]
 
 
 @pytest.fixture(scope="session")

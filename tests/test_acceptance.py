@@ -168,13 +168,13 @@ def test_criterion_06_commuting_projection(law) -> None:
     _report(ok, 6, f"worst deviation {worst:.2e} over 100 fields per mesh in {{2,4,8}}")
 
 
-def test_criterion_07_mass_balance(capped_report) -> None:
+def test_criterion_07_mass_balance(capped_report, capped_runs) -> None:
     """Per-step mass balance on the n=16 run of the study."""
     assert capped_report.rows[2].n == 16
-    run = capped_report.runs[2]
+    _, _, result = capped_runs[2]
     worst = 0.0
     ok = True
-    for residual, f_int in zip(run.result.mass_residuals, run.result.f_integrals):
+    for residual, f_int in zip(result.mass_residuals, result.f_integrals):
         bound = 1e-10 * (1.0 + abs(f_int))
         worst = max(worst, residual / bound)
         ok = ok and residual <= bound
@@ -182,7 +182,7 @@ def test_criterion_07_mass_balance(capped_report) -> None:
         ok,
         7,
         f"max normalized mass-balance residual {worst:.2e} over "
-        f"{len(run.result.mass_residuals)} steps on n=16 (bound 1)",
+        f"{len(result.mass_residuals)} steps on n=16 (bound 1)",
     )
 
 
@@ -215,11 +215,11 @@ def test_criterion_09_manufactured_residual(mms) -> None:
     _report(ok, 9, f"max finite-difference residual {residual:.2e} at 1000 points")
 
 
-def test_criterion_10_picard_robustness(capped_report, coarse_run, decay_run) -> None:
+def test_criterion_10_picard_robustness(capped_runs, coarse_run, decay_run) -> None:
     """Every step of every acceptance run converges within 25 iterations."""
     counts = []
-    for run in capped_report.runs:
-        counts.extend(run.result.picard_iters)
+    for _, _, result in capped_runs:
+        counts.extend(result.picard_iters)
     counts.extend(coarse_run[0].picard_iters)
     counts.extend(decay_run[1])
     worst = max(counts)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frozen_preconditioner import FrozenPreconditionedSolver
+from frozen_preconditioner import FrozenPreconditionedMarch
 
 import forchmix.mms as mms_module
 import forchmix.solver as solver_module
@@ -322,7 +322,7 @@ def test_main_writes_csv_file_deterministically(tmp_path: Path, capsys) -> None:
 # err_u, rate_u) and picard_avg, with None for the first row's missing rates.
 # _STUDY_ROWS is the solver's, with CG preconditioned by the factor of the
 # Jacobian; _FROZEN_STUDY_ROWS is what it printed while CG was preconditioned
-# by the factor of the frozen-K matrix A(1/g), as FrozenPreconditionedSolver
+# by the factor of the frozen-K matrix A(1/g), as FrozenPreconditionedMarch
 # still is.  The errors differ by at most 1.2e-9 (relative, err_u at n=16).
 _STUDY_ROWS = [
     (4, (9.886185926105e-03, None, 3.476920381014e-02, None, 2.562772443026e-02, None), 2.25),
@@ -375,7 +375,7 @@ def test_study_matches_the_frozen_preconditioner(capsys, monkeypatch) -> None:
     printed before the change, as recorded."""
     rows = _study_csv(capsys)
     monkeypatch.setattr(solver_module, "_CG_STALE_BUDGET", math.inf)
-    monkeypatch.setattr(mms_module, "ExpandedMixedSolver", FrozenPreconditionedSolver)
+    monkeypatch.setattr(solver_module, "_March", FrozenPreconditionedMarch)
     frozen = _study_csv(capsys)
     _assert_recorded(frozen, _FROZEN_STUDY_ROWS)
     for row, want in zip(rows, frozen):

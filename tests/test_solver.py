@@ -192,14 +192,33 @@ def _count_solves(monkeypatch) -> list[int]:
     return calls
 
 
-def _factor_frozen(solver: ExpandedMixedSolver, weights: np.ndarray) -> None:
-    """Factor the Jacobian at isotropic cell blocks, zero v and
+def _march(solver: ExpandedMixedSolver, f=_zero_forcing) -> solver_module._March:
+    """A march of the solver under the forcing f, whose Newton parts a test
+    drives by hand."""
+    return solver_module._March(solver, f)
+
+
+def _record_marches(monkeypatch) -> list[solver_module._March]:
+    """Every march the solver module makes from now on, kept alive, in order."""
+    marches = []
+
+    class Recorded(solver_module._March):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            marches.append(self)
+
+    monkeypatch.setattr(solver_module, "_March", Recorded)
+    return marches
+
+
+def _factor_frozen(march: solver_module._March, weights: np.ndarray) -> None:
+    """Factor the march's Jacobian at isotropic cell blocks, zero v and
     g = slope = w |T|, where it is A(1/g) = F^T diag(w, w, dt/|T|) F at the
     cell weights w = 1/(K_T |T|)."""
     zero = np.zeros((2, len(weights)))
-    g = weights * solver.mesh.areas
-    solver._refill_jacobian(zero, zero[0], g, g)
-    solver._factor()
+    g = weights * march.solver.mesh.areas
+    march._refill_jacobian(zero, zero[0], g, g)
+    march._factor()
 
 
 def test_config_validation() -> None:
@@ -357,33 +376,33 @@ def test_monolithic_matches_condensed(monkeypatch) -> None:
         _assert_states_close(result.state, _tight_oracle(law_text, monolithic=True), 1e-9)
 
 
-def _spy_cg(monkeypatch, solver: ExpandedMixedSolver) -> list[tuple[float, float, float, float]]:
-    """Record each CG solve of the solver as (floor, |b|, target, residual):
+def _spy_cg(monkeypatch) -> list[tuple[float, float, float, float]]:
+    """Record each CG solve of every march as (floor, |b|, target, residual):
     the floor of its step's stop, _cg_rtol(picard_tol) |b_n - b_{n-1}| with
     b = B^T p_hat, or |R(u^0)| in place of |b_1 - b_0| on a march's first
     step; the norm of the right-hand side b = -R(u); the target CG was
     given; and the true residual |b - J delta| of what it returned, nan on a
     miss."""
     calls, floor = [], [None]
-    advance, pcg = solver._advance, solver._pcg
+    advance, pcg = solver_module._March.advance, solver_module._March._pcg
 
-    def spy_advance(levels, t_n, load, rhs_prev):
+    def spy_advance(march, levels, t_n):
         floor[0] = None
-        if rhs_prev is not None:
-            rhs = _blocks(solver)[0].T @ _p_hat(solver, levels[-1].p, load)
-            floor[0] = solver._cg_rtol * solver_module._norm(rhs - rhs_prev)
-        return advance(levels, t_n, load, rhs_prev)
+        if march._rhs is not None:
+            rhs = _blocks(march.solver)[0].T @ _p_hat(march.solver, levels[-1].p, march._loads(t_n))
+            floor[0] = march.solver._cg_rtol * solver_module._norm(rhs - march._rhs)
+        return advance(march, levels, t_n)
 
-    def spy_pcg(b, target):
+    def spy_pcg(march, b, target):
         if floor[0] is None:
-            floor[0] = solver._cg_rtol * solver_module._norm(b)
-        delta = pcg(b, target)
-        residual = np.nan if delta is None else np.linalg.norm(b - solver._jacobian_times(delta))
+            floor[0] = march.solver._cg_rtol * solver_module._norm(b)
+        delta = pcg(march, b, target)
+        residual = np.nan if delta is None else np.linalg.norm(b - march._jacobian_times(delta))
         calls.append((floor[0], solver_module._norm(b), target, residual))
         return delta
 
-    monkeypatch.setattr(solver, "_advance", spy_advance)
-    monkeypatch.setattr(solver, "_pcg", spy_pcg)
+    monkeypatch.setattr(solver_module._March, "advance", spy_advance)
+    monkeypatch.setattr(solver_module._March, "_pcg", spy_pcg)
     return calls
 
 
@@ -396,14 +415,17 @@ def test_exact_anchor_stops_cg_relative_to_the_warm_start(law: ForchheimerLaw, m
     mesh = unit_square_mesh(4)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
     rng = np.random.default_rng(0)
-    p_prev, load = rng.standard_normal(mesh.num_triangles), np.zeros(mesh.num_triangles)
+    p_prev = rng.standard_normal(mesh.num_triangles)
     u = rng.standard_normal(solver.dofmap.n_rt0)
     level = DiscreteState(p=p_prev, s=np.zeros((mesh.num_triangles, 2)), u=u, t=0.0)
-    _factor_frozen(solver, 1.0 / mesh.areas)
-    calls = _spy_cg(monkeypatch, solver)
+    # the zero forcing's load is zero, so p_hat = p_prev
+    march = _march(solver)
+    _factor_frozen(march, 1.0 / mesh.areas)
+    calls = _spy_cg(monkeypatch)
     b_prev = _blocks(solver)[0].T @ p_prev
-    (state, iterations, _, _), rhs = solver._advance([level], 0.1, load, b_prev)
-    assert rhs.tobytes() == b_prev.tobytes()
+    march._rhs = b_prev
+    state, iterations, _, _ = march.advance([level], 0.1)
+    assert march._rhs.tobytes() == b_prev.tobytes()
     assert factorizations[0] == 1
     assert iterations == len(calls) >= 2
     for floor, b_norm, target, residual in calls:
@@ -424,7 +446,7 @@ def test_cg_stop_follows_the_picard_tolerance(law: ForchheimerLaw, mms, monkeypa
     for tol in (1e-10, 1e-6):
         config = SolverConfig(dt=1e-2, t_final=0.1, picard_tol=tol)
         solver = ExpandedMixedSolver(unit_square_mesh(8), law, config)
-        calls = _spy_cg(monkeypatch, solver)
+        calls = _spy_cg(monkeypatch)
         solver.run(mms.f, mms.p0, mms.s0, mms.u0)
         assert len(calls) >= 10
         for floor, b_norm, target, residual in calls:
@@ -483,9 +505,10 @@ def test_ordered_direct_solve_matches_spsolve(spec: int | str, law: ForchheimerL
     kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
     kbar[:2] = 1e-4, 1.0
     rhs = _blocks(solver)[0].T @ rng.standard_normal(mesh.num_triangles)
-    _factor_frozen(solver, 1.0 / (kbar * mesh.areas))
+    march = _march(solver)
+    _factor_frozen(march, 1.0 / (kbar * mesh.areas))
     want = spsolve(_condensed_matrix(solver, kbar), rhs)
-    assert np.max(np.abs(solver._lu.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(march._lu.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("spec", _ORDERING_MESHES)
@@ -513,9 +536,10 @@ def test_layout_is_the_condensed_matrix_in_nested_dissection_order(
     b_div, _ = _blocks(solver)
     coupled = (abs(b_div).T @ abs(b_div)).tocsc()
     coupled.sort_indices()
+    march = _march(solver)
     for _ in range(2):
         kbar = 10.0 ** rng.uniform(-4.0, 0.0, mesh.num_triangles)
-        _factor_frozen(solver, 1.0 / (kbar * mesh.areas))
+        _factor_frozen(march, 1.0 / (kbar * mesh.areas))
         a, kwargs = received[-1]
         assert a.format == "csc"
         assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "panel_size": solver_module._LU_PANEL}
@@ -551,22 +575,23 @@ def test_the_factor_is_the_jacobian(law_text: str, n: int, monkeypatch) -> None:
     rng = np.random.default_rng(n)
     size = solver.dofmap.n_rt0
     _, _, cell = solver._state(rng.standard_normal(size), rng.standard_normal(mesh.num_triangles))
-    solver._refill_jacobian(*cell)
-    solver._factor()
+    march = _march(solver)
+    march._refill_jacobian(*cell)
+    march._factor()
     (a,) = received
-    jacobian = np.column_stack([solver._jacobian_times(e) for e in np.eye(size)])
+    jacobian = np.column_stack([march._jacobian_times(e) for e in np.eye(size)])
     assert np.max(np.abs(a.toarray() - jacobian)) <= 1e-12 * np.max(np.abs(jacobian))
     frozen = _condensed_matrix(solver, 1.0 / cell[2])
     for matrix in (a, frozen):
         matrix.sort_indices()
     assert np.array_equal(a.indptr, frozen.indptr) and np.array_equal(a.indices, frozen.indices)
-    assert solver._lu.nnz == splu(frozen, permc_spec="NATURAL", diag_pivot_thresh=0.0).nnz
+    assert march._lu.nnz == splu(frozen, permc_spec="NATURAL", diag_pivot_thresh=0.0).nnz
     b = rng.standard_normal(size)
     monkeypatch.setattr(solver_module, "_CG_MAXITER", 1)
-    delta = solver._pcg(b, 1e-10 * np.linalg.norm(b))
+    delta = march._pcg(b, 1e-10 * np.linalg.norm(b))
     assert delta is not None
     assert np.linalg.norm(b - jacobian @ delta) <= 1.001e-10 * np.linalg.norm(b)
-    assert solver._stale_iterations == 0
+    assert march._stale_iterations == 0
 
 
 def _residual(solver: ExpandedMixedSolver, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
@@ -599,12 +624,13 @@ def test_jacobian_is_the_derivative_of_the_residual(law_text: str) -> None:
     p_hat = rng.standard_normal(mesh.num_triangles)
     assert np.count_nonzero(np.abs(m_uz @ u) == 0.0) >= 2
     s, p, cell = solver._state(u, p_hat)
-    solver._refill_jacobian(*cell)
-    assert np.all(np.isfinite(solver._cell_planes))
+    march = _march(solver)
+    march._refill_jacobian(*cell)
+    assert np.all(np.isfinite(march._cell_planes))
     # the state is the residual's: -R(u) = [M_uz; B]^T [s; p]
     want = -_residual(solver, u, p_hat)
     assert np.allclose(solver._forms_t @ np.concatenate((s.ravel(), p)), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
-    jacobian = np.column_stack([solver._jacobian_times(e) for e in np.eye(n)])
+    jacobian = np.column_stack([march._jacobian_times(e) for e in np.eye(n)])
     assert np.allclose(jacobian, jacobian.T, rtol=0.0, atol=1e-12 * np.max(np.abs(jacobian)))
     assert np.all(np.linalg.eigvalsh(jacobian) > 0.0)
     for d in rng.standard_normal((3, n)):
@@ -615,11 +641,11 @@ def test_jacobian_is_the_derivative_of_the_residual(law_text: str) -> None:
         assert np.max(np.abs(jd - difference)) <= 1e-6 * np.max(np.abs(jd))
 
 
-def _cell_operator(solver: ExpandedMixedSolver) -> np.ndarray:
-    """W, the cell operator of J = F^T W F, as the dense 3N x 3N matrix its
-    planes w_xx, w_yy and w_xy and its dt/|T| stand for."""
-    w_xx, w_yy, w_xy = (sp.diags(plane) for plane in solver._cell_planes)
-    return sp.bmat([[w_xx, w_xy, None], [w_xy, w_yy, None], [None, None, sp.diags(solver._dt_areas)]]).toarray()
+def _cell_operator(march: solver_module._March) -> np.ndarray:
+    """W, the cell operator of the march's J = F^T W F, as the dense 3N x 3N
+    matrix its planes w_xx, w_yy and w_xy and its dt/|T| stand for."""
+    w_xx, w_yy, w_xy = (sp.diags(plane) for plane in march._cell_planes)
+    return sp.bmat([[w_xx, w_xy, None], [w_xy, w_yy, None], [None, None, sp.diags(march._dt_areas)]]).toarray()
 
 
 @pytest.mark.parametrize("law_text", ["1:0,1:1", "1:0,1e12:0.5,1:3"])
@@ -637,22 +663,23 @@ def test_cell_weights_keep_their_invariants_over_refills(law_text: str) -> None:
     assert dt_areas.tobytes() == (config.dt / mesh.areas).tobytes()
     _, m_uz = _blocks(solver)
     rng = np.random.default_rng(3)
+    march = _march(solver)
     for _ in range(3):
         u = 1e-2 * rng.standard_normal(solver.dofmap.n_rt0)
         u[m_uz[0].indices] = 0.0
         _, _, cell = solver._state(u, np.zeros(cells))
         assert cell[1][0] == 0.0
-        solver._refill_jacobian(*cell)
-        w = _cell_operator(solver)
-        assert np.all(np.isfinite(solver._cell_planes)) and np.array_equal(w, w.T)
+        march._refill_jacobian(*cell)
+        w = _cell_operator(march)
+        assert np.all(np.isfinite(march._cell_planes)) and np.array_equal(w, w.T)
         assert np.array_equal(w, cell_weights(mesh, config.dt, *cell).toarray())
-        assert solver._dt_areas is dt_areas
+        assert march._dt_areas is solver._dt_areas is dt_areas
         assert dt_areas.tobytes() == (config.dt / mesh.areas).tobytes()
     g = rng.uniform(0.5, 2.0, cells)
     zero = np.zeros((2, cells))
-    solver._refill_jacobian(zero, zero[0], g, g)
+    march._refill_jacobian(zero, zero[0], g, g)
     want = np.diag(np.concatenate((g / mesh.areas, g / mesh.areas, dt_areas)))
-    assert np.array_equal(_cell_operator(solver), want)
+    assert np.array_equal(_cell_operator(march), want)
 
 
 @pytest.mark.parametrize("spec", [1, 2, 5, 16, "scrambled"])
@@ -680,11 +707,12 @@ def test_planes_apply_and_factor_the_oracles_operator(spec: int | str, law_text:
     u[m_uz[0].indices] = 0.0
     _, _, cell = solver._state(u, rng.standard_normal(mesh.num_triangles))
     assert cell[1][0] == 0.0
-    solver._refill_jacobian(*cell)
+    march = _march(solver)
+    march._refill_jacobian(*cell)
     w = cell_weights(mesh, config.dt, *cell)
     for d in rng.standard_normal((3, solver.dofmap.n_rt0)):
-        assert solver._jacobian_times(d).tobytes() == (forms.T @ (w @ (forms @ d))).tobytes()
-    solver._factor()
+        assert march._jacobian_times(d).tobytes() == (forms.T @ (w @ (forms @ d))).tobytes()
+    march._factor()
     (got,) = received
     want = (forms.T @ (w @ forms)).tocsc()
     for matrix in (got, want):
@@ -695,15 +723,15 @@ def test_planes_apply_and_factor_the_oracles_operator(spec: int | str, law_text:
 
 def test_a_renewal_frees_the_old_factor_before_splu(law: ForchheimerLaw, mms, monkeypatch) -> None:
     """With every Newton iterate renewing the factor (_CG_STALE_BUDGET = 0),
-    the solver holds no factor whenever splu runs, so the old SuperLU object
+    the march holds no factor whenever splu runs, so the old SuperLU object
     is freed before the new one is built, not held beside it."""
     monkeypatch.setattr(solver_module, "_CG_STALE_BUDGET", 0)
     solver = ExpandedMixedSolver(unit_square_mesh(8), law, SolverConfig(dt=1e-2, t_final=5e-2))
-    held = []
+    held, marches = [], _record_marches(monkeypatch)
     splu_original = solver_module.splu
 
     def spy(a, **kwargs):
-        held.append(solver._lu)
+        held.append(marches[-1]._lu)
         return splu_original(a, **kwargs)
 
     monkeypatch.setattr(solver_module, "splu", spy)
@@ -756,16 +784,17 @@ def test_the_panel_width_changes_only_superlus_workspace(spec: int | str, law: F
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=0.1, t_final=0.1))
     rng = np.random.default_rng(5)
     _, _, cell = solver._state(rng.standard_normal(solver.dofmap.n_rt0), rng.standard_normal(mesh.num_triangles))
-    solver._refill_jacobian(*cell)
-    solver._factor()
+    march = _march(solver)
+    march._refill_jacobian(*cell)
+    march._factor()
     (a,) = received
     default = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    assert solver._lu.nnz == default.nnz
-    assert np.array_equal(solver._lu.perm_r, default.perm_r)
-    assert np.array_equal(solver._lu.perm_c, default.perm_c)
+    assert march._lu.nnz == default.nnz
+    assert np.array_equal(march._lu.perm_r, default.perm_r)
+    assert np.array_equal(march._lu.perm_c, default.perm_c)
     b = rng.standard_normal(solver.dofmap.n_rt0)
     want = default.solve(b)
-    assert np.max(np.abs(solver._lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(march._lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch) -> None:
@@ -773,13 +802,14 @@ def test_nested_dissection_fills_less_than_minimum_degree(law, mms, monkeypatch)
     than SuperLU's minimum degree order of A + A^T gives, and two runs on one
     solver number the dofs once."""
     numberings = _count_calls(monkeypatch, "build_dofmap")
+    marches = _record_marches(monkeypatch)
     mesh = unit_square_mesh(32)
     solver = ExpandedMixedSolver(mesh, law, SolverConfig(dt=1e-3, t_final=2e-3))
     for _ in range(2):
         solver.run(mms.f, mms.p0, mms.s0, mms.u0)
     assert numberings[0] == 1
     a = _condensed_matrix(solver, np.ones(mesh.num_triangles))
-    assert solver._lu.nnz < splu(a, permc_spec="MMD_AT_PLUS_A").nnz
+    assert marches[-1]._lu.nnz < splu(a, permc_spec="MMD_AT_PLUS_A").nnz
 
 
 def test_march_factors_solves_and_evaluates_through_the_module(law, mms, monkeypatch) -> None:
@@ -924,24 +954,64 @@ def _study_row_setup(law_text: str = "1:0,1:1"):
     return unit_square_mesh(32), law, config, ManufacturedSolution(law)
 
 
-@pytest.mark.parametrize("setup", ["newton-stiff", "study-row"])
+@pytest.mark.parametrize("setup", ["newton-stiff", "study-row", "interleaved"])
 def test_steps_reproduce_run_bitwise(setup: str) -> None:
     """run drains steps: a march through steps on the same solver gives the
     same levels, Picard counts, mass residuals and forcing integrals bit for
-    bit, at the times of run's grid."""
-    stiff = setup == "newton-stiff"
-    mesh, law, config, exact = _n16_setup("1:0,1e4:2") if stiff else _study_row_setup()
+    bit, at the times of run's grid.  Interleaved, two marches of one solver
+    iterated in turn each give run's bytes, over 50 steps of dt = 0.01 under
+    1:0,1e4:2 on n=16, where a factor shared through the solver once moved
+    their levels by up to 2.9e-9 (relative)."""
+    mesh, law, config, exact = _n16_setup("1:0,1e4:2") if setup != "study-row" else _study_row_setup()
+    if setup == "interleaved":
+        config = SolverConfig(dt=0.01, t_final=0.5)
     solver = ExpandedMixedSolver(mesh, law, config)
     result = solver.run(exact.f, exact.p0, exact.s0, exact.u0)
     state0 = solver.initial_state(exact.p0, exact.s0, exact.u0)
-    levels, iters, masses, f_ints = zip(*solver.steps(state0, exact.f))
-    times = np.linspace(0.0, config.t_final, config.num_steps + 1)
-    assert [level.t for level in levels] == times[1:].tolist()
-    assert list(iters) == result.picard_iters
-    assert list(masses) == result.mass_residuals
-    assert list(f_ints) == result.f_integrals
+    marches = [solver.steps(state0, exact.f) for _ in range(2 if setup == "interleaved" else 1)]
+    # zip takes one step of each march in turn
+    for march in zip(*zip(*marches)):
+        levels, iters, masses, f_ints = zip(*march)
+        times = np.linspace(0.0, config.t_final, config.num_steps + 1)
+        assert [level.t for level in levels] == times[1:].tolist()
+        assert list(iters) == result.picard_iters
+        assert list(masses) == result.mass_residuals
+        assert list(f_ints) == result.f_integrals
+        for field in ("p", "s", "u"):
+            assert np.array_equal(getattr(levels[-1], field), getattr(result.state, field)), field
+
+
+def test_a_finished_march_frees_its_factor(law: ForchheimerLaw, mms, monkeypatch) -> None:
+    """The march, not the solver, holds the factor of J: a solver has no
+    factor, planes or stale count of its own, and once run returns, or a
+    march ends in PicardError, no factor that march built is alive, so none
+    is held through error_norms.  A second run gives the first's bytes."""
+    factors = []
+    splu_original = solver_module.splu
+
+    def spy(*args, **kwargs):
+        # SuperLU takes no weak reference; the wrapper does, and only the march holds it
+        lu = _CountingLU(splu_original(*args, **kwargs), [0])
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(solver_module, "splu", spy)
+    solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=1e-2, t_final=5e-2))
+    assert not any(hasattr(solver, name) for name in ("_lu", "_stale_iterations", "_cell_planes"))
+    runs = [solver.run(mms.f, mms.p0, mms.s0, mms.u0) for _ in range(2)]
+    gc.collect()
+    assert len(factors) >= 2
+    assert all(factor() is None for factor in factors)
+    assert runs[0].picard_iters == runs[1].picard_iters
     for field in ("p", "s", "u"):
-        assert np.array_equal(getattr(levels[-1], field), getattr(result.state, field)), field
+        assert getattr(runs[0].state, field).tobytes() == getattr(runs[1].state, field).tobytes(), field
+    factors.clear()
+    monkeypatch.setattr(solver_module, "_NEWTON_MAXITER", 1)
+    with pytest.raises(PicardError):
+        solver.run(mms.f, mms.p0, mms.s0, mms.u0)
+    gc.collect()
+    assert len(factors) == 1
+    assert factors[0]() is None
 
 
 @pytest.mark.parametrize("setup", ["newton-stiff", "study-row"])
@@ -1036,13 +1106,13 @@ def test_stale_cg_iterations_renew_the_factor(law_text: str, monkeypatch) -> Non
     law = law_from_string(law_text)
     exact = ManufacturedSolution(law)
     solver = ExpandedMixedSolver(unit_square_mesh(8), law, SolverConfig(dt=1e-2, t_final=0.1))
-    stale, factor = [], solver._factor
+    stale, factor = [], solver_module._March._factor
 
-    def spy_factor():
-        stale.append(None if solver._lu is None else solver._stale_iterations)
-        factor()
+    def spy_factor(march):
+        stale.append(None if march._lu is None else march._stale_iterations)
+        factor(march)
 
-    monkeypatch.setattr(solver, "_factor", spy_factor)
+    monkeypatch.setattr(solver_module._March, "_factor", spy_factor)
     levels = _levels(solver, exact, exact.f)
     assert stale[0] is None
     assert len(stale) > 1
@@ -1210,7 +1280,7 @@ def test_nonfinite_data_raise_before_any_solve(law, mms, field, value, message, 
         raise AssertionError("a solve ran on non-finite data")
 
     monkeypatch.setattr(solver_module, "splu", no_solve)
-    monkeypatch.setattr(solver, "_pcg", no_solve)
+    monkeypatch.setattr(solver_module._March, "_pcg", no_solve)
     data = {"f": mms.f, "p0": mms.p0, "s0": mms.s0, "u0": mms.u0}
     exact = data[field]
     if field == "f":
@@ -1226,7 +1296,7 @@ def test_a_forcing_of_x_y_and_t_fails_at_the_march_start(law, mms, monkeypatch) 
     raises TypeError when the march binds it, before its first step."""
     solver = ExpandedMixedSolver(unit_square_mesh(4), law, SolverConfig(dt=0.01, t_final=0.02))
     advanced = []
-    monkeypatch.setattr(solver, "_advance", lambda *args: advanced.append(args))
+    monkeypatch.setattr(solver_module._March, "advance", lambda *args: advanced.append(args))
 
     def old_shape(x, y, t):
         return mms.f(x, y)(t)
